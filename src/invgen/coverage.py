@@ -20,6 +20,7 @@ import hashlib
 import itertools
 import json
 import os
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -154,13 +155,24 @@ def coverage_table(G: Group, use_cache: bool = True) -> ClassCoverageTable:
             pass  # corrupt entry: fall through and recompute
     table = _compute_table(G)
     if path:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(table.to_json(), fh)
-        os.replace(tmp, path)
+        _write_entry(path, table)
     G._coverage = table
     return table
+
+
+def _write_entry(path: str, table: ClassCoverageTable) -> None:
+    """Write a cache entry atomically.  Each writer goes through its own
+    temp file, so concurrent writers of one key never share a name."""
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(table.to_json(), fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _element_indices(G: Group, elements) -> list[int]:

@@ -572,17 +572,27 @@ def build_crown_power_general(L: Group, A: SubgroupRecord, k: int) -> Group:
 def crown_power_from_descriptor(desc: dict) -> Group:
     """Build from {"crownpower": {...}} / {"crownpower_general": {...}}."""
     if "crownpower" in desc:
-        inner = desc["crownpower"]
-        act = module_from_descriptor(inner["module"])
-        return build_crown_power_abelian(act, int(inner["u"]))
+        module, u = _crown_fields(desc["crownpower"], "module", "u")
+        return build_crown_power_abelian(module_from_descriptor(module), u)
     if "crownpower_general" in desc:
         inner = desc["crownpower_general"]
-        L = load_group(inner["group"])
+        group, k = _crown_fields(inner, "group", "k")
+        L = load_group(group)
         socle = inner.get("socle", "auto")
         if socle != "auto":
             raise InputError("only socle='auto' is supported")
         mins = minimal_normal_subgroups(L)
         if len(mins) != 1:
             raise InputError("group has no unique minimal normal subgroup")
-        return build_crown_power_general(L, mins[0], int(inner["k"]))
+        return build_crown_power_general(L, mins[0], k)
     raise InputError("descriptor has no crownpower key")
+
+
+def _crown_fields(inner, spec: str, count: str):
+    """(inner[spec], int(inner[count])), or InputError naming what is wrong."""
+    try:
+        return inner[spec], int(inner[count])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(
+            f"crown power descriptor needs {spec!r} and an integer {count!r}: {exc!r}"
+        ) from None

@@ -382,10 +382,18 @@ class Group:
 # descriptor loading and named families
 
 
+def _int_param(desc, key) -> int:
+    """desc[key] as an int; a missing key raises KeyError for the caller."""
+    try:
+        return int(desc[key])
+    except (TypeError, ValueError):
+        raise InputError(f"parameter {key!r} must be an integer, got {desc[key]!r}") from None
+
+
 def _family_generators(family, desc):
     """0-based cycle data for each built-in family."""
     if family == "sym":
-        n = int(desc["n"])
+        n = _int_param(desc, "n")
         if n < 1:
             raise InputError("sym needs n >= 1")
         if n == 1:
@@ -394,7 +402,7 @@ def _family_generators(family, desc):
             return [[(0, 1)]], 2
         return [[(0, 1)], [tuple(range(n))]], n
     if family == "alt":
-        n = int(desc["n"])
+        n = _int_param(desc, "n")
         if n < 1:
             raise InputError("alt needs n >= 1")
         if n <= 2:
@@ -405,14 +413,14 @@ def _family_generators(family, desc):
             return [[(0, 1, 2)], [tuple(range(n))]], n
         return [[(0, 1, 2)], [tuple(range(1, n))]], n
     if family == "cyclic":
-        n = int(desc["n"])
+        n = _int_param(desc, "n")
         if n < 1:
             raise InputError("cyclic needs n >= 1")
         if n == 1:
             return [], 1
         return [[tuple(range(n))]], n
     if family == "dihedral":
-        n = int(desc["n"])
+        n = _int_param(desc, "n")
         if n < 1:
             raise InputError("dihedral needs n >= 1")
         if n == 1:
@@ -468,9 +476,9 @@ def load_group(desc: dict, caps=None) -> Group:
         fam = desc["family"]
         try:
             if fam == "elemab":
-                grp = _elemab_group(int(desc["p"]), int(desc["k"]), caps)
+                grp = _elemab_group(_int_param(desc, "p"), _int_param(desc, "k"), caps)
             elif fam == "agl1":
-                grp = _agl1_group(int(desc["q"]), caps)
+                grp = _agl1_group(_int_param(desc, "q"), caps)
             else:
                 cyc, degree = _family_generators(fam, desc)
                 gens = [Perm.from_cycles(c, degree) for c in cyc]

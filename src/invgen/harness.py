@@ -131,8 +131,8 @@ def realize_descriptor(desc: dict) -> tuple[Group, str, ModuleAction | None]:
             G.name = desc["name"]
         return G, "module", act
     if "crownpower" in desc:
-        act = module_from_descriptor(desc["crownpower"]["module"])
         G = crown_power_from_descriptor(desc)
+        act = module_from_descriptor(desc["crownpower"]["module"])
         if "name" in desc:
             G.name = desc["name"]
         return G, "crownpower", act

@@ -4,13 +4,22 @@ Subgroups are identified by membership bitsets (Python ints over element
 indices).  The lattice is built bottom-up: seed with the prime-power
 cyclic subgroups, then repeatedly join class representatives with cyclic
 subgroups until no new conjugacy class of subgroups appears.  Every
-subgroup is generated by its prime-power cyclic subgroups and joining a
-class representative with *all* cyclic partners finds a conjugate of
-every extension, so the closure is complete.
+subgroup is generated by its prime-power cyclic subgroups, so joining
+each class representative H with every cyclic partner would find a
+conjugate of every subgroup.  Most of those joins are redundant: for n
+in the normalizer N_G(H), <H, c^n> = <H, c>^n, so H is joined with only
+one cyclic from each N_G(H)-orbit and the closure stays complete.
+
+A join <H, c> is grown as whole right cosets Hx of H, starting from H's
+known members (Dimino's algorithm; Butler, *Fundamental Algorithms for
+Permutation Groups*, 1991): only coset representatives times generators
+are tested, and the growth stops once more than |G|/2 elements are
+found, since then the join is G.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -239,6 +248,71 @@ def _cyclic_subgroups_prime_power(G: Group):
     return [seen[b] for b in sorted(seen)]
 
 
+def _cyclic_index(G: Group, cyclics) -> np.ndarray:
+    """Map each generator of a listed cyclic subgroup to that cyclic's
+    position in the list; other elements map to -1."""
+    t = G.table
+    cyc_of = np.full(G.order, -1, dtype=np.int64)
+    for ci, c in enumerate(cyclics):
+        x = c.gens[0]
+        y = x
+        for j in range(1, c.order):
+            if math.gcd(j, c.order) == 1:
+                cyc_of[y] = ci
+            y = int(t[y, x])
+    return cyc_of
+
+
+def _partner_reps(G: Group, H: SubgroupRecord, inv, cyc_of, cyc_gens) -> np.ndarray:
+    """Positions of the first cyclic in each N_G(H)-orbit of the cyclics.
+
+    g normalizes H when g^-1 s g lies in H for each generator s of H.
+    For n in N_G(H), <H, c^n> = <H, c>^n, so joining H with one cyclic
+    per orbit finds a conjugate of every join.
+    """
+    t = G.table
+    inside = np.zeros(G.order, dtype=bool)
+    inside[H.member_indices()] = True
+    everything = np.arange(G.order)
+    normalizes = np.ones(G.order, dtype=bool)
+    for s in H.gens:
+        normalizes &= inside[t[t[inv, s], everything]]
+    N = np.flatnonzero(normalizes)
+    images = cyc_of[t[t[inv[N][:, None], cyc_gens], N[:, None]]]
+    first = images.min(axis=0)
+    return np.flatnonzero(first == np.arange(len(cyc_gens)))
+
+
+def _coset_closure(G: Group, h_members: np.ndarray, gens) -> np.ndarray | None:
+    """Members of <H, gens> grown as right cosets Hx of H (Dimino), where
+    gens includes generators of H; None once more than |G|/2 elements are
+    found, since then the closure is G.
+
+    (Hr)s = H(rs), so a union of right cosets of H is closed under the
+    generators once every coset representative times every generator
+    lies in it: only those products are tested.
+    """
+    t = G.table
+    n = G.order
+    seen = np.zeros(n, dtype=bool)
+    seen[h_members] = True
+    count = len(h_members)
+    reps = [0]
+    k = 0
+    while k < len(reps):
+        r = reps[k]
+        k += 1
+        for s in gens:
+            x = int(t[r, s])
+            if not seen[x]:
+                seen[t[h_members, x]] = True
+                count += len(h_members)
+                if 2 * count > n:
+                    return None
+                reps.append(x)
+    return np.flatnonzero(seen)
+
+
 def subgroup_lattice(G: Group) -> list[SubgroupRecord]:
     """Every subgroup of G, each exactly once, sorted by (order, bitset)."""
     return _lattice(G).all_subgroups()
@@ -278,11 +352,16 @@ def _lattice(G: Group) -> SubgroupLattice:
     for c in cyclics:
         admit(c)
 
+    inv = np.argmin(G.table, axis=1)  # t[g, inv[g]] = 0, the smallest index
+    cyc_of = _cyclic_index(G, cyclics)
+    cyc_gens = np.array([c.gens[0] for c in cyclics], dtype=np.int64)
+
     wi = 0
     while wi < len(work):
         H = work[wi]
         wi += 1
-        for c in cyclics:
+        for ci in _partner_reps(G, H, inv, cyc_of, cyc_gens):
+            c = cyclics[ci]
             if (H.bits & c.bits) == c.bits:
                 continue
             # order lower bound |H||c| / |H ∩ c|: skip straight to G
@@ -290,8 +369,8 @@ def _lattice(G: Group) -> SubgroupLattice:
             bound = H.order * c.order // inter
             if 2 * bound > n:
                 continue  # join is G, already admitted
-            members = closure_indices(G, H.gens + c.gens)
-            if 2 * len(members) > n:
+            members = _coset_closure(G, H.member_indices(), H.gens + c.gens)
+            if members is None:
                 continue
             admit(_record(G, members, H.gens + c.gens))
 

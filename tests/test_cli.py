@@ -205,3 +205,21 @@ def test_exit_code_verify_violation(capsys, tmp_path, monkeypatch, mini_corpus):
     assert code == 1
     report = json.loads(out)
     assert report["passed"] is False
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        {"crownpower": {"module": {"group": {"family": "cyclic", "n": 2}, "p": 3, "matrices": [[[2]]]}}},
+        {"family": "sym", "n": "x"},
+    ],
+    ids=["crownpower_without_u", "sym_non_integer_n"],
+)
+def test_survey_records_malformed_row(capsys, tmp_path, row):
+    corpus = tmp_path / "bad.jsonl"
+    corpus.write_text(json.dumps(row) + "\n")
+    out_path = tmp_path / "survey.jsonl"
+    code, _, err = run(capsys, "survey", str(corpus), "--trials", "100", "--out", str(out_path))
+    assert code == 0, err
+    (rec,) = [json.loads(l) for l in out_path.read_text().splitlines()]
+    assert rec["error"]

@@ -128,6 +128,14 @@ def test_descriptor_validation():
         load_group({"family": "agl1", "q": 6})
     with pytest.raises(InputError):
         load_group([])
+    for desc in (
+        {"family": "sym", "n": "x"},
+        {"family": "dihedral", "n": None},
+        {"family": "elemab", "p": 2, "k": "two"},
+        {"family": "agl1", "q": [5]},
+    ):
+        with pytest.raises(InputError, match="must be an integer"):
+            load_group(desc)
 
 
 def test_degree_cap_enforced():

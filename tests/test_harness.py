@@ -171,6 +171,46 @@ def test_corrupted_coverage_cache_is_caught(tmp_path, monkeypatch, mini_corpus):
     assert outcome.violations
 
 
+CACHE_RACE_ROUNDS = 150
+
+
+def _write_cyclic2_each_round(root, barrier):
+    """Compute cyclic(2) into root/<round>, in step with the other writer."""
+    G = load_group({"family": "cyclic", "n": 2})
+    for k in range(CACHE_RACE_ROUNDS):
+        os.environ["INVGEN_CACHE_DIR"] = os.path.join(root, str(k))
+        barrier.wait(timeout=30)
+        G._coverage = None
+        coverage_table(G)
+
+
+def test_concurrent_cache_writers_of_one_key(tmp_path):
+    import multiprocessing
+
+    from invgen.coverage import ClassCoverageTable
+
+    ctx = multiprocessing.get_context("spawn")
+    barrier = ctx.Barrier(2)
+    procs = [
+        ctx.Process(target=_write_cyclic2_each_round, args=(str(tmp_path), barrier))
+        for _ in range(2)
+    ]
+    for proc in procs:
+        proc.start()
+    for proc in procs:
+        proc.join(timeout=240)
+    stuck = [proc for proc in procs if proc.is_alive()]
+    for proc in stuck:
+        proc.terminate()
+    assert not stuck
+    assert [proc.exitcode for proc in procs] == [0, 0]
+    expected = coverage_table(load_group({"family": "cyclic", "n": 2}), use_cache=False)
+    for k in range(CACHE_RACE_ROUNDS):
+        (entry,) = os.listdir(tmp_path / str(k))  # no temp file left behind
+        data = json.loads((tmp_path / str(k) / entry).read_text())
+        assert ClassCoverageTable.from_json(data) == expected
+
+
 def test_verify_props_passes_on_clean_mini_corpus(mini_corpus):
     report = verify_props(
         corpus_path=mini_corpus,

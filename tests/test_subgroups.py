@@ -1,0 +1,97 @@
+"""Subgroup lattice against values known independently of the code."""
+
+import pytest
+
+from invgen import load_group, read_corpus, realize_descriptor, shipped_corpus_path
+from invgen.subgroups import _lattice
+
+
+def lattice_counts(G):
+    lat = _lattice(G)
+    return sum(len(orbit) for _, orbit in lat.classes), len(lat.classes)
+
+
+@pytest.mark.parametrize(
+    "desc, subgroups, classes",
+    [
+        # OEIS A005432 (subgroups of S_n) and A000638 (classes)
+        ({"family": "sym", "n": 4}, 30, 11),
+        ({"family": "sym", "n": 5}, 156, 19),
+        ({"family": "sym", "n": 6}, 1455, 56),
+        ({"family": "alt", "n": 5}, 59, 9),
+        ({"family": "alt", "n": 6}, 501, 22),
+        # sums of Gaussian binomials; every class is a single subgroup
+        ({"family": "elemab", "p": 2, "k": 5}, 374, 374),
+        ({"family": "elemab", "p": 3, "k": 3}, 28, 28),
+    ],
+    ids=["S4", "S5", "S6", "A5", "A6", "C2^5", "C3^3"],
+)
+def test_lattice_counts_match_known_values(desc, subgroups, classes):
+    assert lattice_counts(load_group(desc)) == (subgroups, classes)
+
+
+def _tau_plus_sigma(n):
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    return len(divisors) + sum(divisors)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_dihedral_subgroup_count(n):
+    # D_n of order 2n: for each divisor d of n, the cyclic <r^(n/d)> and
+    # the n/d dihedral subgroups <r^(n/d), s r^i> with 0 <= i < n/d
+    total, _ = lattice_counts(load_group({"family": "dihedral", "n": n}))
+    assert total == _tau_plus_sigma(n)
+
+
+def test_quaternion_subgroup_count():
+    Q8 = load_group(
+        {"degree": 8, "generators": [[3, 4, 2, 1, 8, 7, 5, 6], [5, 6, 7, 8, 2, 1, 4, 3]]}
+    )
+    assert Q8.order == 8
+    assert lattice_counts(Q8) == (6, 6)
+
+
+def _brute_force_subgroups(G):
+    """Every subgroup, by joining each one found with every element."""
+    t = G.table
+
+    def closure(gens):
+        members = {0}
+        frontier = [0]
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for g in gens:
+                    b = int(t[a, g])
+                    if b not in members:
+                        members.add(b)
+                        nxt.append(b)
+            frontier = nxt
+        return frozenset(members)
+
+    trivial = frozenset({0})
+    found = {trivial: ()}
+    queue = [trivial]
+    while queue:
+        S = queue.pop()
+        for x in range(G.order):
+            if x in S:
+                continue
+            gens = found[S] + (x,)
+            T = closure(gens)
+            if T not in found:
+                found[T] = gens
+                queue.append(T)
+    return set(found)
+
+
+def test_lattice_equals_brute_force_on_small_corpus_groups():
+    checked = []
+    for desc in read_corpus(shipped_corpus_path()):
+        G, _, _ = realize_descriptor(desc)
+        if G.order > 32:
+            continue
+        lattice = {frozenset(int(i) for i in r.member_indices()) for r in _lattice(G).all_subgroups()}
+        assert lattice == _brute_force_subgroups(G), G.name
+        checked.append(G.name)
+    assert len(checked) >= 40
