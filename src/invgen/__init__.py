@@ -33,7 +33,6 @@ from .coverage import (
     coverage_table,
     coverage_to_csv,
     fpf_proportion,
-    invariable_generation_probability_profile,
     invariably_generates,
 )
 from .crowns import (
@@ -171,7 +170,6 @@ __all__ = [
     "gen_criterion",
     "generated_subgroup",
     "inclusion_exclusion_profile",
-    "invariable_generation_probability_profile",
     "invariably_generates",
     "invgen_criterion",
     "lift_problem_from_descriptor",

@@ -19,7 +19,12 @@ whole subtree is skipped.
 Monte Carlo estimation replays the same event with the splitmix-style
 counter RNG from invgen.rng: every draw is a pure function of
 (seed, trial, draw index), so runs are reproducible across processes
-and the vectorised path is bit-identical to the reference loop.
+and the vectorised path is bit-identical to the reference loop.  One
+kernel simulates each trial's waiting time n, capped at a draw limit,
+and serves both estimators: C(G) is the mean of n and P_I(G, k) is the
+share of trials with n <= k, on the same draws.  The kernel keeps the
+reduced covers each trial has not yet ruled out as packed words, one
+bit per cover and ceil(r/64) little-endian uint64 words per trial.
 """
 
 from __future__ import annotations
@@ -190,60 +195,49 @@ class ProbabilityReport:
     draws: int
 
 
-def _class_cover_masks(G: Group):
-    """Per-class uint64 bitmask (or bool row) of reduced covers containing it."""
+def _class_cover_words(G: Group) -> np.ndarray:
+    """Per-class membership in the reduced covers, packed little-endian.
+
+    Row c holds ceil(r/64) uint64 words; bit m of the row (bit m % 64 of
+    word m // 64) is set when reduced cover m contains class c.  Bits
+    past r are clear.
+    """
     table = coverage_table(G)
     covers = _reduced_covers(table.covers)
-    r = len(covers)
-    nc = table.num_classes
-    if r <= 63:
-        cmask = np.zeros(nc, dtype=np.uint64)
-        for m, cov in enumerate(covers):
-            for c in range(nc):
-                if (cov >> c) & 1:
-                    cmask[c] |= np.uint64(1 << m)
-        return r, cmask
-    rows = np.zeros((nc, r), dtype=bool)
-    for m, cov in enumerate(covers):
-        for c in range(nc):
-            if (cov >> c) & 1:
-                rows[c, m] = True
-    return r, rows
+    r, nc = len(covers), table.num_classes
+    nbytes = (nc + 7) // 8
+    raw = b"".join(c.to_bytes(nbytes, "little") for c in covers)
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(r, nbytes)
+    bits = np.zeros((nc, -(-r // 64) * 64), dtype=np.uint8)
+    bits[:, :r] = np.unpackbits(rows, axis=1, count=nc, bitorder="little").T
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8")
 
 
-def _mc_draw_counts(G: Group, trials: int, seed: int) -> np.ndarray:
-    """Number of draws each trial needed before invariable generation."""
+def _mc_draw_counts(
+    G: Group, trials: int, seed: int, limit: int = MAX_DRAWS_PER_TRIAL
+) -> np.ndarray:
+    """Number of draws each trial needed before invariable generation.
+
+    A trial still short of it after `limit` draws reads limit + 1.
+    """
     n = G.order
-    counts = np.zeros(trials, dtype=np.int64)
-    r, cmask = _class_cover_masks(G)
-    if r == 0:
-        return counts  # trivial group: zero draws suffice
+    words = _class_cover_words(G)
     class_of = G.class_of()
-    states = stream_states_vec(seed, np.arange(trials, dtype=np.uint64))
-    active = np.ones(trials, dtype=bool)
-    wide = cmask.ndim == 2
-    if wide:
-        alive_rows = np.ones((trials, r), dtype=bool)
-    else:
-        alive = np.full(trials, (np.uint64(1) << np.uint64(r)) - np.uint64(1))
+    counts = np.zeros(trials, dtype=np.int64)
+    # a trial is live while some cover contains every class drawn so far;
+    # the trivial group has no covers, so its trials need no draw
+    live = np.arange(trials if words.shape[1] else 0)
+    states = stream_states_vec(seed, live.astype(np.uint64))
+    alive = ~np.uint64(0)  # every cover; the first draw clears the padding
     j = 0
-    while active.any():
-        if j >= MAX_DRAWS_PER_TRIAL:
-            raise CapExceeded(
-                f"a trial exceeded {MAX_DRAWS_PER_TRIAL} draws (draws)"
-            )
-        u = draws_vec(states[active], j)
-        cls = class_of[randbelow_vec(u, n)]
-        counts[active] = j + 1
-        if wide:
-            nxt = alive_rows[active] & cmask[cls]
-            alive_rows[active] = nxt
-            active[active] = nxt.any(axis=1)
-        else:
-            nxt = alive[active] & cmask[cls]
-            alive[active] = nxt
-            active[active] = nxt != np.uint64(0)
+    while live.size and j < limit:
+        cls = class_of[randbelow_vec(draws_vec(states, j), n)]
+        alive = alive & np.take(words, cls, axis=0)  # take: far faster than words[cls] on 2-D
         j += 1
+        keep = alive.any(axis=1)
+        counts[live[~keep]] = j
+        live, states, alive = live[keep], states[keep], alive[keep]
+    counts[live] = limit + 1
     return counts
 
 
@@ -252,6 +246,8 @@ def chebotarev_montecarlo(G: Group, trials: int, seed: int) -> MonteCarloReport:
     if trials < 1:
         raise InputError(f"need at least one trial, got {trials}")
     counts = _mc_draw_counts(G, trials, seed)
+    if counts.max() > MAX_DRAWS_PER_TRIAL:
+        raise CapExceeded(f"a trial exceeded {MAX_DRAWS_PER_TRIAL} draws (draws)")
     mean = float(counts.mean())
     stderr = (
         float(counts.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
@@ -262,32 +258,12 @@ def chebotarev_montecarlo(G: Group, trials: int, seed: int) -> MonteCarloReport:
 def p_invariable_montecarlo(
     G: Group, k: int, trials: int, seed: int
 ) -> ProbabilityReport:
-    """Estimate P_I(G, k): run k draws per trial, count successes."""
+    """Estimate P_I(G, k): the share of trials done within k draws."""
     if trials < 1:
         raise InputError(f"need at least one trial, got {trials}")
     if k < 0:
         raise InputError(f"draw count must be >= 0, got {k}")
-    n = G.order
-    r, cmask = _class_cover_masks(G)
-    if r == 0:
-        return ProbabilityReport(1.0, 0.0, trials, seed, k)
-    class_of = G.class_of()
-    states = stream_states_vec(seed, np.arange(trials, dtype=np.uint64))
-    wide = cmask.ndim == 2
-    if wide:
-        alive_rows = np.ones((trials, r), dtype=bool)
-    else:
-        alive = np.full(trials, (np.uint64(1) << np.uint64(r)) - np.uint64(1))
-    for j in range(k):
-        u = draws_vec(states, j)
-        cls = class_of[randbelow_vec(u, n)]
-        if wide:
-            alive_rows &= cmask[cls]
-        else:
-            alive &= cmask[cls]
-    good = (~alive_rows.any(axis=1)) if wide else (alive == np.uint64(0))
-    hits = int(good.sum())
-    p_hat = hits / trials
+    p_hat = float((_mc_draw_counts(G, trials, seed, limit=k) <= k).mean())
     stderr = (
         math.sqrt(p_hat * (1.0 - p_hat) / (trials - 1)) if trials > 1 else 0.0
     )

@@ -236,12 +236,6 @@ def _invariably_generates_exhaustive(G: Group, idxs) -> bool:
     return True
 
 
-def invariable_generation_probability_profile(G: Group):
-    """(class_sizes, covers) pair used by the exact and Monte Carlo engines."""
-    table = coverage_table(G)
-    return table.class_sizes, table.covers
-
-
 def fpf_proportion(G: Group, M: SubgroupRecord) -> Fraction:
     """Proportion of G acting without fixed points on the cosets of M.
 

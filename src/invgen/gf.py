@@ -22,19 +22,6 @@ def matmul(A, B, p: int) -> np.ndarray:
     return (as_mat(A, p) @ as_mat(B, p)) % p
 
 
-def matpow(M, e: int, p: int) -> np.ndarray:
-    M = as_mat(M, p)
-    n = M.shape[0]
-    out = np.eye(n, dtype=np.int64)
-    base = M.copy()
-    while e:
-        if e & 1:
-            out = (out @ base) % p
-        base = (base @ base) % p
-        e >>= 1
-    return out
-
-
 def rref(A, p: int):
     """Reduced row echelon form mod p; returns (R, pivot_columns)."""
     R = as_mat(A, p).copy()

@@ -390,6 +390,13 @@ def _int_param(desc, key) -> int:
         raise InputError(f"parameter {key!r} must be an integer, got {desc[key]!r}") from None
 
 
+def perms_from_images(images, degree=None) -> list[Perm]:
+    """Perms from a descriptor's "generators", a list of 1-based image lists."""
+    if not isinstance(images, list):
+        raise InputError(f"generators must be a list of image lists, got {images!r}")
+    return [Perm.from_one_based(imgs, degree) for imgs in images]
+
+
 def _family_generators(family, desc):
     """0-based cycle data for each built-in family."""
     if family == "sym":
@@ -497,12 +504,12 @@ def load_group(desc: dict, caps=None) -> Group:
         return grp
     if "generators" in desc:
         try:
-            degree = int(desc["degree"])
+            degree = _int_param(desc, "degree")
         except KeyError:
             raise InputError("explicit descriptor needs a degree")
         if degree < 1:
             raise InputError("degree must be positive")
-        gens = [Perm.from_one_based(imgs, degree) for imgs in desc["generators"]]
+        gens = perms_from_images(desc["generators"], degree)
         return Group(
             gens,
             name=desc.get("name", "G"),

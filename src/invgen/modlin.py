@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import CapExceeded, InputError, PreconditionError
 from .gf import RowSpace, left_kernel, nullspace_right, rank, row_space_basis
-from .group import Group, is_prime, load_group
+from .group import Group, is_prime, load_group, perms_from_images
 from .perm import Perm
 
 IRREDUCIBLE_ENUM_CAP = 4096  # vectors tried by the exhaustive spin test
@@ -385,11 +385,11 @@ def module_from_descriptor(desc: dict) -> ModuleAction:
         p = int(desc["p"])
         mats = [np.asarray(m, dtype=np.int64) for m in desc["matrices"]]
         gspec = dict(desc["group"])
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"module descriptor missing field: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"module descriptor missing or malformed field: {exc}") from exc
     name = desc.get("name")
     if "generators" in gspec:
-        perms = [Perm.from_one_based(images) for images in gspec["generators"]]
+        perms = perms_from_images(gspec["generators"])
         if len(perms) != len(mats):
             raise InputError(
                 f"{len(mats)} matrices for {len(perms)} listed generators"

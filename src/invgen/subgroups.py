@@ -284,9 +284,9 @@ def _partner_reps(G: Group, H: SubgroupRecord, inv, cyc_of, cyc_gens) -> np.ndar
 
 
 def _coset_closure(G: Group, h_members: np.ndarray, gens) -> np.ndarray | None:
-    """Members of <H, gens> grown as right cosets Hx of H (Dimino), where
-    gens includes generators of H; None once more than |G|/2 elements are
-    found, since then the closure is G.
+    """Membership mask of <H, gens> grown as right cosets Hx of H (Dimino),
+    where gens includes generators of H; None once more than |G|/2
+    elements are found, since then the closure is G.
 
     (Hr)s = H(rs), so a union of right cosets of H is closed under the
     generators once every coset representative times every generator
@@ -310,7 +310,7 @@ def _coset_closure(G: Group, h_members: np.ndarray, gens) -> np.ndarray | None:
                 if 2 * count > n:
                     return None
                 reps.append(x)
-    return np.flatnonzero(seen)
+    return seen
 
 
 def subgroup_lattice(G: Group) -> list[SubgroupRecord]:
@@ -369,10 +369,11 @@ def _lattice(G: Group) -> SubgroupLattice:
             bound = H.order * c.order // inter
             if 2 * bound > n:
                 continue  # join is G, already admitted
-            members = _coset_closure(G, H.member_indices(), H.gens + c.gens)
-            if members is None:
+            mask = _coset_closure(G, H.member_indices(), H.gens + c.gens)
+            if mask is None:
                 continue
-            admit(_record(G, members, H.gens + c.gens))
+            if mask_to_bits(mask) not in seen_bits:  # a record only for a new subgroup
+                admit(_record(G, np.flatnonzero(mask), H.gens + c.gens))
 
     # maximality and normality flags
     classes.sort(key=lambda pair: (pair[0].order, pair[0].bits))

@@ -119,12 +119,38 @@ def test_mc_matches_exact_within_4_sigma(s3):
     assert abs(mc.mean - exact) < 4 * mc.stderr
 
 
-def test_mc_reference_twin_agrees(s3):
+# the MC kernel packs r reduced covers into ceil(r/64) words per trial:
+# the trivial group has r = 0 (no words), S3 has r = 2, 2^6 has r = 63
+# (one word), 11^3 has r = 133 (three words, the last partly padding).
+# 2^7 (r = 127) would take a minute to build its subgroup lattice.
+MC_GROUPS = {
+    "C1": {"family": "cyclic", "n": 1},
+    "S3": {"family": "sym", "n": 3},
+    "elemab_2_6": {"family": "elemab", "p": 2, "k": 6},
+    "elemab_11_3": {"family": "elemab", "p": 11, "k": 3},
+}
+
+
+@pytest.fixture(scope="module", params=list(MC_GROUPS), ids=list(MC_GROUPS))
+def mc_group(request):
+    return load_group(MC_GROUPS[request.param])
+
+
+def test_mc_reference_twin_agrees(mc_group):
     from invgen.cheb import _mc_draw_counts
 
-    fast = _mc_draw_counts(s3, 300, seed=9)
-    slow = chebotarev_montecarlo_reference(s3, 300, seed=9)
+    fast = _mc_draw_counts(mc_group, 300, seed=9)
+    slow = chebotarev_montecarlo_reference(mc_group, 300, seed=9)
     assert np.array_equal(fast, slow)
+
+
+def test_p_invariable_mc_is_the_draw_count_share(mc_group):
+    # P_I(G, k) and C(G) come from the same draws: success within k
+    # draws is exactly a waiting time of at most k
+    counts = chebotarev_montecarlo_reference(mc_group, 300, seed=4)
+    for k in range(4):
+        rep = p_invariable_montecarlo(mc_group, k, trials=300, seed=4)
+        assert rep.p_hat == (counts <= k).mean()
 
 
 def test_mc_trivial_group_needs_no_draws():

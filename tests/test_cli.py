@@ -10,6 +10,13 @@ from invgen.cli import main
 
 S3 = '{"family": "sym", "n": 3}'
 
+# explicit-generator descriptors that are valid JSON but not a group
+MALFORMED_EXPLICIT = {
+    "explicit_non_integer_degree": {"generators": [[2, 1]], "degree": "x"},
+    "explicit_non_integer_images": {"generators": [["a", "b"]], "degree": 2},
+    "explicit_generators_not_a_list": {"generators": 5, "degree": 2},
+}
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -164,6 +171,10 @@ def test_exit_code_input_error(capsys):
     code, _, err = run(capsys, "cheb", "exact", "definitely not json")
     assert code == 2
     assert "input error" in err
+    for desc in MALFORMED_EXPLICIT.values():
+        code, _, err = run(capsys, "cheb", "exact", json.dumps(desc))
+        assert code == 2, desc
+        assert "input error" in err
 
 
 def test_exit_code_cap_exceeded(capsys):
@@ -212,8 +223,10 @@ def test_exit_code_verify_violation(capsys, tmp_path, monkeypatch, mini_corpus):
     [
         {"crownpower": {"module": {"group": {"family": "cyclic", "n": 2}, "p": 3, "matrices": [[[2]]]}}},
         {"family": "sym", "n": "x"},
+        *MALFORMED_EXPLICIT.values(),
+        {"module": {"group": {"family": "cyclic", "n": 2}, "p": "x", "matrices": [[[2]]]}},
     ],
-    ids=["crownpower_without_u", "sym_non_integer_n"],
+    ids=["crownpower_without_u", "sym_non_integer_n", *MALFORMED_EXPLICIT, "module_non_integer_p"],
 )
 def test_survey_records_malformed_row(capsys, tmp_path, row):
     corpus = tmp_path / "bad.jsonl"

@@ -136,6 +136,14 @@ def test_descriptor_validation():
     ):
         with pytest.raises(InputError, match="must be an integer"):
             load_group(desc)
+    for desc in (
+        {"generators": [[2, 1]], "degree": "x"},
+        {"generators": [[2, 1]], "degree": None},
+        {"generators": [["a", "b"]], "degree": 2},
+        {"generators": 5, "degree": 2},
+    ):
+        with pytest.raises(InputError):
+            load_group(desc)
 
 
 def test_degree_cap_enforced():
