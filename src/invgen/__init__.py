@@ -15,13 +15,11 @@ The package is organised bottom-up:
 """
 
 from .cheb import (
-    MAX_EXACT_COVERS,
     ExactChebotarev,
     MonteCarloReport,
     ProbabilityReport,
     chebotarev_exact,
     chebotarev_montecarlo,
-    chebotarev_montecarlo_reference,
     inclusion_exclusion_profile,
     min_k_for_probability,
     p_invariable_exact,
@@ -128,7 +126,6 @@ __all__ = [
     "InputError",
     "InvgenError",
     "LiftProblem",
-    "MAX_EXACT_COVERS",
     "MODE_GENERATE",
     "MODE_INVARIABLE",
     "MaxLiftRank",
@@ -155,7 +152,6 @@ __all__ = [
     "centralizer",
     "chebotarev_exact",
     "chebotarev_montecarlo",
-    "chebotarev_montecarlo_reference",
     "chief_series",
     "closure_indices",
     "corona_decomposition",

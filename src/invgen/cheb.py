@@ -11,15 +11,18 @@ a set T, inclusion-exclusion over the maximal classes gives
 
 so P_I(G, k) is one minus that sum, and summing the failure
 probabilities over k >= 0 gives C(G) as a finite sum of fractions
-n / (n - s_T).  The subset sum is organised as a DFS that intersects
-cover bitmasks incrementally; once an intersection only contains the
-identity class, the completions of that subset cancel in pairs and the
-whole subtree is skipped.
+n / (n - s_T).  s_T depends only on the meet X of the covers in T, so
+the sum is grouped by X: the signed count of subsets meeting in X is
+mu(X, top) on the intersection semilattice of the covers (the crosscut
+theorem; P. Hall, "The Eulerian functions of a group", 1936; Rota
+1964).  One pass per cover updates a map from meet to signed count, so
+the work is r times the number of distinct meets rather than 2^r, and
+subsets whose terms cancel drop out as soon as they do.
 
 Monte Carlo estimation replays the same event with the splitmix-style
 counter RNG from invgen.rng: every draw is a pure function of
 (seed, trial, draw index), so runs are reproducible across processes
-and the vectorised path is bit-identical to the reference loop.  One
+and the vectorised path is bit-identical to a scalar per-trial loop.  One
 kernel simulates each trial's waiting time n, capped at a draw limit,
 and serves both estimators: C(G) is the mean of n and P_I(G, k) is the
 share of trials with n <= k, on the same draws.  The kernel keeps the
@@ -38,9 +41,8 @@ import numpy as np
 from .coverage import coverage_table
 from .errors import CapExceeded, InputError
 from .group import Group
-from .rng import draws_vec, randbelow, randbelow_vec, stream_state, stream_states_vec
+from .rng import draws_vec, randbelow_vec, stream_states_vec
 
-MAX_EXACT_COVERS = 25
 MAX_DRAWS_PER_TRIAL = 1_000_000
 
 
@@ -58,44 +60,24 @@ def inclusion_exclusion_profile(G: Group) -> dict[int, int]:
     """Map s -> signed count of subsets T of maximal classes with s_T = s.
 
     s_T counts group elements whose class is covered by every member of
-    T.  The empty subset is excluded.  Subsets whose intersection is
-    the identity class alone appear only through the single term the
-    cancellation leaves, so values s >= 1 and the counts can be summed
-    directly against n/(n-s) or (s/n)^k.
+    T, and T is counted with sign (-1)^(|T|+1).  The empty subset is
+    excluded and zero counts are dropped, so values s >= 1 and the
+    counts can be summed directly against n/(n-s) or (s/n)^k.
     """
     table = coverage_table(G)
-    covers = _reduced_covers(table.covers)
-    r = len(covers)
-    if r > MAX_EXACT_COVERS:
-        raise CapExceeded(
-            f"{r} independent maximal covers exceed the exact cap"
-            f" {MAX_EXACT_COVERS} (exact)"
-        )
     sizes = table.class_sizes
-    profile: dict[int, int] = {}
-
-    def weight(mask: int) -> int:
-        s = 0
-        while mask:
-            low = mask & -mask
-            s += sizes[low.bit_length() - 1]
-            mask ^= low
-        return s
-
     full = (1 << len(sizes)) - 1
-
-    def dfs(i: int, mask: int, sign: int, nonempty: bool) -> None:
-        if nonempty and mask == 1 and i < r:
-            return  # identity-only intersection: completions cancel
-        if i == r:
-            if nonempty:
-                s = weight(mask)
-                profile[s] = profile.get(s, 0) + sign
-            return
-        dfs(i + 1, mask, sign, nonempty)
-        dfs(i + 1, mask & covers[i], -sign, True)
-
-    dfs(0, full, -1, False)
+    signed = {full: 1}  # meet -> sum of (-1)^|T|; full is the empty T
+    for c in _reduced_covers(table.covers):
+        step = dict(signed)
+        for x, v in signed.items():
+            step[x & c] = step.get(x & c, 0) - v
+        signed = {x: v for x, v in step.items() if v}
+    signed.pop(full, None)
+    profile: dict[int, int] = {}
+    for x, v in signed.items():
+        s = sum(sizes[i] for i in range(len(sizes)) if x >> i & 1)
+        profile[s] = profile.get(s, 0) - v
     return {s: c for s, c in profile.items() if c}
 
 
@@ -268,29 +250,3 @@ def p_invariable_montecarlo(
         math.sqrt(p_hat * (1.0 - p_hat) / (trials - 1)) if trials > 1 else 0.0
     )
     return ProbabilityReport(p_hat, stderr, trials, seed, k)
-
-
-def chebotarev_montecarlo_reference(G: Group, trials: int, seed: int) -> np.ndarray:
-    """Scalar-loop twin of _mc_draw_counts; must agree draw for draw."""
-    n = G.order
-    class_of = G.class_of()
-    table = coverage_table(G)
-    covers = _reduced_covers(table.covers)
-    counts = np.zeros(trials, dtype=np.int64)
-    if not covers:
-        return counts
-    for t in range(trials):
-        state = stream_state(seed, t)
-        alive = list(covers)
-        j = 0
-        while alive:
-            if j >= MAX_DRAWS_PER_TRIAL:
-                raise CapExceeded(
-                    f"a trial exceeded {MAX_DRAWS_PER_TRIAL} draws (draws)"
-                )
-            idx = randbelow(state, j, n)
-            bit = 1 << int(class_of[idx])
-            alive = [c for c in alive if c & bit]
-            j += 1
-        counts[t] = j
-    return counts

@@ -116,8 +116,17 @@ def _cache_path(G: Group):
     return os.path.join(root, digest + ".json")
 
 
-def _compute_table(G: Group) -> ClassCoverageTable:
+def _class_data(G: Group) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(class sizes, element order of each class), in class-index order."""
     classes = G.conjugacy_classes()
+    return (
+        tuple(c.size for c in classes),
+        tuple(G.elements[c.rep].order() for c in classes),
+    )
+
+
+def _compute_table(G: Group) -> ClassCoverageTable:
+    class_sizes, class_orders = _class_data(G)
     class_of = G.class_of()
     lat = _lattice(G)
     maximal = [
@@ -130,8 +139,8 @@ def _compute_table(G: Group) -> ClassCoverageTable:
         covers.append(int(sum(1 << int(c) for c in hit)))
     return ClassCoverageTable(
         order=G.order,
-        class_sizes=tuple(c.size for c in classes),
-        class_orders=tuple(G.elements[c.rep].order() for c in classes),
+        class_sizes=class_sizes,
+        class_orders=class_orders,
         maximal_orders=tuple(rep.order for rep, _ in maximal),
         maximal_counts=tuple(cnt for _, cnt in maximal),
         covers=tuple(covers),
@@ -139,20 +148,28 @@ def _compute_table(G: Group) -> ClassCoverageTable:
 
 
 def coverage_table(G: Group, use_cache: bool = True) -> ClassCoverageTable:
-    """Coverage table for G, from the in-memory or on-disk cache if possible."""
+    """Coverage table for G, from the in-memory or on-disk cache if possible.
+
+    A disk entry is served only if its order and class sizes and orders
+    are G's and every cover indexes one of G's classes; anything else
+    (corrupt, stale or another group's table) is recomputed and
+    rewritten.
+    """
     if G._coverage is not None:
         return G._coverage
     path = _cache_path(G) if use_cache else None
     if path and os.path.exists(path):
         try:
             with open(path) as fh:
-                data = json.load(fh)
-            table = ClassCoverageTable.from_json(data)
-            if table.order == G.order:
-                G._coverage = table
-                return table
-        except (ValueError, KeyError, OSError):
-            pass  # corrupt entry: fall through and recompute
+                table = ClassCoverageTable.from_json(json.load(fh))
+        except (ValueError, KeyError, TypeError, OSError):
+            table = None  # corrupt entry: recompute
+        if table is not None and (
+            (table.order, table.class_sizes, table.class_orders) == (G.order, *_class_data(G))
+            and all(c >> table.num_classes == 0 for c in table.covers)
+        ):
+            G._coverage = table
+            return table
     table = _compute_table(G)
     if path:
         _write_entry(path, table)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded, InputError, InvgenError, PreconditionError
-from .group import Group, is_prime, load_group
+from .group import Group, _int_param, is_prime, load_group
 from .iso import find_isomorphism
 from .modlin import ModuleAction, module_from_descriptor
 from .perm import Perm
@@ -589,10 +589,10 @@ def crown_power_from_descriptor(desc: dict) -> Group:
 
 
 def _crown_fields(inner, spec: str, count: str):
-    """(inner[spec], int(inner[count])), or InputError naming what is wrong."""
+    """(inner[spec], inner[count] as an int), or InputError naming what is wrong."""
     try:
-        return inner[spec], int(inner[count])
-    except (KeyError, TypeError, ValueError) as exc:
+        return inner[spec], _int_param(inner, count)
+    except (KeyError, TypeError) as exc:
         raise InputError(
             f"crown power descriptor needs {spec!r} and an integer {count!r}: {exc!r}"
         ) from None

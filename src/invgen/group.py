@@ -16,6 +16,7 @@ caps.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -383,11 +384,21 @@ class Group:
 
 
 def _int_param(desc, key) -> int:
-    """desc[key] as an int; a missing key raises KeyError for the caller."""
+    """desc[key] as an int; a missing key raises KeyError for the caller.
+
+    Integers, integral floats (3.0) and integer strings ("3") are read;
+    booleans and fractional or non-finite numbers are rejected, not
+    truncated.
+    """
+    val = desc[key]
+    if isinstance(val, float) and val.is_integer():
+        val = int(val)
     try:
-        return int(desc[key])
+        if not isinstance(val, bool):
+            return int(val) if isinstance(val, str) else operator.index(val)
     except (TypeError, ValueError):
-        raise InputError(f"parameter {key!r} must be an integer, got {desc[key]!r}") from None
+        pass
+    raise InputError(f"parameter {key!r} must be an integer, got {desc[key]!r}")
 
 
 def perms_from_images(images, degree=None) -> list[Perm]:

@@ -1,8 +1,8 @@
 """Survey experiments over a corpus of groups, plus numeric side checks.
 
-The survey runs one row per corpus line: exact Chebotarev invariant
-where the inclusion-exclusion width allows it, Monte Carlo always, the
-bound ratios C/sqrt(|G|) and C/sqrt(|G| log |G|), and the least k with
+The survey runs one row per corpus line: the exact Chebotarev
+invariant and a Monte Carlo estimate of it, the bound ratios
+C/sqrt(|G|) and C/sqrt(|G| log |G|), and the least k with
 P_I(G, k) >= 2/9.  Lines describing modules or crown powers get first
 cohomology diagnostics attached.  Per-row failures (caps, bad input)
 are recorded in the row and never kill the run.
@@ -23,12 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib.resources import files as _pkg_files
 
-from .cheb import (
-    MAX_EXACT_COVERS,
-    chebotarev_exact,
-    chebotarev_montecarlo,
-    min_k_for_probability,
-)
+from .cheb import chebotarev_exact, chebotarev_montecarlo, min_k_for_probability
 from .coverage import coverage_table
 from .crowns import build_crown_power_abelian, crown_power_from_descriptor
 from .errors import CapExceeded, InputError, InvgenError
@@ -65,13 +60,6 @@ class SurveyRow:
     diag_fix_count: int | None = None
     diag_m_sq: int | None = None
     error: str | None = None
-
-    @property
-    def c_value(self) -> float | None:
-        """Exact value as float when present, else the estimate."""
-        if self.c_exact is not None:
-            return float(self.c_exact)
-        return self.c_mc
 
     def as_dict(self) -> dict:
         out: dict = {"name": self.name, "family": self.family}
@@ -172,17 +160,15 @@ def survey_row(desc: dict, trials: int, row_seed: int) -> SurveyRow:
     try:
         G, family, act = realize_descriptor(desc)
         row = SurveyRow(name=G.name, family=family, order=G.order)
-        table = coverage_table(G)
-        row.r = len(table.maximal_orders)
+        row.r = len(coverage_table(G).maximal_orders)
         row.trials = trials
         row.seed = row_seed
-        if row.r <= MAX_EXACT_COVERS:
-            row.c_exact = chebotarev_exact(G).value
-            row.min_k_29 = min_k_for_probability(G, INVK_THRESHOLD)
+        row.c_exact = chebotarev_exact(G).value
+        row.min_k_29 = min_k_for_probability(G, INVK_THRESHOLD)
         mc = chebotarev_montecarlo(G, trials=trials, seed=row_seed)
         row.c_mc = mc.mean
         row.mc_stderr = mc.stderr
-        c = row.c_value
+        c = float(row.c_exact)
         row.sqrt_order = math.sqrt(G.order)
         row.ratio_sqrt = c / row.sqrt_order
         if G.order > 1:

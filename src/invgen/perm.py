@@ -7,6 +7,8 @@ the CLI use 1-based points.
 
 from __future__ import annotations
 
+import math
+
 from .errors import InputError
 
 
@@ -68,12 +70,8 @@ class Perm:
         return all(y == x for x, y in enumerate(self.images))
 
     def order(self) -> int:
-        n = 1
-        p = self
-        while not p.is_identity():
-            p = p * self
-            n += 1
-        return n
+        """Least common multiple of the cycle lengths."""
+        return math.lcm(*map(len, self.cycles()))
 
     def cycles(self):
         """Nontrivial cycles as 0-based tuples, shortest point first."""

@@ -23,7 +23,6 @@ from fractions import Fraction
 import numpy as np
 
 from .cheb import (
-    MAX_EXACT_COVERS,
     chebotarev_exact,
     chebotarev_montecarlo,
     p_invariable_exact,
@@ -331,16 +330,10 @@ def _check_fpf_identity(corpus: _Corpus, st: Stream):
 # chebotarev suite
 
 
-def _exact_rows(corpus: _Corpus):
-    for G in corpus.groups():
-        if len(coverage_table(G).maximal_orders) <= MAX_EXACT_COVERS:
-            yield G
-
-
 def _check_p_invariable_monotone(corpus: _Corpus, st: Stream):
     checked = 0
     bad = []
-    for G in _exact_rows(corpus):
+    for G in corpus.groups():
         prev = p_invariable_exact(G, 0)
         for k in range(1, 51):
             cur = p_invariable_exact(G, k)
@@ -355,7 +348,7 @@ def _check_p_invariable_monotone(corpus: _Corpus, st: Stream):
 def _check_waiting_identity(corpus: _Corpus, st: Stream):
     checked = 0
     bad = []
-    for G in _exact_rows(corpus):
+    for G in corpus.groups():
         exact = chebotarev_exact(G)
         head, tail = truncated_expectation(G, 400)
         if head + tail != exact.value:
@@ -375,7 +368,7 @@ def _check_waiting_identity(corpus: _Corpus, st: Stream):
 def _check_restart_bound(corpus: _Corpus, st: Stream):
     checked = 0
     bad = []
-    for G in _exact_rows(corpus):
+    for G in corpus.groups():
         c = chebotarev_exact(G).value
         for k in range(1, 51):
             pk = p_invariable_exact(G, k)
@@ -388,7 +381,7 @@ def _check_restart_bound(corpus: _Corpus, st: Stream):
 def _check_mc_consistency(corpus: _Corpus, st: Stream):
     checked = 0
     bad = []
-    for G in _exact_rows(corpus):
+    for G in corpus.groups():
         exact = float(chebotarev_exact(G).value)
         seed = st.randbelow(1 << 62)
         for attempt in range(2):
@@ -411,13 +404,9 @@ def _check_quotient_monotonicity(corpus: _Corpus, st: Stream):
     checked = 0
     bad = []
     for G in corpus.groups(max_order=500):
-        if len(coverage_table(G).maximal_orders) > MAX_EXACT_COVERS:
-            continue
         c_g = chebotarev_exact(G).value
         for N in normal_subgroups(G):
             Q = corpus.quotient_cached(G, N).group
-            if len(coverage_table(Q).maximal_orders) > MAX_EXACT_COVERS:
-                continue
             if chebotarev_exact(Q).value > c_g:
                 bad.append(f"{G.name}: C(G/N) > C(G) at |N| = {N.order}")
             checked += 1

@@ -1,5 +1,6 @@
 """Exact values, truncation identity, and Monte Carlo agreement for C(G)."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from invgen import (
     InputError,
     chebotarev_exact,
     chebotarev_montecarlo,
-    chebotarev_montecarlo_reference,
+    coverage_table,
     inclusion_exclusion_profile,
     load_group,
     min_k_for_probability,
@@ -18,6 +19,54 @@ from invgen import (
     p_invariable_montecarlo,
     truncated_expectation,
 )
+from invgen.cheb import MAX_DRAWS_PER_TRIAL, _reduced_covers
+from invgen.harness import read_corpus, realize_descriptor, shipped_corpus_path
+from invgen.rng import randbelow, stream_state
+
+
+def chebotarev_montecarlo_reference(G, trials: int, seed: int) -> np.ndarray:
+    """Scalar-loop twin of _mc_draw_counts; must agree draw for draw."""
+    n = G.order
+    class_of = G.class_of()
+    table = coverage_table(G)
+    covers = _reduced_covers(table.covers)
+    counts = np.zeros(trials, dtype=np.int64)
+    if not covers:
+        return counts
+    for t in range(trials):
+        state = stream_state(seed, t)
+        alive = list(covers)
+        j = 0
+        while alive:
+            if j >= MAX_DRAWS_PER_TRIAL:
+                raise CapExceeded(
+                    f"a trial exceeded {MAX_DRAWS_PER_TRIAL} draws (draws)"
+                )
+            idx = randbelow(state, j, n)
+            bit = 1 << int(class_of[idx])
+            alive = [c for c in alive if c & bit]
+            j += 1
+        counts[t] = j
+    return counts
+
+
+def brute_force_profile(G) -> dict:
+    """inclusion_exclusion_profile summed literally over all 2^r subsets
+    of the table's covers, unreduced; the meet of T is built from the
+    meet of T minus its lowest member."""
+    table = coverage_table(G)
+    covers = table.covers
+    full = (1 << table.num_classes) - 1
+    meets = [full]
+    profile = {}
+    for t in range(1, 1 << len(covers)):
+        low = t & -t
+        meet = meets[t ^ low] & covers[low.bit_length() - 1]
+        meets.append(meet)
+        s = sum(table.class_sizes[c] for c in range(table.num_classes) if meet >> c & 1)
+        profile[s] = profile.get(s, 0) + (1 if t.bit_count() % 2 else -1)
+    return {s: c for s, c in profile.items() if c}
+
 
 # Exact rationals frozen from independent hand/bitmask computations.
 EXACT_VALUES = [
@@ -98,11 +147,82 @@ def test_min_k_thresholds(s3):
             min_k_for_probability(s3, bad)
 
 
-def test_exact_cap_on_many_covers():
-    # 2^5 has 31 independent maximal covers, past the exact cutoff
+def test_exact_on_many_covers():
+    # 2^5 has 31 independent maximal covers, whose 2^31 subsets meet in
+    # only the 374 subspaces of F_2^5
     G = load_group({"family": "elemab", "p": 2, "k": 5})
-    with pytest.raises(CapExceeded):
-        chebotarev_exact(G)
+    assert chebotarev_exact(G).value == Fraction(7134, 1085)
+
+
+def cheb_elemab(p, k):
+    """C(C_p^k) = sum over i < k of 1/(1 - p^(i-k))."""
+    return sum((1 / (1 - Fraction(p) ** (i - k)) for i in range(k)), start=Fraction(0))
+
+
+def pinv_elemab(p, k, j):
+    """P_I(C_p^k, j): j uniform vectors span F_p^k, prod over i < k of 1 - p^(i-j)."""
+    out = Fraction(1)
+    for i in range(k):
+        out *= 1 - Fraction(p) ** (i - j)
+    return out
+
+
+def _prime_divisors(n):
+    return [q for q in range(2, n + 1) if n % q == 0 and all(q % d for d in range(2, q))]
+
+
+def pinv_cyclic(n, j):
+    """P_I(C_n, j): for each prime q | n, not every draw lies in the index-q subgroup."""
+    out = Fraction(1)
+    for q in _prime_divisors(n):
+        out *= 1 - Fraction(1, q**j)
+    return out
+
+
+def cheb_cyclic(n):
+    """C(C_n) = sum over nonempty sets S of primes of n of (-1)^(|S|+1) d/(d-1), d = prod S."""
+    primes = _prime_divisors(n)
+    total = Fraction(0)
+    for t in range(1, 1 << len(primes)):
+        d = 1
+        for i, q in enumerate(primes):
+            if t >> i & 1:
+                d *= q
+        total += (1 if t.bit_count() % 2 else -1) * Fraction(d, d - 1)
+    return total
+
+
+ELEMAB_CLOSED_FORM = [(2, k) for k in range(2, 7)] + [(3, 2), (3, 3), (3, 4), (5, 3), (11, 3)]
+
+
+@pytest.mark.parametrize("p,k", ELEMAB_CLOSED_FORM, ids=[f"{p}^{k}" for p, k in ELEMAB_CLOSED_FORM])
+def test_exact_matches_elemab_closed_form(load, p, k):
+    G = load({"family": "elemab", "p": p, "k": k})
+    assert chebotarev_exact(G).value == cheb_elemab(p, k)
+    for j in range(k + 3):
+        assert p_invariable_exact(G, j) == pinv_elemab(p, k, j)
+
+
+def test_exact_matches_cyclic_closed_form():
+    for n in range(2, 31):
+        G = load_group({"family": "cyclic", "n": n})
+        assert chebotarev_exact(G).value == cheb_cyclic(n), n
+        for j in range(4):
+            assert p_invariable_exact(G, j) == pinv_cyclic(n, j), (n, j)
+
+
+BRUTE_FORCE_MAX_COVERS = 15
+
+
+def test_profile_matches_brute_force_on_corpus():
+    checked = 0
+    for desc in read_corpus(shipped_corpus_path()):
+        G = realize_descriptor(desc)[0]
+        if len(coverage_table(G).covers) > BRUTE_FORCE_MAX_COVERS:
+            continue
+        assert inclusion_exclusion_profile(G) == brute_force_profile(G), G.name
+        checked += 1
+    assert checked >= 50
 
 
 def test_mc_deterministic_for_fixed_seed(s3):
@@ -131,9 +251,23 @@ MC_GROUPS = {
 }
 
 
+@pytest.fixture(scope="module")
+def load():
+    """load_group, built once per descriptor across this module's tests."""
+    groups = {}
+
+    def get(desc):
+        key = json.dumps(desc, sort_keys=True)
+        if key not in groups:
+            groups[key] = load_group(desc)
+        return groups[key]
+
+    return get
+
+
 @pytest.fixture(scope="module", params=list(MC_GROUPS), ids=list(MC_GROUPS))
-def mc_group(request):
-    return load_group(MC_GROUPS[request.param])
+def mc_group(request, load):
+    return load(MC_GROUPS[request.param])
 
 
 def test_mc_reference_twin_agrees(mc_group):

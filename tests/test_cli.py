@@ -15,6 +15,11 @@ MALFORMED_EXPLICIT = {
     "explicit_non_integer_degree": {"generators": [[2, 1]], "degree": "x"},
     "explicit_non_integer_images": {"generators": [["a", "b"]], "degree": 2},
     "explicit_generators_not_a_list": {"generators": 5, "degree": 2},
+    "explicit_fractional_degree": {"generators": [[2, 1]], "degree": 2.5},
+}
+NON_INTEGRAL_PARAMS = {
+    "sym_fractional_n": {"family": "sym", "n": 3.9},
+    "cyclic_boolean_n": {"family": "cyclic", "n": True},
 }
 
 
@@ -171,7 +176,7 @@ def test_exit_code_input_error(capsys):
     code, _, err = run(capsys, "cheb", "exact", "definitely not json")
     assert code == 2
     assert "input error" in err
-    for desc in MALFORMED_EXPLICIT.values():
+    for desc in (*MALFORMED_EXPLICIT.values(), *NON_INTEGRAL_PARAMS.values()):
         code, _, err = run(capsys, "cheb", "exact", json.dumps(desc))
         assert code == 2, desc
         assert "input error" in err
@@ -181,11 +186,17 @@ def test_exit_code_cap_exceeded(capsys):
     code, _, err = run(capsys, "cheb", "exact", '{"family": "sym", "n": 99}')
     assert code == 3
     assert "cap exceeded" in err
-    # exact C on 2^5: too many independent covers
-    code, _, err = run(
+    # A7 is past the multiplication-table cap
+    code, _, err = run(capsys, "cheb", "exact", '{"family": "alt", "n": 7}')
+    assert code == 3
+    assert "cap exceeded" in err
+    # 2^5 has 31 independent maximal covers, and its exact value anyway
+    code, out, _ = run(
         capsys, "cheb", "exact", '{"family": "elemab", "p": 2, "k": 5}'
     )
-    assert code == 3
+    assert code == 0
+    (row,) = [json.loads(line) for line in out.splitlines()]
+    assert (row["c_num"], row["c_den"]) == (7134, 1085)
 
 
 def test_exit_code_precondition(capsys):
@@ -223,10 +234,15 @@ def test_exit_code_verify_violation(capsys, tmp_path, monkeypatch, mini_corpus):
     [
         {"crownpower": {"module": {"group": {"family": "cyclic", "n": 2}, "p": 3, "matrices": [[[2]]]}}},
         {"family": "sym", "n": "x"},
+        {"crownpower": {"module": {"group": {"family": "cyclic", "n": 2}, "p": 3, "matrices": [[[2]]]}, "u": 1.5}},
+        *NON_INTEGRAL_PARAMS.values(),
         *MALFORMED_EXPLICIT.values(),
         {"module": {"group": {"family": "cyclic", "n": 2}, "p": "x", "matrices": [[[2]]]}},
     ],
-    ids=["crownpower_without_u", "sym_non_integer_n", *MALFORMED_EXPLICIT, "module_non_integer_p"],
+    ids=[
+        "crownpower_without_u", "sym_non_integer_n", "crownpower_fractional_u",
+        *NON_INTEGRAL_PARAMS, *MALFORMED_EXPLICIT, "module_non_integer_p",
+    ],
 )
 def test_survey_records_malformed_row(capsys, tmp_path, row):
     corpus = tmp_path / "bad.jsonl"

@@ -133,9 +133,18 @@ def test_descriptor_validation():
         {"family": "dihedral", "n": None},
         {"family": "elemab", "p": 2, "k": "two"},
         {"family": "agl1", "q": [5]},
+        {"family": "sym", "n": 3.9},
+        {"family": "cyclic", "n": True},
+        {"family": "elemab", "p": 2, "k": False},
+        {"family": "alt", "n": float("nan")},
+        {"generators": [[2, 1]], "degree": 2.5},
     ):
         with pytest.raises(InputError, match="must be an integer"):
             load_group(desc)
+    # integral values are read, not rejected
+    for n in (3, 3.0, "3"):
+        assert load_group({"family": "sym", "n": n}).order == 6
+    assert load_group({"generators": [[2, 1]], "degree": 2.0}).order == 2
     for desc in (
         {"generators": [[2, 1]], "degree": "x"},
         {"generators": [[2, 1]], "degree": None},

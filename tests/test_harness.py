@@ -171,6 +171,38 @@ def test_corrupted_coverage_cache_is_caught(tmp_path, monkeypatch, mini_corpus):
     assert outcome.violations
 
 
+def test_foreign_coverage_cache_entry_is_recomputed(tmp_path, monkeypatch):
+    # C6 and S3 share an order, so an order check alone serves C6's
+    # table for S3 and gives C(S3) = 23/10
+    import shutil
+
+    from invgen import chebotarev_exact
+    from invgen.coverage import _cache_path
+
+    monkeypatch.setenv("INVGEN_CACHE_DIR", str(tmp_path))
+    c6 = load_group({"family": "cyclic", "n": 6})
+    coverage_table(c6)
+    s3 = load_group({"family": "sym", "n": 3})
+    shutil.copyfile(_cache_path(c6), _cache_path(s3))
+    assert chebotarev_exact(s3).value == Fraction(19, 5)
+    expected = coverage_table(load_group({"family": "sym", "n": 3}), use_cache=False)
+    assert json.loads(open(_cache_path(s3)).read()) == expected.to_json()  # rewritten
+
+    # right class data, but a cover naming a class S3 does not have
+    data = expected.to_json()
+    data["covers"][0] = [0, 3]
+    with open(_cache_path(s3), "w") as fh:
+        json.dump(data, fh)
+    s3 = load_group({"family": "sym", "n": 3})
+    assert coverage_table(s3) == expected
+
+    # valid JSON that is not a table at all
+    with open(_cache_path(s3), "w") as fh:
+        json.dump([], fh)
+    s3 = load_group({"family": "sym", "n": 3})
+    assert coverage_table(s3) == expected
+
+
 CACHE_RACE_ROUNDS = 150
 
 
