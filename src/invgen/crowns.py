@@ -492,18 +492,21 @@ def abelian_crown_power_with_embedding(act: ModuleAction, u: int):
     def encode(vecs: np.ndarray) -> np.ndarray:
         return (vecs % p) @ powers
 
+    blocks = {}
+
     def h_block(hi: int) -> np.ndarray:
-        M = act.matrices[hi]
-        B = np.zeros((K, K), dtype=np.int64)
-        for c in range(u):
-            B[c * dim : (c + 1) * dim, c * dim : (c + 1) * dim] = M
-        return B
+        if hi not in blocks:
+            B = np.zeros((K, K), dtype=np.int64)
+            for c in range(u):
+                B[c * dim : (c + 1) * dim, c * dim : (c + 1) * dim] = act.matrices[hi]
+            blocks[hi] = B
+        return blocks[hi]
 
     def embed(v, h) -> Perm:
         hi = _as_index(H, h)
         vec = np.asarray(v, dtype=np.int64).reshape(K) % p
         imgs = encode(allpts @ h_block(hi) + vec)
-        return Perm(int(i) for i in imgs)
+        return Perm(imgs.tolist())
 
     gens = []
     zero = np.zeros(K, dtype=np.int64)

@@ -72,9 +72,13 @@ def _element_index(act: ModuleAction, h) -> int:
     return i
 
 
-@dataclass
+@dataclass(frozen=True)
 class DWSpaces:
-    """D, W and their sum for a fixed generating tuple, with F-dimensions."""
+    """D, W and their sum for a fixed generating tuple, with F-dimensions.
+
+    build_dw hands out one shared instance per (module, hs); copy a
+    RowSpace before adding to it.
+    """
 
     act: ModuleAction
     hs: tuple
@@ -110,8 +114,19 @@ def build_dw(act: ModuleAction, hs) -> DWSpaces:
     is not a field or the dimension bookkeeping below loses meaning)
     and hs to generate H, which makes the evaluation of derivations at
     hs injective, so dim_F D = n + m exactly.
+
+    The result is cached on act per tuple of element indices, so every
+    caller with the same hs shares one DWSpaces: call .copy() on its
+    RowSpaces before adding to them.  Failures are not cached; a
+    PreconditionError is raised again on every call.
     """
     hs = tuple(_element_index(act, h) for h in hs)
+    if hs not in act._dw:
+        act._dw[hs] = _build_dw(act, hs)
+    return act._dw[hs]
+
+
+def _build_dw(act: ModuleAction, hs: tuple) -> DWSpaces:
     if not hs:
         raise InputError("need at least one element in hs")
     G = act.group

@@ -2,7 +2,13 @@
 
 Elements are stored sorted lexicographically by image tuple, so element
 indices, class representatives, and every downstream report are
-deterministic.  Sizes are desk scale and guarded by caps:
+deterministic.  Alongside the tuple of Perms, a group keeps the same
+elements as one sorted array of image rows, big-endian (uint16 up to
+degree 65536, uint32 above), so that a row's bytes compare exactly as
+its image tuple does.  Enumeration applies a generator to a whole BFS
+frontier of rows with one gather, and a row is looked up by
+``np.searchsorted`` on a void view of that array.  Sizes are desk
+scale and guarded by caps:
 
     order  <= 100_000   full element enumeration
     degree <= 64        for groups loaded from descriptors
@@ -181,6 +187,61 @@ def bit_indices(bits: int):
 
 
 # ---------------------------------------------------------------------------
+# image rows
+
+_LOOKUP_CHUNK = 256  # rows per searchsorted batch in Group.table
+
+
+def _row_dtype(degree: int) -> np.dtype:
+    """Big-endian, so a row's bytes sort like its image tuple."""
+    return np.dtype(">u2" if degree <= 1 << 16 else ">u4")
+
+
+def _big_endian(rows, dtype) -> np.ndarray:
+    """rows as a C-contiguous array of the big-endian row dtype."""
+    return np.ascontiguousarray(rows, dtype=dtype)
+
+
+def _void_view(rows: np.ndarray) -> np.ndarray:
+    """One opaque item per row of a C-contiguous 2-d array."""
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+
+
+def _enumerate_rows(generators, degree: int, order_cap: int) -> np.ndarray:
+    """Image rows of every element of <generators>, sorted lexicographically.
+
+    Breadth-first from the identity: a generator g moves the whole
+    frontier at once, since (a * g)(x) = g(a(x)) makes the rows of
+    a * g the gather g[frontier].  Right multiplication by g is
+    injective, so one generator's products are distinct and only need
+    checking against the rows seen before.
+    """
+    dtype = _row_dtype(degree)
+    frontier = np.arange(degree, dtype=dtype)[None, :]
+    gens = [np.asarray(g.images, dtype=dtype) for g in generators]
+    seen = set(_void_view(frontier).tolist())
+    found = [frontier]
+    while len(frontier):
+        nxt = []
+        for g in gens:
+            prod = g[frontier]
+            keys = _void_view(prod).tolist()  # the bytes of each row
+            fresh = [i for i, key in enumerate(keys) if key not in seen]
+            if not fresh:
+                continue
+            seen.update(keys[i] for i in fresh)
+            if len(seen) > order_cap:
+                raise CapExceeded(f"group order exceeds enumeration cap {order_cap}")
+            nxt.append(prod[fresh])
+        frontier = _big_endian(np.concatenate(nxt) if nxt else frontier[:0], dtype)
+        found.extend(nxt)
+    del seen
+    rows = _big_endian(np.concatenate(found), dtype)
+    del found
+    return _big_endian(rows[np.lexsort(rows.T[::-1])], dtype)
+
+
+# ---------------------------------------------------------------------------
 
 
 class Group:
@@ -217,23 +278,23 @@ class Group:
     # -- enumeration --------------------------------------------------------
 
     def _enumerate(self, order_cap):
-        ident = Perm.identity(self.degree)
-        seen = {ident.images: ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in self.generators:
-                    b = a * g
-                    if b.images not in seen:
-                        if len(seen) >= order_cap:
-                            raise CapExceeded(
-                                f"group order exceeds enumeration cap {order_cap}"
-                            )
-                        seen[b.images] = b
-                        nxt.append(b)
-            frontier = nxt
-        return tuple(sorted(seen.values()))
+        """Sorted Perms of the group; their sorted image rows go to self._E."""
+        self._E = _enumerate_rows(self.generators, self.degree, order_cap)
+        self._keys = _void_view(self._E)
+        if self.degree == 1:  # itemgetter of one point returns a bare int
+            return (Perm.identity(1),)
+        # one shared int object per point, not one per image
+        pts = tuple(range(self.degree))
+        return tuple(Perm(operator.itemgetter(*row.tolist())(pts)) for row in self._E)
+
+    def _lookup(self, rows) -> np.ndarray:
+        """Element indices of image rows, by binary search in the sorted rows."""
+        keys = _void_view(_big_endian(rows, self._E.dtype))
+        lo = np.searchsorted(self._keys, keys, side="left")
+        hi = np.searchsorted(self._keys, keys, side="right")
+        if not np.all(hi - lo == 1):
+            raise KeyError(f"image row is not an element of {self.name}")
+        return lo
 
     # -- basics --------------------------------------------------------------
 
@@ -271,9 +332,12 @@ class Group:
     def table(self) -> np.ndarray:
         """Full index multiplication table; only at lattice scale.
 
-        Built by BFS: if e_i = e_a * g for a generator g, then row i is
-        row a permuted by the left-multiplication map of g, so each row
-        costs one vectorized gather.
+        The left-multiplication map of a generator g sends e to g * e,
+        whose images are e(g(x)): the rows E[:, E[g]] of the sorted
+        image-row array, looked up by ``searchsorted`` in chunks.  The
+        table is then filled by BFS: if e_i = e_a * g for a generator
+        g, then row i is row a permuted by the left map of g, so each
+        row costs one vectorized gather.
         """
         if self._table is None:
             if self.order > self.caps.lattice:
@@ -281,12 +345,16 @@ class Group:
                     f"order {self.order} exceeds table cap {self.caps.lattice} (lattice)"
                 )
             n = self.order
+            E = self._E
             left = {}
             for gi in self.gen_indices:
-                g = self.elements[gi]
-                left[gi] = np.array(
-                    [self.index[(g * e).images] for e in self.elements], dtype=np.int32
-                )
+                cols = E[gi].astype(np.intp)
+                left[gi] = np.concatenate(
+                    [
+                        self._lookup(E[s : s + _LOOKUP_CHUNK][:, cols])
+                        for s in range(0, n, _LOOKUP_CHUNK)
+                    ]
+                ).astype(np.int32)
             table = np.empty((n, n), dtype=np.int32)
             table[0] = np.arange(n, dtype=np.int32)
             visited = np.zeros(n, dtype=bool)

@@ -81,6 +81,7 @@ class ModuleAction:
         self.matrices = self._build_and_verify()
         self._end: EndField | None = None
         self._der = None
+        self._dw = {}  # genlift.build_dw results by hs index tuple
         self._irr: bool | None = None
 
     def _build_and_verify(self) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Linear criteria for generation of V^u semidirect H by lifted tuples."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -20,6 +21,7 @@ from invgen import (
     module_from_descriptor,
     resolve_word,
 )
+from invgen.genlift import _build_dw
 from invgen.harness import shipped_corpus_path
 
 S3_GL22 = {
@@ -179,3 +181,51 @@ def test_lift_problem_descriptor_round_trip():
     bad = dict(desc, ws=[[[1, 0]]])  # wrong tuple length
     with pytest.raises(InputError):
         lift_problem_from_descriptor(bad)
+
+
+def test_build_dw_is_cached_per_tuple():
+    act = module_from_descriptor(S3_GL22)
+    hs = tuple(_gen_indices(act))
+    dw = build_dw(act, hs)
+    assert build_dw(act, list(hs)) is dw
+    assert build_dw(act, act.group.elements_at(hs)) is dw
+    assert build_dw(act, hs[::-1]) is not dw
+    fresh = _build_dw(act, hs)
+    assert fresh is not dw
+    for f in dataclasses.fields(dw):
+        a, b = getattr(dw, f.name), getattr(fresh, f.name)
+        if hasattr(a, "basis_matrix"):
+            assert np.array_equal(a.basis_matrix(), b.basis_matrix()), f.name
+        else:
+            assert a == b, f.name
+
+
+def test_build_dw_failure_is_not_cached():
+    act = module_from_descriptor(S3_GL22)
+    invol = next(i for i in _gen_indices(act) if act.group.elements[i].order() == 2)
+    for _ in range(2):
+        with pytest.raises(PreconditionError, match="do not generate"):
+            build_dw(act, [invol])
+    assert (invol,) not in act._dw
+
+
+def test_shared_dw_spaces_are_not_mutated_by_callers():
+    act = module_from_descriptor(S3_GL22)
+    hs = _gen_indices(act)
+    r = max_lift_rank(act, hs, MODE_GENERATE)
+    assert r.spaces is build_dw(act, hs)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.spaces.D = r.spaces.W
+    ws = np.array([[[1, 0]], [[0, 0]]], dtype=np.int64)
+    prob = LiftProblem(act=act, u=1, hs=hs, ws=ws)
+    before = gen_criterion(prob)
+    assert before
+    # filling a copy of D to the whole of V^d would make every lift fail
+    grown = r.spaces.D.copy()
+    for t in range(r.spaces.ambient):
+        e_t = np.zeros(r.spaces.ambient, dtype=np.int64)
+        e_t[t] = 1
+        grown.add(e_t)
+    assert grown.dim == r.spaces.ambient
+    assert r.spaces.D.dim == r.spaces.dim_d_f * r.spaces.e
+    assert gen_criterion(prob) == before

@@ -3,7 +3,56 @@
 import numpy as np
 import pytest
 
-from invgen import Caps, Group, InputError, Perm, load_group
+from invgen import (
+    Caps,
+    CapExceeded,
+    Group,
+    InputError,
+    Perm,
+    abelian_crown_power_with_embedding,
+    load_group,
+    module_from_descriptor,
+    read_corpus,
+    realize_descriptor,
+    shipped_corpus_path,
+)
+
+
+def _perm_bfs_elements(generators, degree):
+    """Reference enumeration: BFS by Perm products, then a sort."""
+    ident = Perm.identity(degree)
+    seen = {ident.images: ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in generators:
+                b = a * g
+                if b.images not in seen:
+                    seen[b.images] = b
+                    nxt.append(b)
+        frontier = nxt
+    return tuple(sorted(seen.values()))
+
+
+@pytest.fixture(scope="module")
+def corpus_groups():
+    return [realize_descriptor(d)[0] for d in read_corpus(shipped_corpus_path())]
+
+
+@pytest.fixture(scope="module")
+def lift_ambients():
+    """V^u x| H for every corpus module and every u with order <= 2000."""
+    out = []
+    for d in read_corpus(shipped_corpus_path()):
+        if "module" not in d:
+            continue
+        act = module_from_descriptor(d["module"])
+        u = 1
+        while act.p ** (act.dim * u) * act.group.order <= 2000:
+            out.append(abelian_crown_power_with_embedding(act, u)[0])
+            u += 1
+    return out
 
 
 def test_perm_composition_is_left_to_right():
@@ -177,3 +226,72 @@ def test_element_index_round_trip(s3):
         assert s3.element_index(g) == i
     with pytest.raises(InputError):
         s3.element_index(Perm((1, 0, 2, 3)))  # wrong degree
+
+
+def _assert_matches_reference(G):
+    ref = _perm_bfs_elements(G.generators, G.degree)
+    assert G.elements == ref, G.name
+    index = {p.images: i for i, p in enumerate(ref)}
+    assert G.gen_indices == tuple(index[g.images] for g in G.generators), G.name
+
+
+def test_enumeration_matches_perm_bfs_on_corpus(corpus_groups):
+    assert len(corpus_groups) == 56
+    for G in corpus_groups:
+        _assert_matches_reference(G)
+
+
+def test_enumeration_matches_perm_bfs_on_lift_ambients(lift_ambients):
+    assert len(lift_ambients) == 21
+    assert max(G.degree for G in lift_ambients) == 729
+    for G in lift_ambients:
+        _assert_matches_reference(G)
+
+
+def test_table_matches_products_on_corpus(corpus_groups):
+    checked = 0
+    for G in corpus_groups:
+        if G.order > 200:
+            continue
+        t = G.table
+        for i, a in enumerate(G.elements):
+            want = [G.index[(a * b).images] for b in G.elements]
+            assert t[i].tolist() == want, G.name
+        checked += 1
+    assert checked >= 40
+
+
+def test_enumeration_cap_boundary():
+    assert load_group({"family": "sym", "n": 4}, caps=Caps(order=24)).order == 24
+    with pytest.raises(CapExceeded, match="enumeration cap 23"):
+        load_group({"family": "sym", "n": 4}, caps=Caps(order=23))
+
+
+def test_trivial_and_identity_only_generators():
+    for gens in ([], [Perm.identity(5)], [Perm.identity(5), Perm.identity(5)]):
+        G = Group(gens, degree=5)
+        assert G.order == 1
+        assert G.elements == (Perm.identity(5),)
+        assert G.generators == ()
+        assert G.gen_indices == ()
+        assert G.table.tolist() == [[0]]
+        assert G.conjugacy_classes()[0].size == 1
+    G = Group([Perm.identity(1)], degree=1)
+    assert G.elements == (Perm.identity(1),)
+    # a degree-1 family and a nontrivial group with fixed points
+    assert load_group({"family": "sym", "n": 1}).order == 1
+    G = Group([Perm((1, 0, 2, 3))])
+    assert G.elements == (Perm.identity(4), Perm((1, 0, 2, 3)))
+    assert G.table.tolist() == [[0, 1], [1, 0]]
+
+
+def test_enumeration_above_uint16_degree():
+    # 70000 points: the rows switch to 32-bit images
+    n = 70_000
+    imgs = list(range(n))
+    imgs[0], imgs[n - 1] = n - 1, 0
+    G = Group([Perm(imgs)])
+    assert G.order == 2
+    assert G.elements[1].images[0] == n - 1
+    assert G.gen_indices == (1,)
+    assert G.table.tolist() == [[0, 1], [1, 0]]
