@@ -38,7 +38,6 @@ from .crowns import (
     CrownData,
     abelian_crown,
     abelian_crown_power_with_embedding,
-    build_crown_power_abelian,
     build_crown_power_general,
     chief_series,
     corona_decomposition,
@@ -46,7 +45,6 @@ from .crowns import (
     crown_power_from_descriptor,
     factors_equivalent,
     modules_isomorphic,
-    monolithic_group_for,
     verify_sotto,
 )
 from .errors import CapExceeded, InputError, InvgenError, PreconditionError
@@ -86,22 +84,13 @@ from .properties import (
     PropertyReport,
     verify_props,
 )
-from .rng import Stream
 from .subgroups import (
-    QuotientMap,
-    SubgroupLattice,
     SubgroupRecord,
-    centralizer,
     closure_indices,
     frattini,
     generated_subgroup,
     maximal_subgroups_up_to_conjugacy,
     minimal_normal_subgroups,
-    normal_subgroups,
-    quotient,
-    quotient_with_map,
-    small_generating_set,
-    subgroup_conjugates,
     subgroup_lattice,
 )
 
@@ -136,9 +125,6 @@ __all__ = [
     "PreconditionError",
     "ProbabilityReport",
     "PropertyReport",
-    "QuotientMap",
-    "Stream",
-    "SubgroupLattice",
     "SubgroupRecord",
     "SurveyRow",
     "abelian_crown",
@@ -146,10 +132,8 @@ __all__ = [
     "agl_trend",
     "binomial_check",
     "binomial_tail",
-    "build_crown_power_abelian",
     "build_crown_power_general",
     "build_dw",
-    "centralizer",
     "chebotarev_exact",
     "chebotarev_montecarlo",
     "chief_series",
@@ -176,19 +160,13 @@ __all__ = [
     "minimal_normal_subgroups",
     "module_from_descriptor",
     "modules_isomorphic",
-    "monolithic_group_for",
-    "normal_subgroups",
     "p_invariable_exact",
     "p_invariable_montecarlo",
-    "quotient",
-    "quotient_with_map",
     "read_corpus",
     "realize_descriptor",
     "resolve_word",
     "run_survey",
     "shipped_corpus_path",
-    "small_generating_set",
-    "subgroup_conjugates",
     "subgroup_lattice",
     "truncated_expectation",
     "verify_props",

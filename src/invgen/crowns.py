@@ -44,9 +44,6 @@ from .subgroups import (
     small_generating_set,
 )
 
-CROWN_POWER_POINT_CAP = 4096
-
-
 # ---------------------------------------------------------------------------
 # chief factors
 
@@ -72,10 +69,6 @@ class ChiefFactor:
         return f"ChiefFactor(order={self.order}, {kind}{fr})"
 
 
-def _inverse_index_array(G: Group) -> np.ndarray:
-    return np.array([G.inv_index(i) for i in range(G.order)], dtype=np.int64)
-
-
 def section_centralizer(G: Group, upper: SubgroupRecord, lower: SubgroupRecord) -> SubgroupRecord:
     """Elements g with [g, upper] inside lower.
 
@@ -84,7 +77,7 @@ def section_centralizer(G: Group, upper: SubgroupRecord, lower: SubgroupRecord) 
     """
     t = G.table
     n = G.order
-    invs = _inverse_index_array(G)
+    invs = G.inverses()
     in_lower = np.zeros(n, dtype=bool)
     in_lower[lower.member_indices()] = True
     ok = np.ones(n, dtype=bool)
@@ -478,10 +471,6 @@ def abelian_crown_power_with_embedding(act: ModuleAction, u: int):
     p, dim = act.p, act.dim
     K = dim * u
     npoints = p**K
-    if npoints > CROWN_POWER_POINT_CAP:
-        raise CapExceeded(
-            f"{npoints} points exceed the crown power cap {CROWN_POWER_POINT_CAP} (points)"
-        )
     if npoints * H.order > H.caps.order:
         raise CapExceeded(
             f"order {npoints * H.order} exceeds cap {H.caps.order} (order)"

@@ -8,15 +8,17 @@ degree 65536, uint32 above), so that a row's bytes compare exactly as
 its image tuple does.  Enumeration applies a generator to a whole BFS
 frontier of rows with one gather, and a row is looked up by
 ``np.searchsorted`` on a void view of that array.  Sizes are desk
-scale and guarded by caps:
+scale and guarded by two caps (``Caps``), each raising ``CapExceeded``:
 
-    order  <= 100_000   full element enumeration
-    degree <= 64        for groups loaded from descriptors
-    order  <= 2_000     multiplication table / subgroup lattice work
+    order  <= 2_000     checked while enumerating, so every group can
+                        build its multiplication table, the one primitive
+                        behind products, inverses and closures
+    degree <= 64        for groups loaded from descriptors, checked
+                        before any generator is built
 
 Internally constructed groups (quotients, semidirect products acting on
 module points) may exceed the degree cap; they still respect the order
-caps.
+cap.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import numpy as np
 
 from .errors import CapExceeded, InputError
 from .perm import Perm
-from .rng import Stream
 
 # ---------------------------------------------------------------------------
 # caps
@@ -37,9 +38,8 @@ from .rng import Stream
 
 @dataclass(frozen=True)
 class Caps:
-    order: int = 100_000
+    order: int = 2_000
     degree: int = 64
-    lattice: int = 2_000
 
 
 DEFAULT_CAPS = Caps()
@@ -189,7 +189,7 @@ def bit_indices(bits: int):
 # ---------------------------------------------------------------------------
 # image rows
 
-_LOOKUP_CHUNK = 256  # rows per searchsorted batch in Group.table
+_LOOKUP_CHUNK = 256  # rows per searchsorted batch in Group._lookup_all
 
 
 def _row_dtype(degree: int) -> np.dtype:
@@ -247,7 +247,7 @@ def _enumerate_rows(generators, degree: int, order_cap: int) -> np.ndarray:
 class Group:
     """A finite permutation group with a full, sorted element list."""
 
-    def __init__(self, generators, name="G", degree=None, caps=None, _enforce_degree=False):
+    def __init__(self, generators, name="G", degree=None, caps=None):
         caps = _caps(caps)
         gens = [g for g in generators if not g.is_identity()]
         if degree is None:
@@ -256,8 +256,6 @@ class Group:
             degree = gens[0].degree
         if any(g.degree != degree for g in gens):
             raise InputError("generators act on different point sets")
-        if _enforce_degree and degree > caps.degree:
-            raise CapExceeded(f"degree {degree} exceeds degree cap {caps.degree}")
         self.name = name
         self.degree = degree
         self.generators = tuple(gens)
@@ -269,6 +267,7 @@ class Group:
         # lazy caches
         self._table = None
         self._inv = None
+        self._conj_maps = None
         self._classes = None
         self._class_of = None
         self._lattice = None
@@ -296,6 +295,15 @@ class Group:
             raise KeyError(f"image row is not an element of {self.name}")
         return lo
 
+    def _lookup_all(self, rows_of) -> np.ndarray:
+        """Element index of rows_of(E) row by row, for the sorted image rows E
+        taken in chunks."""
+        E = self._E
+        chunks = range(0, self.order, _LOOKUP_CHUNK)
+        return np.concatenate(
+            [self._lookup(rows_of(E[s : s + _LOOKUP_CHUNK])) for s in chunks]
+        ).astype(np.int32)
+
     # -- basics --------------------------------------------------------------
 
     def element_index(self, p: Perm) -> int:
@@ -307,30 +315,17 @@ class Group:
     def __contains__(self, p):
         return isinstance(p, Perm) and p.images in self.index
 
-    def identity_index(self) -> int:
-        return 0  # the identity is lexicographically first
-
     def mult_index(self, i: int, j: int) -> int:
-        if self._table is not None:
-            return int(self._table[i, j])
-        return self.index[(self.elements[i] * self.elements[j]).images]
+        return int(self.table[i, j])
 
     def inv_index(self, i: int) -> int:
-        if self._inv is None:
-            inv = np.empty(self.order, dtype=np.int64)
-            for k, p in enumerate(self.elements):
-                inv[k] = self.index[p.inverse().images]
-            self._inv = inv
-        return int(self._inv[i])
-
-    def random_element_index(self, stream: Stream) -> int:
-        return stream.randbelow(self.order)
+        return int(self.inverses()[i])
 
     # -- multiplication table -----------------------------------------------
 
     @property
     def table(self) -> np.ndarray:
-        """Full index multiplication table; only at lattice scale.
+        """Full index multiplication table, table[i, j] = index(e_i * e_j).
 
         The left-multiplication map of a generator g sends e to g * e,
         whose images are e(g(x)): the rows E[:, E[g]] of the sorted
@@ -340,21 +335,11 @@ class Group:
         row costs one vectorized gather.
         """
         if self._table is None:
-            if self.order > self.caps.lattice:
-                raise CapExceeded(
-                    f"order {self.order} exceeds table cap {self.caps.lattice} (lattice)"
-                )
             n = self.order
-            E = self._E
             left = {}
             for gi in self.gen_indices:
-                cols = E[gi].astype(np.intp)
-                left[gi] = np.concatenate(
-                    [
-                        self._lookup(E[s : s + _LOOKUP_CHUNK][:, cols])
-                        for s in range(0, n, _LOOKUP_CHUNK)
-                    ]
-                ).astype(np.int32)
+                cols = self._E[gi].astype(np.intp)
+                left[gi] = self._lookup_all(lambda rows: rows[:, cols])
             table = np.empty((n, n), dtype=np.int32)
             table[0] = np.arange(n, dtype=np.int32)
             visited = np.zeros(n, dtype=bool)
@@ -373,48 +358,63 @@ class Group:
             self._table = table
         return self._table
 
-    def conj_maps(self):
-        """Index maps i -> index(g^-1 * e_i * g) for each generator g."""
-        t = self.table
-        maps = []
-        for gi in self.gen_indices:
-            ginv = self.inv_index(gi)
-            maps.append(t[t[ginv, :], gi])
-        return maps
+    def inverses(self) -> np.ndarray:
+        """inverses()[i] = index(e_i^-1): the column of the identity, index 0,
+        in row i of the table, which is also the row's smallest entry."""
+        if self._inv is None:
+            self._inv = np.argmin(self.table, axis=1)
+        return self._inv
+
+    def conj_maps(self) -> tuple:
+        """Index maps i -> index(g^-1 * e_i * g), one per generator g.
+
+        g^-1 * e * g sends x to g(e(g^-1(x))), so its rows are the gather
+        g[E[:, g^-1]], looked up like the table's left maps: classes need
+        no n x n table.
+        """
+        if self._conj_maps is None:
+            maps = []
+            for gi in self.gen_indices:
+                g = self._E[gi].astype(np.intp)
+                ginv = np.argsort(g)
+                maps.append(self._lookup_all(lambda rows: g[rows[:, ginv]]))
+            self._conj_maps = tuple(maps)
+        return self._conj_maps
 
     # -- conjugacy classes ----------------------------------------------------
 
     def conjugacy_classes(self):
-        """Classes sorted by (size, representative index); identity first."""
+        """Classes sorted by (size, representative index); identity first.
+
+        A class is an orbit of the conjugation maps.  Starts are scanned in
+        ascending order, so each orbit's start is its smallest member.
+        """
         if self._classes is None:
             n = self.order
-            gen_perms = [(g, g.inverse()) for g in self.elements_at(self.gen_indices)]
-            assigned = [-1] * n
-            classes = []
+            maps = [m.tolist() for m in self.conj_maps()]
+            assigned = [False] * n
+            orbits = []
             for start in range(n):
-                if assigned[start] != -1:
+                if assigned[start]:
                     continue
+                assigned[start] = True
                 orbit = [start]
-                assigned[start] = -2
-                k = 0
-                while k < len(orbit):
-                    x = self.elements[orbit[k]]
-                    k += 1
-                    for g, ginv in gen_perms:
-                        y = ginv * x * g
-                        yi = self.index[y.images]
-                        if assigned[yi] == -1:
-                            assigned[yi] = -2
-                            orbit.append(yi)
+                for x in orbit:  # the list grows while it is read
+                    for m in maps:
+                        y = m[x]
+                        if not assigned[y]:
+                            assigned[y] = True
+                            orbit.append(y)
+                orbits.append(orbit)
+            orbits.sort(key=lambda o: (len(o), o[0]))
+            classes = []
+            class_of = np.empty(n, dtype=np.int32)
+            for ci, orbit in enumerate(orbits):
                 bits = 0
                 for i in orbit:
                     bits |= 1 << i
-                classes.append(ConjClass(rep=min(orbit), size=len(orbit), members=bits))
-            classes.sort(key=lambda c: (c.size, c.rep))
-            class_of = np.empty(n, dtype=np.int32)
-            for ci, c in enumerate(classes):
-                for i in c.member_indices():
-                    class_of[i] = ci
+                classes.append(ConjClass(rep=orbit[0], size=len(orbit), members=bits))
+                class_of[orbit] = ci
             self._classes = classes
             self._class_of = class_of
         return self._classes
@@ -425,9 +425,6 @@ class Group:
 
     def elements_at(self, indices):
         return [self.elements[i] for i in indices]
-
-    def element_orders(self):
-        return [p.order() for p in self.elements]
 
     # -- serialization ---------------------------------------------------------
 
@@ -477,7 +474,8 @@ def perms_from_images(images, degree=None) -> list[Perm]:
 
 
 def _family_generators(family, desc):
-    """0-based cycle data for each built-in family."""
+    """0-based cycle data for sym, alt, cyclic and dihedral; ``_family_degree``
+    has already rejected any other family."""
     if family == "sym":
         n = _int_param(desc, "n")
         if n < 1:
@@ -505,30 +503,49 @@ def _family_generators(family, desc):
         if n == 1:
             return [], 1
         return [[tuple(range(n))]], n
-    if family == "dihedral":
-        n = _int_param(desc, "n")
-        if n < 1:
-            raise InputError("dihedral needs n >= 1")
-        if n == 1:
-            return [[(0, 1)]], 2
-        if n == 2:
-            return [[(0, 1)], [(2, 3)]], 4
-        rot = [tuple(range(n))]
-        refl = [tuple((i, n - i)) for i in range(1, (n + 1) // 2) if i != n - i]
-        return [rot, refl], n
-    raise InputError(f"unknown family {family!r}")
+    n = _int_param(desc, "n")  # dihedral
+    if n < 1:
+        raise InputError("dihedral needs n >= 1")
+    if n == 1:
+        return [[(0, 1)]], 2
+    if n == 2:
+        return [[(0, 1)], [(2, 3)]], 4
+    rot = [tuple(range(n))]
+    refl = [tuple((i, n - i)) for i in range(1, (n + 1) // 2) if i != n - i]
+    return [rot, refl], n
+
+
+def _family_degree(family, desc) -> int:
+    """The degree a family descriptor implies, read from its parameters
+    alone, so that the degree cap is checked before any generator (or
+    field, for agl1) is built."""
+    if family == "elemab":
+        return _int_param(desc, "p") * _int_param(desc, "k")
+    if family == "agl1":
+        return _int_param(desc, "q")
+    if family not in ("sym", "alt", "cyclic", "dihedral"):
+        raise InputError(f"unknown family {family!r}")
+    n = _int_param(desc, "n")
+    return 2 * n if family == "dihedral" and n in (1, 2) else n
+
+
+def _check_degree(degree: int, caps: Caps) -> None:
+    if degree > caps.degree:
+        raise CapExceeded(f"degree {degree} exceeds degree cap {caps.degree}")
 
 
 def _elemab_group(p, k, caps):
-    if not is_prime(p):
-        raise InputError(f"elemab characteristic {p} is not prime")
+    # k first: with k >= 1 the degree cap on p * k also bounds p, and so
+    # the cost of the primality test
     if k < 1:
         raise InputError("elemab needs k >= 1")
+    if not is_prime(p):
+        raise InputError(f"elemab characteristic {p} is not prime")
     degree = p * k
     gens = [
         Perm.from_cycles([tuple(range(i * p, (i + 1) * p))], degree) for i in range(k)
     ]
-    return Group(gens, name=f"elemab({p},{k})", degree=degree, caps=caps, _enforce_degree=True)
+    return Group(gens, name=f"elemab({p},{k})", degree=degree, caps=caps)
 
 
 def _agl1_group(q, caps):
@@ -542,7 +559,7 @@ def _agl1_group(q, caps):
     if q > 2:
         g = F.primitive_element()
         gens.append(Perm([F.mul(x, g) for x in range(q)]))
-    return Group(gens, name=f"agl1({q})", degree=q, caps=caps, _enforce_degree=True)
+    return Group(gens, name=f"agl1({q})", degree=q, caps=caps)
 
 
 def load_group(desc: dict, caps=None) -> Group:
@@ -561,6 +578,7 @@ def load_group(desc: dict, caps=None) -> Group:
     if "family" in desc:
         fam = desc["family"]
         try:
+            _check_degree(_family_degree(fam, desc), caps)
             if fam == "elemab":
                 grp = _elemab_group(_int_param(desc, "p"), _int_param(desc, "k"), caps)
             elif fam == "agl1":
@@ -570,11 +588,7 @@ def load_group(desc: dict, caps=None) -> Group:
                 gens = [Perm.from_cycles(c, degree) for c in cyc]
                 param = desc.get("n", desc.get("q"))
                 grp = Group(
-                    gens,
-                    name=desc.get("name", f"{fam}({param})"),
-                    degree=degree,
-                    caps=caps,
-                    _enforce_degree=True,
+                    gens, name=desc.get("name", f"{fam}({param})"), degree=degree, caps=caps
                 )
         except KeyError as e:
             raise InputError(f"family {fam!r} is missing parameter {e}")
@@ -588,12 +602,7 @@ def load_group(desc: dict, caps=None) -> Group:
             raise InputError("explicit descriptor needs a degree")
         if degree < 1:
             raise InputError("degree must be positive")
+        _check_degree(degree, caps)
         gens = perms_from_images(desc["generators"], degree)
-        return Group(
-            gens,
-            name=desc.get("name", "G"),
-            degree=degree,
-            caps=caps,
-            _enforce_degree=True,
-        )
+        return Group(gens, name=desc.get("name", "G"), degree=degree, caps=caps)
     raise InputError("group descriptor needs 'family' or 'generators'")

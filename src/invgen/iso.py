@@ -1,7 +1,7 @@
 """Isomorphism testing for small permutation groups.
 
 Backtracking over generator images with invariant screening.  Groups
-here are tiny (lattice-cap scale), so the emphasis is on pruning that
+here are tiny (order-cap scale), so the emphasis is on pruning that
 keeps the search honest rather than on asymptotics: element orders and
 conjugacy class shapes must match, the first generator's image only
 ranges over class representatives (composing with an inner automorphism

@@ -50,7 +50,7 @@ from .genlift import (
     invgen_criterion,
     max_lift_rank,
 )
-from .group import Group, load_group
+from .group import DEFAULT_CAPS, Group, load_group
 from .harness import read_corpus, realize_descriptor, run_survey, shipped_corpus_path
 from .perm import Perm
 from .rng import Stream
@@ -274,7 +274,7 @@ def _check_exhaustive_equivalence(corpus: _Corpus, st: Stream):
 
 
 def _check_supersequence_monotonicity(corpus: _Corpus, st: Stream):
-    groups = [G for G in corpus.groups(max_order=2000)]
+    groups = list(corpus.groups())
     checked = 0
     bad = []
     while checked < 200:
@@ -289,7 +289,7 @@ def _check_supersequence_monotonicity(corpus: _Corpus, st: Stream):
 
 
 def _check_conjugation_invariance(corpus: _Corpus, st: Stream):
-    groups = [G for G in corpus.groups(max_order=2000)]
+    groups = list(corpus.groups())
     checked = 0
     bad = []
     while checked < 200:
@@ -525,7 +525,7 @@ def _check_criterion_soundness(corpus: _Corpus, st: Stream):
     """Criteria vs the explicitly built group V^u x| H.
 
     Generation is brute-forced by subgroup closure on every instance
-    with ambient order <= 2000: all ws when |V|^u <= 256, else 500
+    with ambient order <= DEFAULT_CAPS.order: all ws when |V|^u <= 256, else 500
     random ws.  Invariable generation is brute-forced through the
     ambient's class-coverage test, which needs its subgroup lattice, so
     that half is gated to |V|^u <= 128 where the lattice stays small.
@@ -540,7 +540,7 @@ def _check_criterion_soundness(corpus: _Corpus, st: Stream):
         while True:
             u += 1
             npts = p ** (dim * u)
-            if npts * act.group.order > 2000:
+            if npts * act.group.order > DEFAULT_CAPS.order:
                 break
             GA, emb = abelian_crown_power_with_embedding(act, u)
             brute_invgen = can_invgen and npts <= 128
@@ -695,8 +695,9 @@ def _check_conjugation_robustness(corpus: _Corpus, st: Stream):
 
 
 def _general_crown_instances():
-    # nonabelian socles need |A|^(k-1)|L| > 2000 already at the smallest
-    # candidate (A5 twice), so the k >= 2 instances here are all abelian
+    # nonabelian socles need |A|^(k-1)|L| > DEFAULT_CAPS.order already at
+    # the smallest candidate (A5 twice), so the k >= 2 instances here are
+    # all abelian
     specs = [
         ({"family": "sym", "n": 3}, (2, 3)),
         ({"family": "sym", "n": 4}, (2,)),
@@ -720,7 +721,7 @@ def _check_crown_order_law(corpus: _Corpus, st: Stream):
         checked += 1
     for act in corpus.modules():
         for u in (1, 2):
-            if act.p ** (act.dim * u) * act.group.order > 2000:
+            if act.p ** (act.dim * u) * act.group.order > DEFAULT_CAPS.order:
                 continue
             G, _ = abelian_crown_power_with_embedding(act, u)
             if G.order != act.p ** (act.dim * u) * act.group.order:
@@ -733,7 +734,7 @@ def _check_coordinate_copies(corpus: _Corpus, st: Stream):
     checked = 0
     bad = []
     for L, A, k in _general_crown_instances():
-        if k < 2 or A.order ** (k - 1) * L.order > 2000:
+        if k < 2 or A.order ** (k - 1) * L.order > DEFAULT_CAPS.order:
             continue
         Lk = build_crown_power_general(L, A, k)
         trivial = _record(Lk, [0], ())
@@ -895,8 +896,10 @@ def _check_survey_bounds(corpus: _Corpus, st: Stream):
         if row.error is not None:
             bad.append(f"{row.name}: corpus row errored: {row.error}")
             continue
-        if row.order > 2000:
-            bad.append(f"{row.name}: corpus group exceeds the order-2000 survey band")
+        if row.order > DEFAULT_CAPS.order:
+            bad.append(
+                f"{row.name}: corpus group exceeds the order-{DEFAULT_CAPS.order} survey band"
+            )
         ratio = row.ratio_sqrt
         if not (ratio > 0 and math.isfinite(ratio)):
             bad.append(f"{row.name}: ratio_sqrt not finite-positive")

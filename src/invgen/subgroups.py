@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapExceeded, InputError, PreconditionError
+from .errors import InputError, PreconditionError
 from .group import Group, bit_indices
 from .perm import Perm
 
@@ -140,30 +140,8 @@ def closure_indices(G: Group, gen_idxs, early_full=True) -> np.ndarray:
 def generated_subgroup(G: Group, elems) -> SubgroupRecord:
     """Subgroup generated by elements (Perms or element indices)."""
     idxs = [e if isinstance(e, (int, np.integer)) else G.element_index(e) for e in elems]
-    if G.order <= G.caps.lattice:
-        members = closure_indices(G, idxs, early_full=False)
-    else:
-        members = _closure_perm(G, idxs)
+    members = closure_indices(G, idxs, early_full=False)
     return _record(G, members, [i for i in idxs if i != 0])
-
-
-def _closure_perm(G: Group, idxs):
-    """Closure without the index table (large groups)."""
-    gens = [G.elements[i] for i in idxs if i != 0]
-    if not gens:
-        return [0]
-    seen = {G.elements[0].images}
-    frontier = [G.elements[0]]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                b = a * g
-                if b.images not in seen:
-                    seen.add(b.images)
-                    nxt.append(b)
-        frontier = nxt
-    return sorted(G.index[im] for im in seen)
 
 
 def small_generating_set(G: Group, member_idx) -> tuple:
@@ -321,10 +299,6 @@ def subgroup_lattice(G: Group) -> list[SubgroupRecord]:
 def _lattice(G: Group) -> SubgroupLattice:
     if G._lattice is not None:
         return G._lattice
-    if G.order > G.caps.lattice:
-        raise CapExceeded(
-            f"order {G.order} exceeds lattice cap {G.caps.lattice} (lattice)"
-        )
     n = G.order
     trivial = _record(G, [0], ())
     if n == 1:
@@ -352,7 +326,7 @@ def _lattice(G: Group) -> SubgroupLattice:
     for c in cyclics:
         admit(c)
 
-    inv = np.argmin(G.table, axis=1)  # t[g, inv[g]] = 0, the smallest index
+    inv = G.inverses()
     cyc_of = _cyclic_index(G, cyclics)
     cyc_gens = np.array([c.gens[0] for c in cyclics], dtype=np.int64)
 
@@ -458,10 +432,6 @@ def normal_subgroups(G: Group) -> list[SubgroupRecord]:
     """All normal subgroups, via joins of conjugacy-class closures."""
     if G._normals is not None:
         return G._normals
-    if G.order > G.caps.lattice:
-        raise CapExceeded(
-            f"order {G.order} exceeds lattice cap {G.caps.lattice} (normal subgroups)"
-        )
     trivial = _record(G, [0], ())
     found = {trivial.bits: trivial}
     classes = G.conjugacy_classes()
@@ -508,20 +478,11 @@ def minimal_normal_subgroups(G: Group) -> list[SubgroupRecord]:
 def centralizer(G: Group, elems) -> SubgroupRecord:
     """Centralizer of a set of elements (Perms or indices)."""
     idxs = [e if isinstance(e, (int, np.integer)) else G.element_index(e) for e in elems]
-    if G.order <= G.caps.lattice:
-        t = G.table
-        mask = np.ones(G.order, dtype=bool)
-        for s in idxs:
-            mask &= t[:, s] == t[s, :]
-        members = np.flatnonzero(mask).astype(np.int64)
-    else:
-        targets = [G.elements[i] for i in idxs]
-        members = [
-            i
-            for i, x in enumerate(G.elements)
-            if all((x * s).images == (s * x).images for s in targets)
-        ]
-        members = np.asarray(members, dtype=np.int64)
+    t = G.table
+    mask = np.ones(G.order, dtype=bool)
+    for s in idxs:
+        mask &= t[:, s] == t[s, :]
+    members = np.flatnonzero(mask).astype(np.int64)
     return _record(G, members, small_generating_set(G, members))
 
 
@@ -633,7 +594,7 @@ def _reduce_degree(Qreg: Group):
     """Re-realize a regular permutation group on cosets of a core-free
     subgroup when that shrinks the degree; returns (Q, index map)."""
     q = Qreg.order
-    if q <= 16 or q > Qreg.caps.lattice:
+    if q <= 16:
         return Qreg, np.arange(q, dtype=np.int64)
     conj_maps = Qreg.conj_maps()
     t = Qreg.table

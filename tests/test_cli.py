@@ -186,7 +186,7 @@ def test_exit_code_cap_exceeded(capsys):
     code, _, err = run(capsys, "cheb", "exact", '{"family": "sym", "n": 99}')
     assert code == 3
     assert "cap exceeded" in err
-    # A7 is past the multiplication-table cap
+    # A7, of order 2520, is past the order cap and fails to load
     code, _, err = run(capsys, "cheb", "exact", '{"family": "alt", "n": 7}')
     assert code == 3
     assert "cap exceeded" in err

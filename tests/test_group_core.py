@@ -1,7 +1,13 @@
 """Permutations, multiplication tables, classes, descriptors."""
 
+import dataclasses
+import time
+from datetime import timedelta
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from invgen import (
     Caps,
@@ -16,6 +22,7 @@ from invgen import (
     realize_descriptor,
     shipped_corpus_path,
 )
+from invgen.group import DEFAULT_CAPS
 
 
 def _perm_bfs_elements(generators, degree):
@@ -35,6 +42,41 @@ def _perm_bfs_elements(generators, degree):
     return tuple(sorted(seen.values()))
 
 
+def _perm_classes(G):
+    """Reference classes: orbits under conjugation by two Perm products per
+    element and generator.  Returns ([(rep, size, members bitset)] sorted by
+    (size, rep), class index of each element)."""
+    gen_perms = [(g, g.inverse()) for g in G.generators]
+    assigned = [False] * G.order
+    orbits = []
+    for start in range(G.order):
+        if assigned[start]:
+            continue
+        assigned[start] = True
+        orbit = [start]
+        k = 0
+        while k < len(orbit):
+            x = G.elements[orbit[k]]
+            k += 1
+            for g, ginv in gen_perms:
+                yi = G.index[(ginv * x * g).images]
+                if not assigned[yi]:
+                    assigned[yi] = True
+                    orbit.append(yi)
+        orbits.append(orbit)
+    orbits.sort(key=lambda o: (len(o), min(o)))
+    class_of = [0] * G.order
+    for ci, orbit in enumerate(orbits):
+        for i in orbit:
+            class_of[i] = ci
+    return [(min(o), len(o), sum(1 << i for i in o)) for o in orbits], class_of
+
+
+def _perm_inverses(G):
+    """Reference inverse of every element, by inverting its Perm."""
+    return [G.index[p.inverse().images] for p in G.elements]
+
+
 @pytest.fixture(scope="module")
 def corpus_groups():
     return [realize_descriptor(d)[0] for d in read_corpus(shipped_corpus_path())]
@@ -42,14 +84,14 @@ def corpus_groups():
 
 @pytest.fixture(scope="module")
 def lift_ambients():
-    """V^u x| H for every corpus module and every u with order <= 2000."""
+    """V^u x| H for every corpus module and every u with order within the cap."""
     out = []
     for d in read_corpus(shipped_corpus_path()):
         if "module" not in d:
             continue
         act = module_from_descriptor(d["module"])
         u = 1
-        while act.p ** (act.dim * u) * act.group.order <= 2000:
+        while act.p ** (act.dim * u) * act.group.order <= DEFAULT_CAPS.order:
             out.append(abelian_crown_power_with_embedding(act, u)[0])
             u += 1
     return out
@@ -214,6 +256,65 @@ def test_degree_cap_enforced():
     assert g.order == 70
 
 
+@pytest.mark.parametrize(
+    "desc,error",
+    [
+        ({"family": "agl1", "q": 1000003}, CapExceeded),
+        ({"family": "cyclic", "n": 2_000_000}, CapExceeded),
+        ({"family": "sym", "n": 2_000_000}, CapExceeded),
+        ({"family": "elemab", "p": 10**18 + 9, "k": 1}, CapExceeded),
+        ({"family": "elemab", "p": 10**18 + 9, "k": 0}, InputError),
+    ],
+    ids=["agl1_prime_q", "cyclic_huge_n", "sym_huge_n", "elemab_huge_p", "elemab_huge_p_k0"],
+)
+def test_huge_parameters_fail_fast(desc, error):
+    # the degree cap and k >= 1 are checked before any generator, field
+    # or primality test is built from a huge parameter
+    start = time.perf_counter()
+    with pytest.raises(error):
+        load_group(desc)
+    assert time.perf_counter() - start < 0.1
+
+
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=3),
+    st.lists(st.integers(0, 9), max_size=2),
+)
+_PARAM = st.one_of(st.integers(-4, 70), st.integers(), _JUNK)
+
+
+@settings(
+    max_examples=300,
+    deadline=timedelta(seconds=1),
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    st.fixed_dictionaries(
+        {
+            "family": st.one_of(
+                st.sampled_from(["sym", "alt", "cyclic", "dihedral", "elemab", "agl1"]),
+                _JUNK,
+            )
+        },
+        optional={"n": _PARAM, "p": _PARAM, "k": _PARAM, "q": _PARAM},
+    )
+)
+def test_load_group_fuzz(desc):
+    # every draw loads within the order cap or fails with one of the two
+    # reported errors; the cap keeps each draw fast
+    try:
+        G = load_group(desc)
+    except (InputError, CapExceeded):
+        return
+    assert isinstance(G, Group)
+    assert G.order <= DEFAULT_CAPS.order
+
+
 def test_canonical_key_is_representation_stable():
     a = load_group({"family": "sym", "n": 3})
     b = load_group({"family": "sym", "n": 3})
@@ -265,6 +366,33 @@ def test_enumeration_cap_boundary():
     assert load_group({"family": "sym", "n": 4}, caps=Caps(order=24)).order == 24
     with pytest.raises(CapExceeded, match="enumeration cap 23"):
         load_group({"family": "sym", "n": 4}, caps=Caps(order=23))
+
+
+def test_one_order_cap():
+    assert [f.name for f in dataclasses.fields(Caps)] == ["order", "degree"]
+    # A7 (order 2520) is past the one order cap, so it never loads
+    with pytest.raises(CapExceeded, match=f"enumeration cap {DEFAULT_CAPS.order}"):
+        load_group({"family": "alt", "n": 7})
+
+
+def _assert_classes_match_reference(G):
+    classes, class_of = _perm_classes(G)
+    got = [(c.rep, c.size, c.members) for c in G.conjugacy_classes()]
+    assert got == classes, G.name
+    assert G.class_of().tolist() == class_of, G.name
+    inverses = _perm_inverses(G)
+    assert G.inverses().tolist() == inverses, G.name
+    assert [G.inv_index(i) for i in range(G.order)] == inverses, G.name
+
+
+def test_classes_and_inverses_match_perm_products_on_corpus(corpus_groups):
+    for G in corpus_groups:
+        _assert_classes_match_reference(G)
+
+
+def test_classes_and_inverses_match_perm_products_on_lift_ambients(lift_ambients):
+    for G in lift_ambients:
+        _assert_classes_match_reference(G)
 
 
 def test_trivial_and_identity_only_generators():
