@@ -7,6 +7,13 @@ entry, so everything downstream (exact Chebotarev values, Monte Carlo
 runs, the survey) only needs one table per group: for each conjugacy
 class of maximal subgroups, the set of element classes covered.
 
+The maximal classes come without the subgroup lattice when G has an
+abelian minimal normal subgroup N.  A maximal subgroup either contains
+N, and is the preimage of a maximal subgroup of G/N, found by the same
+recursion on G/N, or it is a complement of N.  Only a group whose
+minimal normal subgroups are all nonabelian (a nonabelian socle) reads
+its maximal classes off the lattice.
+
 Tables can be cached on disk; point INVGEN_CACHE_DIR at a directory to
 enable it.  The cache key is a hash of the group's canonical descriptor,
 so two differently-constructed copies of the same permutation group
@@ -29,7 +36,7 @@ import numpy as np
 from .errors import CapExceeded, InputError
 from .group import Group
 from .perm import Perm
-from .subgroups import SubgroupRecord, _lattice, closure_indices, subgroup_conjugates
+from .subgroups import SubgroupRecord, closure_indices, maximal_classes, subgroup_conjugates
 
 CACHE_ENV = "INVGEN_CACHE_DIR"
 
@@ -126,23 +133,28 @@ def _class_data(G: Group) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def _compute_table(G: Group) -> ClassCoverageTable:
+    """The table from the classes of maximal subgroups of G.
+
+    They are found without the subgroup lattice when G has an abelian
+    minimal normal subgroup N (``subgroups.maximal_classes``): the
+    preimages of the maximal subgroups of G/N, from the same recursion
+    on G/N, and the complements of N, found by lifting generators of G/N
+    one coset of N at a time.  A group whose minimal normal subgroups are
+    all nonabelian (a nonabelian socle) takes them from the lattice.
+    """
     class_sizes, class_orders = _class_data(G)
     class_of = G.class_of()
-    lat = _lattice(G)
-    maximal = [
-        (rep, len(orbit)) for rep, orbit in lat.classes if rep.is_maximal
-    ]
-    maximal.sort(key=lambda pair: (pair[0].order, pair[0].bits))
+    maximal = maximal_classes(G)
     covers = []
-    for rep, _ in maximal:
-        hit = np.unique(class_of[rep.member_indices()])
+    for masks in maximal:
+        hit = np.unique(class_of[masks[0]])
         covers.append(int(sum(1 << int(c) for c in hit)))
     return ClassCoverageTable(
         order=G.order,
         class_sizes=class_sizes,
         class_orders=class_orders,
-        maximal_orders=tuple(rep.order for rep, _ in maximal),
-        maximal_counts=tuple(cnt for _, cnt in maximal),
+        maximal_orders=tuple(int(masks[0].sum()) for masks in maximal),
+        maximal_counts=tuple(len(masks) for masks in maximal),
         covers=tuple(covers),
     )
 

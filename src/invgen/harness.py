@@ -5,7 +5,10 @@ invariant and a Monte Carlo estimate of it, the bound ratios
 C/sqrt(|G|) and C/sqrt(|G| log |G|), and the least k with
 P_I(G, k) >= 2/9.  Lines describing modules or crown powers get first
 cohomology diagnostics attached.  Per-row failures (caps, bad input)
-are recorded in the row and never kill the run.
+are recorded in the row and never kill the run; so is any other
+exception, as "<Type>: <message>" with its traceback on stderr, and
+the property battery's survey check counts every errored row as a
+violation.
 
 Rows are computed by a process pool when threads > 1 and written in
 corpus order either way; every row's Monte Carlo seed derives from
@@ -18,6 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +30,7 @@ from importlib.resources import files as _pkg_files
 from .cheb import chebotarev_exact, chebotarev_montecarlo, min_k_for_probability
 from .coverage import coverage_table
 from .crowns import build_crown_power_abelian, crown_power_from_descriptor
-from .errors import CapExceeded, InputError, InvgenError
+from .errors import InputError, InvgenError
 from .group import Group, load_group
 from .modlin import ModuleAction, module_from_descriptor
 from .rng import stream_state
@@ -176,8 +180,13 @@ def survey_row(desc: dict, trials: int, row_seed: int) -> SurveyRow:
         if act is not None:
             row.diag_m, row.diag_fix_count, row.diag_m_sq = _module_diagnostics(act)
         return row
-    except (CapExceeded, InputError, InvgenError) as exc:
+    except InvgenError as exc:
         return SurveyRow(name=name, family=desc.get("family", "?"), error=str(exc))
+    except Exception as exc:  # an internal defect: record it, keep surveying
+        traceback.print_exc()
+        return SurveyRow(
+            name=name, family=desc.get("family", "?"), error=f"{type(exc).__name__}: {exc}"
+        )
 
 
 def _survey_task(args: tuple) -> SurveyRow:

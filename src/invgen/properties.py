@@ -306,13 +306,19 @@ def _check_conjugation_invariance(corpus: _Corpus, st: Stream):
 
 
 def _check_fpf_identity(corpus: _Corpus, st: Stream):
-    # table columns and maximal_subgroups_up_to_conjugacy share the
-    # (order, bits) sort, so index m lines up on both sides
+    # The table's maximal classes come through a minimal normal subgroup,
+    # maximal_subgroups_up_to_conjugacy's from the lattice.  Both sort by
+    # (order, least bitset in the class), so index m lines up on both
+    # sides and each column is checked against the lattice's conjugates.
     checked = 0
     bad = []
     for G in corpus.groups():
         table = coverage_table(G)
         reps = maximal_subgroups_up_to_conjugacy(G)
+        lattice_side = [(rep.order, len(subgroup_conjugates(G, rep))) for rep in reps]
+        if lattice_side != list(zip(table.maximal_orders, table.maximal_counts)):
+            bad.append(f"{G.name}: maximal classes differ between the table and the lattice")
+            continue
         n = table.order
         for m, rep in enumerate(reps):
             covered = sum(

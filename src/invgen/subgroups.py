@@ -1,7 +1,15 @@
 """Subgroup enumeration and quotients, all at multiplication-table scale.
 
 Subgroups are identified by membership bitsets (Python ints over element
-indices).  The lattice is built bottom-up: seed with the prime-power
+indices).  The coverage table needs only the conjugacy classes of
+maximal subgroups, and ``maximal_classes`` finds them through an abelian
+minimal normal subgroup N without the lattice: preimages of the maximal
+subgroups of G/N, and complements of N.  The lattice is left for what
+needs every subgroup (``subgroup_lattice``, ``frattini``,
+``maximal_subgroups_up_to_conjugacy``, so the property battery checks
+one route against the other) and for groups with a nonabelian socle.
+
+The lattice is built bottom-up: seed with the prime-power
 cyclic subgroups, then repeatedly join class representatives with cyclic
 subgroups until no new conjugacy class of subgroups appears.  Every
 subgroup is generated by its prime-power cyclic subgroups, so joining
@@ -25,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, PreconditionError
-from .group import Group, bit_indices
+from .group import Group, bit_indices, is_prime
 from .perm import Perm
 
 # ---------------------------------------------------------------------------
@@ -261,10 +269,11 @@ def _partner_reps(G: Group, H: SubgroupRecord, inv, cyc_of, cyc_gens) -> np.ndar
     return np.flatnonzero(first == np.arange(len(cyc_gens)))
 
 
-def _coset_closure(G: Group, h_members: np.ndarray, gens) -> np.ndarray | None:
+def _coset_closure(G: Group, h_members: np.ndarray, gens, avoid=None) -> np.ndarray | None:
     """Membership mask of <H, gens> grown as right cosets Hx of H (Dimino),
     where gens includes generators of H; None once more than |G|/2
-    elements are found, since then the closure is G.
+    elements are found, since then the closure is G, or once a new coset
+    meets the optional boolean mask avoid.
 
     (Hr)s = H(rs), so a union of right cosets of H is closed under the
     generators once every coset representative times every generator
@@ -283,7 +292,10 @@ def _coset_closure(G: Group, h_members: np.ndarray, gens) -> np.ndarray | None:
         for s in gens:
             x = int(t[r, s])
             if not seen[x]:
-                seen[t[h_members, x]] = True
+                coset = t[h_members, x]
+                if avoid is not None and avoid[coset].any():
+                    return None
+                seen[coset] = True
                 count += len(h_members)
                 if 2 * count > n:
                     return None
@@ -457,17 +469,41 @@ def normal_subgroups(G: Group) -> list[SubgroupRecord]:
     return out
 
 
-def minimal_normal_subgroups(G: Group) -> list[SubgroupRecord]:
-    normals = [r for r in normal_subgroups(G) if 1 < r.order]
+def _prime_order_classes(G: Group):
+    """Conjugacy classes of elements of prime order, in class order."""
+    t = G.table
     out = []
-    for r in normals:
-        if r.order == G.order and len(normals) > 1:
+    for c in G.conjugacy_classes():
+        order, x = 1, c.rep
+        while x != 0:
+            x = int(t[x, c.rep])
+            order += 1
+        if is_prime(order):
+            out.append(c)
+    return out
+
+
+def minimal_normal_subgroups(G: Group) -> list[SubgroupRecord]:
+    """Minimal normal subgroups, sorted by (order, bitset).
+
+    A minimal normal subgroup is the normal closure of any of its
+    elements of prime order, and a nontrivial normal subgroup inside a
+    closure contains the closure of one of its own prime-order elements.
+    So the minimal ones are the normal closures of the prime-order class
+    representatives that contain no other such closure.
+    """
+    closures = {}
+    for c in _prime_order_classes(G):
+        members = _normal_closure(G, [c.rep])
+        closures.setdefault(indices_to_bits(members, G.order), members)
+    out = []
+    for bits, members in closures.items():
+        if any(b != bits and (b & bits) == b for b in closures):
             continue
-        if not any(
-            s.order < r.order and (r.bits & s.bits) == s.bits and s.order > 1
-            for s in normals
-        ):
-            out.append(r)
+        rec = _record(G, members, small_generating_set(G, members))
+        rec.is_normal = True
+        out.append(rec)
+    out.sort(key=lambda r: (r.order, r.bits))
     return out
 
 
@@ -516,34 +552,15 @@ class QuotientMap:
         return indices_to_bits(np.unique(self.index_map[idxs]), self.group.order)
 
     def preimage_bits(self, qbits: int) -> int:
-        keep = np.array(
-            [(qbits >> int(q)) & 1 for q in self.index_map], dtype=bool
-        )
-        return mask_to_bits(keep)
+        qmask = np.zeros(self.group.order, dtype=bool)
+        qmask[bits_to_indices(qbits, self.group.order)] = True
+        return mask_to_bits(qmask[self.index_map])
 
 
 def _is_normal_bits(G: Group, members, bits) -> bool:
     return all(
         indices_to_bits(cm[members], G.order) == bits for cm in G.conj_maps()
     )
-
-
-def _core_bits(G: Group, rec: SubgroupRecord, conj_maps) -> int:
-    bits = rec.bits
-    orbit = {rec.bits}
-    frontier = [rec.member_indices()]
-    while frontier:
-        nxt = []
-        for members in frontier:
-            for cm in conj_maps:
-                image = cm[members]
-                b = indices_to_bits(image, G.order)
-                if b not in orbit:
-                    orbit.add(b)
-                    bits &= b
-                    nxt.append(np.sort(image))
-        frontier = nxt
-    return bits
 
 
 def quotient_with_map(G: Group, N: SubgroupRecord) -> QuotientMap:
@@ -572,17 +589,16 @@ def quotient_with_map(G: Group, N: SubgroupRecord) -> QuotientMap:
     rep_arr = np.asarray(reps, dtype=np.int64)
 
     def perm_on_cosets(elem_idx: int) -> Perm:
-        return Perm(cos_id[t[rep_arr, elem_idx]])
+        return Perm(cos_id[t[rep_arr, elem_idx]].tolist())
 
     gen_imgs = [perm_on_cosets(g) for g in G.gen_indices]
     Qreg = Group(gen_imgs, name=f"{G.name}/N{N.order}", degree=q, caps=G.caps)
     assert Qreg.order == q, "regular realization has wrong order"
 
     Q, reg_to_small = _reduce_degree(Qreg)
-    index_map = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        ri = Qreg.element_index(perm_on_cosets(i))
-        index_map[i] = reg_to_small[ri]
+    # an element acts on the cosets as its coset representative does
+    reg_of_coset = np.array([Qreg.element_index(perm_on_cosets(r)) for r in reps])
+    index_map = reg_to_small[reg_of_coset][cos_id]
     return QuotientMap(G, N, Q, index_map)
 
 
@@ -596,11 +612,12 @@ def _reduce_degree(Qreg: Group):
     q = Qreg.order
     if q <= 16:
         return Qreg, np.arange(q, dtype=np.int64)
-    conj_maps = Qreg.conj_maps()
     t = Qreg.table
+    nontrivial = [c.members for c in Qreg.conjugacy_classes()[1:]]
 
     def core_free(rec):
-        return popcount(_core_bits(Qreg, rec, conj_maps)) == 1
+        # the core of K is the union of the classes inside K
+        return not any((rec.bits & c) == c for c in nontrivial)
 
     best = _record(Qreg, [0], ())
     for c in _cyclic_subgroups_prime_power(Qreg):
@@ -633,12 +650,180 @@ def _reduce_degree(Qreg: Group):
             cos_id[t[Kidx, i]] = len(reps)
             reps.append(i)
     rep_arr = np.asarray(reps, dtype=np.int64)
-    gen_imgs = [Perm(cos_id[t[rep_arr, g]]) for g in Qreg.gen_indices]
+    gen_imgs = [Perm(cos_id[t[rep_arr, g]].tolist()) for g in Qreg.gen_indices]
     Q = Group(gen_imgs, name=Qreg.name, degree=len(reps), caps=Qreg.caps)
     if Q.order != q:
         # the coset action turned out unfaithful; keep the regular action
         return Qreg, np.arange(q, dtype=np.int64)
     mapping = np.empty(q, dtype=np.int64)
     for i in range(q):
-        mapping[i] = Q.element_index(Perm(cos_id[t[rep_arr, i]]))
+        mapping[i] = Q.element_index(Perm(cos_id[t[rep_arr, i]].tolist()))
     return Q, mapping
+
+
+# ---------------------------------------------------------------------------
+# maximal subgroups through an abelian minimal normal subgroup
+
+
+def _abelian_minimal_normal(G: Group) -> np.ndarray | None:
+    """Members of one abelian minimal normal subgroup of G, or None when
+    every minimal normal subgroup is nonabelian.
+
+    The normal closure of a prime-order element is replaced by a smaller
+    closure of a prime-order class inside it while there is one; what is
+    left is minimal normal.  A nonabelian one is set aside with every
+    class inside it, since it meets an abelian minimal normal subgroup
+    trivially.
+    """
+    prime = _prime_order_classes(G)
+    closures = {}
+
+    def closure(c):
+        if c.rep not in closures:
+            closures[c.rep] = _normal_closure(G, [c.rep])
+        return closures[c.rep]
+
+    t = G.table
+    rejected = 0
+    for c in prime:
+        if c.members & rejected:
+            continue
+        members = closure(c)
+        shrunk = True
+        while shrunk:
+            bits = indices_to_bits(members, G.order)
+            shrunk = False
+            for d in prime:
+                if (d.members & bits) == d.members and len(closure(d)) < len(members):
+                    members = closure(d)
+                    shrunk = True
+                    break
+        block = t[np.ix_(members, members)]
+        if (block == block.T).all():
+            return members
+        rejected |= bits
+    return None
+
+
+def _row_bits(masks: np.ndarray) -> list[int]:
+    """The bitset of each row of a 2-d boolean membership array."""
+    packed = np.packbits(masks, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _conjugacy_orbits(G: Group, masks: np.ndarray) -> list[np.ndarray]:
+    """The rows of a conjugation-closed set of subgroup masks, grouped
+    into G-orbits.
+
+    Conjugating by a generator sends member i to conj_map[i], so the
+    image of every row at once is the column gather by the inverse map.
+    """
+    where = {b: i for i, b in enumerate(_row_bits(masks))}
+    images = [
+        [where[b] for b in _row_bits(masks[:, np.argsort(cm)])] for cm in G.conj_maps()
+    ]
+    assigned = [False] * len(masks)
+    orbits = []
+    for start in range(len(masks)):
+        if assigned[start]:
+            continue
+        assigned[start] = True
+        orbit = [start]
+        for i in orbit:  # the list grows while it is read
+            for image in images:
+                j = image[i]
+                if not assigned[j]:
+                    assigned[j] = True
+                    orbit.append(j)
+        orbits.append(masks[orbit])
+    return orbits
+
+
+def _complement_orbits(G: Group, qm: QuotientMap) -> list[np.ndarray]:
+    """Conjugacy classes of complements of the kernel N of qm: G -> Q.
+
+    A complement meets each coset of N in exactly one element, so it is
+    generated by one lift of each generator of Q, and each complement
+    arises from exactly one tuple of lifts.  The lifts are chosen depth
+    first, each join grown as cosets of the last; a branch ends once its
+    join meets N in more than the identity.  A full tuple whose join
+    avoids N has order |Q|, so it spans a complement.
+    """
+    Q = qm.group
+    avoid = np.zeros(G.order, dtype=bool)
+    avoid[qm.kernel.member_indices()] = True
+    avoid[0] = False
+    fibres = np.argsort(qm.index_map, kind="stable").reshape(Q.order, -1)
+    qgens = []  # Q's generators, less any inside the span of earlier ones
+    span = np.zeros(Q.order, dtype=bool)
+    span[0] = True
+    for g in Q.gen_indices:
+        if not span[g]:
+            qgens.append(g)
+            span[closure_indices(Q, qgens, early_full=False)] = True
+    found = []
+
+    def extend(members, gens):
+        if len(gens) == len(qgens):
+            found.append(members)
+            return
+        for x in fibres[qgens[len(gens)]]:
+            lifts = gens + (int(x),)
+            mask = _coset_closure(G, members, lifts, avoid)
+            if mask is not None:
+                extend(np.flatnonzero(mask), lifts)
+
+    extend(np.array([0], dtype=np.int64), ())
+    if not found:
+        return []
+    masks = np.zeros((len(found), G.order), dtype=bool)
+    for row, members in zip(masks, found):
+        row[members] = True
+    return _conjugacy_orbits(G, masks)
+
+
+def _maximal_orbits(G: Group) -> list[np.ndarray]:
+    """Conjugacy classes of maximal subgroups, one membership row per
+    conjugate, in no particular order."""
+    if G.order == 1:
+        return []
+    members = _abelian_minimal_normal(G)
+    if members is None:
+        out = []
+        for rep, orbit in _lattice(G).classes:
+            if rep.is_maximal:
+                masks = np.zeros((len(orbit), G.order), dtype=bool)
+                for row, r in zip(masks, orbit):
+                    row[r.member_indices()] = True
+                out.append(masks)
+        return out
+    qm = quotient_with_map(G, _record(G, members, small_generating_set(G, members)))
+    above = [masks[:, qm.index_map] for masks in _maximal_orbits(qm.group)]
+    return above + _complement_orbits(G, qm)
+
+
+def maximal_classes(G: Group) -> list[np.ndarray]:
+    """Conjugacy classes of maximal subgroups of G, without the lattice
+    when G has an abelian minimal normal subgroup N.
+
+    A maximal subgroup M either contains N, and is then the preimage of
+    a maximal subgroup of G/N, or meets N trivially, and is then a
+    complement of N: M ∩ N is normalized by M and by the abelian N, so
+    it is 1 or N.  Conversely every complement of an abelian minimal
+    normal N is maximal.  The preimages come from the same recursion on
+    G/N, with conjugacy classes and their sizes unchanged; a group whose
+    minimal normal subgroups are all nonabelian takes its maximal
+    classes from the lattice.
+
+    Each class is a boolean array with one membership row per conjugate.
+    Rows ascend by bitset and classes by (order, least bitset), the key
+    of the lattice's class representatives, so both routes list the
+    classes in one order.
+    """
+    keyed = []
+    for masks in _maximal_orbits(G):
+        bits = _row_bits(masks)
+        rows = sorted(range(len(bits)), key=bits.__getitem__)
+        keyed.append(((int(masks[0].sum()), bits[rows[0]]), masks[rows]))
+    keyed.sort(key=lambda pair: pair[0])
+    return [masks for _, masks in keyed]

@@ -207,3 +207,38 @@ def test_frattini_values():
     assert frattini(load_group({"family": "cyclic", "n": 4})).order == 2
     assert frattini(load_group({"family": "sym", "n": 4})).order == 1
     assert frattini(load_group({"family": "cyclic", "n": 12})).order == 2
+
+
+def test_preimage_bits_matches_the_index_loop(monkeypatch):
+    import invgen.crowns as crowns
+
+    built = []
+    real = crowns.quotient_with_map
+
+    def recording(G, N):
+        built.append(real(G, N))
+        return built[-1]
+
+    monkeypatch.setattr(crowns, "quotient_with_map", recording)
+    for desc in (
+        {"family": "sym", "n": 3},
+        {"family": "sym", "n": 4},
+        {"family": "cyclic", "n": 6},
+        {"family": "cyclic", "n": 12},
+        {"family": "dihedral", "n": 6},
+        {"family": "alt", "n": 5},
+        {"family": "elemab", "p": 2, "k": 4},
+    ):
+        G = load_group(desc)
+        for f in chief_series(G):
+            if not f.is_frattini:
+                crown_of_factor(G, f)
+    corona_decomposition(load_group({"family": "sym", "n": 4}))
+    assert len(built) >= 20
+    for qm in built:
+        for rec in subgroup_lattice(qm.group):
+            loop = 0
+            for i, q in enumerate(qm.index_map):
+                if (rec.bits >> int(q)) & 1:
+                    loop |= 1 << i
+            assert qm.preimage_bits(rec.bits) == loop

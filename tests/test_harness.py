@@ -171,6 +171,31 @@ def test_corrupted_coverage_cache_is_caught(tmp_path, monkeypatch, mini_corpus):
     assert outcome.violations
 
 
+def test_fpf_identity_compares_maximal_classes_with_the_lattice(tmp_path, monkeypatch, mini_corpus):
+    # the cache check reads class data and cover ranges, not counts, so a
+    # wrong conjugate count is served and only the lattice side sees it
+    monkeypatch.setenv("INVGEN_CACHE_DIR", str(tmp_path))
+    from invgen.coverage import _cache_path
+
+    G = load_group({"family": "sym", "n": 3})
+    coverage_table(G)
+    path = _cache_path(G)
+    data = json.loads(open(path).read())
+    assert data["maximal_counts"] == [3, 1]
+    data["maximal_counts"] = [1, 1]
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+
+    report = verify_props(
+        corpus_path=mini_corpus,
+        only=(("invariable", "fixed_point_free_identity"),),
+    )
+    (outcome,) = report.outcomes
+    assert outcome.violations == [
+        "sym(3): maximal classes differ between the table and the lattice"
+    ]
+
+
 def test_foreign_coverage_cache_entry_is_recomputed(tmp_path, monkeypatch):
     # C6 and S3 share an order, so an order check alone serves C6's
     # table for S3 and gives C(S3) = 23/10
@@ -260,3 +285,24 @@ def test_verify_props_passes_on_clean_mini_corpus(mini_corpus):
         "fixed_point_free_identity",
         "waiting_time_identity",
     }
+
+
+def test_internal_defect_in_one_row_is_recorded(monkeypatch, mini_corpus):
+    import invgen.harness as harness
+
+    clean = run_survey(mini_corpus, trials=500, seed=3, **QUIET)
+    real = harness.coverage_table
+
+    def broken_on_s3(G, *args, **kwargs):
+        if G.name == "sym(3)":
+            raise RuntimeError("injected defect")
+        return real(G, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "coverage_table", broken_on_s3)
+    rows = run_survey(mini_corpus, trials=500, seed=3, **QUIET)
+    assert [r.error for r in rows] == [None, None, "RuntimeError: injected defect"]
+    assert [r.as_dict() for r in rows[:2]] == [r.as_dict() for r in clean[:2]]
+    # the battery's survey check still counts the defect as a violation
+    report = verify_props(corpus_path=mini_corpus, only=(("harness", "survey_bounds"),))
+    (outcome,) = report.outcomes
+    assert outcome.violations == ["sym(3): corpus row errored: RuntimeError: injected defect"]

@@ -1,0 +1,245 @@
+"""Maximal-subgroup classes through an abelian minimal normal subgroup,
+against the subgroup lattice and against closed forms."""
+
+import random
+
+import numpy as np
+import pytest
+
+from invgen import (
+    Group,
+    Perm,
+    load_group,
+    module_from_descriptor,
+    read_corpus,
+    realize_descriptor,
+    shipped_corpus_path,
+)
+from invgen.coverage import coverage_table
+from invgen.crowns import abelian_crown_power_with_embedding
+from invgen.modlin import ModuleAction
+from invgen.subgroups import (
+    _abelian_minimal_normal,
+    _lattice,
+    closure_indices,
+    maximal_classes,
+    minimal_normal_subgroups,
+    quotient_with_map,
+)
+
+
+def _covers(G, reps):
+    class_of = G.class_of()
+    return tuple(
+        int(sum(1 << int(c) for c in np.unique(class_of[members]))) for members in reps
+    )
+
+
+def lattice_route(G):
+    """(maximal_orders, maximal_counts, covers) from the whole lattice."""
+    maximal = [(rep, len(orbit)) for rep, orbit in _lattice(G).classes if rep.is_maximal]
+    maximal.sort(key=lambda pair: (pair[0].order, pair[0].bits))
+    return (
+        tuple(rep.order for rep, _ in maximal),
+        tuple(count for _, count in maximal),
+        _covers(G, [rep.member_indices() for rep, _ in maximal]),
+    )
+
+
+def new_route(G):
+    table = coverage_table(G, use_cache=False)
+    return table.maximal_orders, table.maximal_counts, table.covers
+
+
+def _check_classes(G):
+    """Each returned class holds distinct conjugates, rows in bitset order."""
+    for masks in maximal_classes(G):
+        bits = [int.from_bytes(np.packbits(r, bitorder="little").tobytes(), "little") for r in masks]
+        assert bits == sorted(set(bits))
+        members = np.flatnonzero(masks[0])
+        assert len(closure_indices(G, members, early_full=False)) == len(members)
+
+
+def test_routes_agree_on_corpus():
+    checked = 0
+    for desc in read_corpus(shipped_corpus_path()):
+        G = realize_descriptor(desc)[0]
+        assert new_route(G) == lattice_route(G), G.name
+        checked += 1
+    assert checked == 56
+
+
+MC_GROUPS = (
+    {"family": "agl1", "q": 11},
+    {"family": "agl1", "q": 13},
+    {"name": "cpg_agl15_k2",
+     "crownpower_general": {"group": {"family": "agl1", "q": 5}, "socle": "auto", "k": 2}},
+    {"family": "elemab", "p": 2, "k": 5},
+    {"family": "elemab", "p": 5, "k": 3},
+    {"family": "elemab", "p": 11, "k": 3},
+)
+
+
+@pytest.mark.parametrize(
+    "desc", MC_GROUPS, ids=["agl1_11", "agl1_13", "cpg_agl15_k2", "2^5", "5^3", "11^3"]
+)
+def test_routes_agree_on_monte_carlo_groups(desc):
+    G = realize_descriptor(desc)[0]
+    assert new_route(G) == lattice_route(G)
+
+
+def _lift_ambients(max_order):
+    for d in read_corpus(shipped_corpus_path()):
+        if "module" not in d:
+            continue
+        act = module_from_descriptor(d["module"])
+        u = 1
+        while act.p ** (act.dim * u) * act.group.order <= max_order:
+            yield d["name"], u, abelian_crown_power_with_embedding(act, u)
+            u += 1
+
+
+def test_routes_agree_on_lift_ambients():
+    # mod_c2_gf3 at u = 5 (order 486) is left to the closed form below:
+    # its lattice alone takes half a minute
+    checked = []
+    for name, u, (G, _) in _lift_ambients(600):
+        if name == "mod_c2_gf3" and u == 5:
+            continue
+        assert new_route(G) == lattice_route(G), (name, u)
+        _check_classes(G)
+        checked.append((name, u))
+    assert len(checked) == 15
+
+
+@pytest.mark.parametrize("u", range(1, 7))
+def test_sign_module_powers_match_closed_form(u):
+    # G = GF(3)^u x| <t>, t acting as -1.  The maximal subgroups are V
+    # and, for each hyperplane W, the three conjugates W<vt> (v ranging
+    # over V/W).  Classes: the identity, the pairs {v, -v}, and one
+    # class of all 3^u involutions vt.
+    mods = {d["name"]: d["module"] for d in read_corpus(shipped_corpus_path()) if "module" in d}
+    G, embed = abelian_crown_power_with_embedding(module_from_descriptor(mods["mod_c2_gf3"]), u)
+    class_of = G.class_of()
+    vectors = (np.arange(3**u)[:, None] // 3 ** np.arange(u)) % 3
+    cls = [int(class_of[G.element_index(embed(v, 0))]) for v in vectors]
+    involution = 1 << int(class_of[G.element_index(embed(vectors[0], 1))])
+    V = sum(1 << c for c in set(cls))
+    hyperplanes = []
+    for f in vectors[1:]:
+        if f[np.flatnonzero(f)[0]] != 1:
+            continue  # f and -f have one kernel
+        inside = (vectors @ f) % 3 == 0
+        hyperplanes.append(sum(1 << c for c in {cls[i] for i in np.flatnonzero(inside)}) | involution)
+    assert len(hyperplanes) == (3**u - 1) // 2
+    orders, counts, covers = new_route(G)
+    r = len(hyperplanes)
+    assert orders == (2 * 3 ** (u - 1),) * r + (3**u,)
+    assert counts == (3,) * r + (1,)
+    assert sorted(covers[:-1]) == sorted(hyperplanes)
+    assert covers[-1] == V
+
+
+@pytest.mark.parametrize("p, k", [(2, 7), (3, 5)])
+def test_elementary_abelian_closed_form(p, k):
+    # the maximal subgroups of GF(p)^k are its (p^k - 1)/(p - 1)
+    # hyperplanes, each normal, of order p^(k-1)
+    G = load_group({"family": "elemab", "p": p, "k": k})
+    table = coverage_table(G, use_cache=False)
+    r = (p**k - 1) // (p - 1)
+    assert table.maximal_orders == (p ** (k - 1),) * r
+    assert table.maximal_counts == (1,) * r
+    assert len(set(table.covers)) == r
+    classes = G.conjugacy_classes()
+    for cover in table.covers:
+        members = [classes[c].rep for c in range(table.num_classes) if cover >> c & 1]
+        assert len(members) == p ** (k - 1)
+        assert len(closure_indices(G, members, early_full=False)) == p ** (k - 1)
+
+
+def test_complement_search_extends_only_joins_that_avoid_n(monkeypatch):
+    # A join that meets N in more than the identity spans no complement;
+    # the search must drop it, not extend it (Q8: the lift i of a
+    # generator of Q8/Z spans <i>, which holds -1).
+    import invgen.subgroups as sg
+
+    kernels = {}
+    real_quotient, real_closure = sg.quotient_with_map, sg._coset_closure
+
+    def quotient(G, N):
+        kernels[id(G)] = (G, N.bits)
+        return real_quotient(G, N)
+
+    extended = []
+
+    def closure(G, h_members, gens, avoid=None):
+        if id(G) in kernels:
+            h_bits = sum(1 << int(i) for i in h_members)
+            extended.append((G.name, kernels[id(G)][1] & h_bits == 1))
+        return real_closure(G, h_members, gens, avoid)
+
+    monkeypatch.setattr(sg, "quotient_with_map", quotient)
+    monkeypatch.setattr(sg, "_coset_closure", closure)
+    for desc in read_corpus(shipped_corpus_path()):
+        maximal_classes(realize_descriptor(desc)[0])
+    assert len(extended) > 1000
+    assert [name for name, avoids in extended if not avoids] == []
+
+
+def test_nonabelian_socle_takes_the_lattice():
+    for desc in ({"family": "sym", "n": 5}, {"family": "alt", "n": 6}):
+        G = load_group(desc)
+        assert _abelian_minimal_normal(G) is None
+        assert new_route(G) == lattice_route(load_group(desc))
+
+
+def test_abelian_minimal_normal_over_a_nonabelian_socle():
+    # mod_sl24_nat is GF(2)^4 x| SL(2,4): the module is the abelian
+    # minimal normal subgroup, and the quotient SL(2,4) = A5 is simple
+    desc = next(d for d in read_corpus(shipped_corpus_path()) if d.get("name") == "mod_sl24_nat")
+    G = realize_descriptor(desc)[0]
+    members = _abelian_minimal_normal(G)
+    assert len(members) == 16
+    (N,) = minimal_normal_subgroups(G)
+    assert N.order == 16
+    assert _abelian_minimal_normal(quotient_with_map(G, N).group) is None
+    assert new_route(G) == lattice_route(realize_descriptor(desc)[0])
+
+
+def _random_module(rng):
+    """A faithful module: random invertible matrices over GF(p), with the
+    group they generate realized on the p^d vectors."""
+    while True:
+        p = rng.choice([2, 3, 5, 7])
+        d = rng.choice([1, 2])
+        mats = []
+        for _ in range(rng.choice([1, 2])):
+            M = np.array([[rng.randrange(p) for _ in range(d)] for _ in range(d)])
+            if round(np.linalg.det(M)) % p and not np.array_equal(M % p, np.eye(d)):
+                mats.append(M)
+        if not mats:
+            continue
+        vectors = (np.arange(p**d)[:, None] // p ** np.arange(d)) % p
+        codes = p ** np.arange(d)
+        gens = [Perm((((vectors @ M) % p) @ codes).tolist()) for M in mats]
+        H = Group(gens, degree=p**d)
+        if len(H.generators) != len(mats) or H.order * p**d > 500:
+            continue
+        return ModuleAction(H, p, mats)
+
+
+def test_routes_agree_on_random_semidirect_products():
+    # |V^u| <= 125 keeps each lattice within a few seconds; GF(3)^5 x| C2
+    # (order 486) alone takes half a minute
+    rng = random.Random(20_261_018)
+    orders = []
+    while len(orders) < 12:
+        act = _random_module(rng)
+        base = act.p**act.dim
+        u_max = 1
+        while base ** (u_max + 1) <= 125 and base ** (u_max + 1) * act.group.order <= 500:
+            u_max += 1
+        G, _ = abelian_crown_power_with_embedding(act, rng.randint(1, u_max))
+        assert new_route(G) == lattice_route(G), (act.p, [m.tolist() for m in act.gen_matrices])
+        orders.append(G.order)
+    assert max(orders) > 100

@@ -3,7 +3,13 @@
 import pytest
 
 from invgen import load_group, read_corpus, realize_descriptor, shipped_corpus_path
-from invgen.subgroups import _lattice
+from invgen.coverage import coverage_table
+from invgen.subgroups import (
+    _lattice,
+    minimal_normal_subgroups,
+    normal_subgroups,
+    quotient_with_map,
+)
 
 
 def lattice_counts(G):
@@ -95,3 +101,40 @@ def test_lattice_equals_brute_force_on_small_corpus_groups():
         assert lattice == _brute_force_subgroups(G), G.name
         checked.append(G.name)
     assert len(checked) >= 40
+
+
+def _minimal_normals_from_all_normals(G):
+    """The minimal normal subgroups read off the list of all normal ones."""
+    normals = [r for r in normal_subgroups(G) if r.order > 1]
+    return [
+        r
+        for r in normals
+        if (r.order < G.order or len(normals) == 1)
+        and not any(1 < s.order < r.order and (r.bits & s.bits) == s.bits for s in normals)
+    ]
+
+
+def test_minimal_normal_subgroups_match_all_normal_subgroups():
+    for desc in read_corpus(shipped_corpus_path()):
+        G = realize_descriptor(desc)[0]
+        got = [(r.order, r.bits, r.gens) for r in minimal_normal_subgroups(G)]
+        want = [(r.order, r.bits, r.gens) for r in _minimal_normals_from_all_normals(G)]
+        assert got == want, G.name
+
+
+def test_quotient_tables_reach_the_disk_cache(tmp_path, monkeypatch):
+    # quotient generators carry Python ints, so the cache key serializes
+    monkeypatch.setenv("INVGEN_CACHE_DIR", str(tmp_path))
+    s4 = load_group({"family": "sym", "n": 4})
+    (v4,) = minimal_normal_subgroups(s4)
+    Q = quotient_with_map(s4, v4).group
+    assert coverage_table(Q) == coverage_table(load_group({"family": "sym", "n": 3}), use_cache=False)
+    # a quotient of order > 16 is moved to a smaller degree first
+    desc = next(d for d in read_corpus(shipped_corpus_path()) if d.get("name") == "mod_sl24_nat")
+    G = realize_descriptor(desc)[0]
+    (V,) = minimal_normal_subgroups(G)
+    A5 = quotient_with_map(G, V).group
+    assert A5.degree < A5.order == 60
+    assert coverage_table(A5).maximal_orders == (6, 10, 12)  # S3, D10, A4
+    assert all(type(x) is int for H in (Q, A5) for g in H.generators for x in g.images)
+    assert len(list(tmp_path.iterdir())) == 2
