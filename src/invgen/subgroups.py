@@ -763,23 +763,21 @@ def _complement_orbits(G: Group, qm: QuotientMap) -> list[np.ndarray]:
             span[closure_indices(Q, qgens, early_full=False)] = True
     found = []
 
-    def extend(members, gens):
+    def extend(mask, gens):
         if len(gens) == len(qgens):
-            found.append(members)
+            found.append(mask)
             return
+        members = np.flatnonzero(mask)
         for x in fibres[qgens[len(gens)]]:
             lifts = gens + (int(x),)
-            mask = _coset_closure(G, members, lifts, avoid)
-            if mask is not None:
-                extend(np.flatnonzero(mask), lifts)
+            grown = _coset_closure(G, members, lifts, avoid)
+            if grown is not None:
+                extend(grown, lifts)
 
-    extend(np.array([0], dtype=np.int64), ())
-    if not found:
-        return []
-    masks = np.zeros((len(found), G.order), dtype=bool)
-    for row, members in zip(masks, found):
-        row[members] = True
-    return _conjugacy_orbits(G, masks)
+    trivial = np.zeros(G.order, dtype=bool)
+    trivial[0] = True
+    extend(trivial, ())
+    return _conjugacy_orbits(G, np.array(found)) if found else []
 
 
 def _maximal_orbits(G: Group) -> list[np.ndarray]:
