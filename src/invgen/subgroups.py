@@ -689,7 +689,7 @@ def _abelian_minimal_normal(G: Group) -> np.ndarray | None:
         if c.members & rejected:
             continue
         members = closure(c)
-        shrunk = True
+        shrunk = not is_prime(len(members))  # prime order: already minimal
         while shrunk:
             bits = indices_to_bits(members, G.order)
             shrunk = False
@@ -701,7 +701,7 @@ def _abelian_minimal_normal(G: Group) -> np.ndarray | None:
         block = t[np.ix_(members, members)]
         if (block == block.T).all():
             return members
-        rejected |= bits
+        rejected |= indices_to_bits(members, G.order)
     return None
 
 
