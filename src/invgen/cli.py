@@ -43,6 +43,7 @@ from .harness import (
     realize_descriptor,
     run_survey,
     shipped_corpus_path,
+    write_rows_csv,
 )
 from .properties import DEFAULT_SEED, verify_props
 
@@ -244,17 +245,25 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_survey(args) -> int:
+    """JSON: JSONL to stdout, or JSONL and its CSV sibling through
+    run_survey.  CSV: the survey's CSV columns to --out or stdout."""
     path = args.corpus or shipped_corpus_path()
+    as_csv = args.format == "csv"
     rows = run_survey(
         path,
         trials=args.trials,
         seed=args.seed,
-        out_path=args.out,
+        out_path=None if as_csv else args.out,
         threads=args.threads,
         echo=lambda msg: print(msg, file=sys.stderr),
     )
-    if args.out is None:
-        _emit([r.as_dict() for r in rows], args.format, None)
+    if as_csv and args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            write_rows_csv(rows, fh)
+    elif as_csv:
+        write_rows_csv(rows, sys.stdout)
+    elif args.out is None:
+        _emit([r.as_dict() for r in rows], "json", None)
     return EXIT_OK
 
 
@@ -270,7 +279,7 @@ def _cmd_agl_trend(args) -> int:
                     raise InputError(f"not an integer q: {part!r}")
     else:
         qs = list(AGL_SUPPORTED_Q)
-    rows = agl_trend(qs, out_path=None)
+    rows = agl_trend(qs)
     _emit(rows, args.format, args.out)
     return EXIT_OK
 

@@ -37,7 +37,6 @@ from .subgroups import (
     bits_to_indices,
     closure_indices,
     frattini,
-    indices_to_bits,
     minimal_normal_subgroups,
     normal_subgroups,
     quotient_with_map,

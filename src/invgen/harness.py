@@ -224,7 +224,8 @@ def run_survey(
     if out_path is not None:
         write_rows_jsonl(rows, out_path)
         stem = out_path[:-6] if out_path.endswith(".jsonl") else out_path
-        write_rows_csv(rows, stem + ".csv")
+        with open(stem + ".csv", "w", encoding="utf-8", newline="") as fh:
+            write_rows_csv(rows, fh)
 
     clean = [r for r in rows if r.error is None]
     if clean:
@@ -245,12 +246,12 @@ def write_rows_jsonl(rows: list[SurveyRow], path: str) -> None:
             fh.write("\n")
 
 
-def write_rows_csv(rows: list[SurveyRow], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SURVEY_CSV_COLUMNS)
-        for row in rows:
-            writer.writerow(row.csv_record())
+def write_rows_csv(rows: list[SurveyRow], fh) -> None:
+    """The SURVEY_CSV_COLUMNS table of rows, to an open text stream."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(SURVEY_CSV_COLUMNS)
+    for row in rows:
+        writer.writerow(row.csv_record())
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +261,7 @@ def write_rows_csv(rows: list[SurveyRow], path: str) -> None:
 AGL_SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13)
 
 
-def agl_trend(qs, out_path: str | None = None) -> list[dict]:
+def agl_trend(qs) -> list[dict]:
     """Exact C(AGL(1, q)) and the ratio C/q for each listed prime power."""
     rows = []
     for q in qs:
@@ -280,11 +281,6 @@ def agl_trend(qs, out_path: str | None = None) -> list[dict]:
                 "c_over_q": float(value) / q,
             }
         )
-    if out_path is not None:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            for row in rows:
-                fh.write(json.dumps(row))
-                fh.write("\n")
     return rows
 
 
@@ -356,15 +352,10 @@ def binomial_check_row(epsilon, p, l: int) -> BinomialCheckRow:
     return BinomialCheckRow(epsilon=epsilon, p=p, l=l, gamma=gamma, mm=mm, tail=tail)
 
 
-def binomial_check(epsilons, ps, ls, out_path: str | None = None) -> list[BinomialCheckRow]:
+def binomial_check(epsilons, ps, ls) -> list[BinomialCheckRow]:
     rows = []
     for eps in epsilons:
         for p in ps:
             for l in ls:
                 rows.append(binomial_check_row(eps, p, l))
-    if out_path is not None:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            for row in rows:
-                fh.write(json.dumps(row.as_dict()))
-                fh.write("\n")
     return rows

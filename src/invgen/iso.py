@@ -114,7 +114,3 @@ def find_isomorphism(G: Group, H: Group):
         return None
 
     return back(0)
-
-
-def is_isomorphic(G: Group, H: Group) -> bool:
-    return find_isomorphism(G, H) is not None

@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, PreconditionError
-from .group import Group, bit_indices, is_prime
+from .errors import PreconditionError
+from .group import Group, is_prime
 from .perm import Perm
 
 # ---------------------------------------------------------------------------
@@ -56,10 +56,6 @@ def bits_to_indices(bits: int, n: int) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
-def popcount(bits: int) -> int:
-    return bits.bit_count()
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -70,29 +66,12 @@ class SubgroupRecord:
     order: int
     gens: tuple  # element indices generating the subgroup
     is_maximal: bool | None = None
-    is_normal: bool | None = None
     _members: np.ndarray | None = field(default=None, repr=False)
 
     def member_indices(self) -> np.ndarray:
         if self._members is None:
             self._members = bits_to_indices(self.bits, self.group.order)
         return self._members
-
-    @property
-    def index(self) -> int:
-        return self.group.order // self.order
-
-    def contains(self, elem_index: int) -> bool:
-        return bool((self.bits >> int(elem_index)) & 1)
-
-    def contains_subgroup(self, other: "SubgroupRecord") -> bool:
-        return (self.bits & other.bits) == other.bits
-
-    def is_whole_group(self) -> bool:
-        return self.order == self.group.order
-
-    def elements(self):
-        return [self.group.elements[i] for i in self.member_indices()]
 
     def __eq__(self, other):
         return isinstance(other, SubgroupRecord) and self.bits == other.bits
@@ -119,9 +98,9 @@ def _record(G: Group, member_idx, gens) -> SubgroupRecord:
 # closures over the index table
 
 
-def closure_indices(G: Group, gen_idxs, early_full=True) -> np.ndarray:
+def closure_indices(G: Group, gen_idxs) -> np.ndarray:
     """Member indices of <gens>.  A partial count above |G|/2 forces the
-    whole group, so the scan can stop early."""
+    whole group (Lagrange), so the scan stops there."""
     t = G.table
     n = G.order
     gen_idxs = [int(g) for g in gen_idxs if g != 0]
@@ -139,7 +118,7 @@ def closure_indices(G: Group, gen_idxs, early_full=True) -> np.ndarray:
         new = np.unique(prods)
         seen[new] = True
         count += new.size
-        if early_full and 2 * count > n:
+        if 2 * count > n:
             return np.arange(n, dtype=np.int64)
         frontier = new
     return np.flatnonzero(seen).astype(np.int64)
@@ -148,7 +127,7 @@ def closure_indices(G: Group, gen_idxs, early_full=True) -> np.ndarray:
 def generated_subgroup(G: Group, elems) -> SubgroupRecord:
     """Subgroup generated by elements (Perms or element indices)."""
     idxs = [e if isinstance(e, (int, np.integer)) else G.element_index(e) for e in elems]
-    members = closure_indices(G, idxs, early_full=False)
+    members = closure_indices(G, idxs)
     return _record(G, members, [i for i in idxs if i != 0])
 
 
@@ -165,7 +144,7 @@ def small_generating_set(G: Group, member_idx) -> tuple:
         if i in current:
             continue
         gens.append(i)
-        current = set(closure_indices(G, gens, early_full=False).tolist())
+        current = set(closure_indices(G, gens).tolist())
         if len(current) == target:
             break
     return tuple(gens)
@@ -187,9 +166,6 @@ class SubgroupLattice:
             out.extend(orbit)
         out.sort(key=lambda r: (r.order, r.bits))
         return out
-
-    def class_reps(self):
-        return [rep for rep, _ in self.classes]
 
 
 def _conjugate_orbit(G: Group, rec: SubgroupRecord, conj_maps):
@@ -351,7 +327,7 @@ def _lattice(G: Group) -> SubgroupLattice:
             if (H.bits & c.bits) == c.bits:
                 continue
             # order lower bound |H||c| / |H ∩ c|: skip straight to G
-            inter = popcount(H.bits & c.bits)
+            inter = (H.bits & c.bits).bit_count()
             bound = H.order * c.order // inter
             if 2 * bound > n:
                 continue  # join is G, already admitted
@@ -361,7 +337,7 @@ def _lattice(G: Group) -> SubgroupLattice:
             if mask_to_bits(mask) not in seen_bits:  # a record only for a new subgroup
                 admit(_record(G, np.flatnonzero(mask), H.gens + c.gens))
 
-    # maximality and normality flags
+    # maximality flags
     classes.sort(key=lambda pair: (pair[0].order, pair[0].bits))
     by_order: dict[int, list[int]] = {}
     for rep, orbit in classes:
@@ -378,10 +354,8 @@ def _lattice(G: Group) -> SubgroupLattice:
                 if any((rep.bits & b) == rep.bits for b in by_order[d]):
                     maximal = False
                     break
-        normal = len(orbit) == 1
         for r in orbit:
             r.is_maximal = maximal
-            r.is_normal = normal
     lat = SubgroupLattice(G, classes)
     G._lattice = lat
     return lat
@@ -419,29 +393,17 @@ def frattini(G: Group) -> SubgroupRecord:
 
 
 # ---------------------------------------------------------------------------
-# normal subgroups (cheaper than the full lattice)
-
-
-def _normal_closure(G: Group, seed_idxs) -> np.ndarray:
-    conj_maps = G.conj_maps()
-    gens = set(int(i) for i in seed_idxs if i != 0)
-    while True:
-        members = closure_indices(G, sorted(gens), early_full=False)
-        bits = indices_to_bits(members, G.order)
-        missing = set()
-        for cm in conj_maps:
-            image = cm[members]
-            if indices_to_bits(image, G.order) != bits:
-                inside = np.zeros(G.order, dtype=bool)
-                inside[members] = True
-                missing.update(int(x) for x in image[~inside[image]])
-        if not missing:
-            return members
-        gens |= missing
+# normal subgroups (cheaper than the full lattice); the normal closure of
+# an element is the subgroup generated by its conjugacy class
 
 
 def normal_subgroups(G: Group) -> list[SubgroupRecord]:
-    """All normal subgroups, via joins of conjugacy-class closures."""
+    """All normal subgroups, via joins with conjugacy classes.
+
+    A subgroup generated by a conjugation-closed set is normal, so the
+    join of a normal N with the normal closure of c is generated by N's
+    generators and the class of c.
+    """
     if G._normals is not None:
         return G._normals
     trivial = _record(G, [0], ())
@@ -453,18 +415,16 @@ def normal_subgroups(G: Group) -> list[SubgroupRecord]:
         for c in classes[1:]:
             if (N.bits & c.members) == c.members:
                 continue
-            members = _normal_closure(G, N.gens + (c.rep,))
-            # witness gens only give the normal closure; records must carry
-            # a set generating the subgroup itself
-            rec = _record(G, members, small_generating_set(G, members))
-            if rec.bits not in found:
-                rec.is_normal = True
-                found[rec.bits] = rec
-                if rec.order < G.order:
-                    queue.append(rec)
+            members = closure_indices(G, N.gens + tuple(c.member_indices()))
+            bits = indices_to_bits(members, G.order)
+            if bits in found:
+                continue
+            # the class only gives the join; records must carry a small set
+            # generating the subgroup itself
+            found[bits] = rec = _record(G, members, small_generating_set(G, members))
+            if rec.order < G.order:
+                queue.append(rec)
     out = sorted(found.values(), key=lambda r: (r.order, r.bits))
-    for r in out:
-        r.is_normal = True
     G._normals = out
     return out
 
@@ -494,32 +454,15 @@ def minimal_normal_subgroups(G: Group) -> list[SubgroupRecord]:
     """
     closures = {}
     for c in _prime_order_classes(G):
-        members = _normal_closure(G, [c.rep])
+        members = closure_indices(G, c.member_indices())
         closures.setdefault(indices_to_bits(members, G.order), members)
     out = []
     for bits, members in closures.items():
         if any(b != bits and (b & bits) == b for b in closures):
             continue
-        rec = _record(G, members, small_generating_set(G, members))
-        rec.is_normal = True
-        out.append(rec)
+        out.append(_record(G, members, small_generating_set(G, members)))
     out.sort(key=lambda r: (r.order, r.bits))
     return out
-
-
-# ---------------------------------------------------------------------------
-# centralizer
-
-
-def centralizer(G: Group, elems) -> SubgroupRecord:
-    """Centralizer of a set of elements (Perms or indices)."""
-    idxs = [e if isinstance(e, (int, np.integer)) else G.element_index(e) for e in elems]
-    t = G.table
-    mask = np.ones(G.order, dtype=bool)
-    for s in idxs:
-        mask &= t[:, s] == t[s, :]
-    members = np.flatnonzero(mask).astype(np.int64)
-    return _record(G, members, small_generating_set(G, members))
 
 
 # ---------------------------------------------------------------------------
@@ -527,11 +470,11 @@ def centralizer(G: Group, elems) -> SubgroupRecord:
 
 
 class QuotientMap:
-    """Surjection G -> Q with Q realized as a faithful permutation group.
+    """Surjection G -> Q = G/N.
 
-    index_map sends G element indices to Q element indices.  Q's generator
-    list is aligned with G's (identity images dropped by Group, but
-    gen_image_indices keeps the full correspondence).
+    index_map sends G element indices to Q element indices.  Q's
+    generators are the images of G's, less those inside N (Group drops
+    identity generators), in G's order.
     """
 
     def __init__(self, G: Group, N: SubgroupRecord, Q: Group, index_map: np.ndarray):
@@ -539,13 +482,9 @@ class QuotientMap:
         self.kernel = N
         self.group = Q
         self.index_map = index_map
-        self.gen_image_indices = tuple(int(index_map[g]) for g in G.gen_indices)
 
     def apply_index(self, i: int) -> int:
         return int(self.index_map[int(i)])
-
-    def apply(self, p: Perm) -> Perm:
-        return self.group.elements[self.apply_index(self.source.element_index(p))]
 
     def image_bits(self, bits: int) -> int:
         idxs = bits_to_indices(bits, self.source.order)
@@ -564,10 +503,13 @@ def _is_normal_bits(G: Group, members, bits) -> bool:
 
 
 def quotient_with_map(G: Group, N: SubgroupRecord) -> QuotientMap:
-    """Quotient by a normal subgroup, as a faithful permutation group.
+    """Quotient by a normal subgroup N in its regular realization: G
+    acting on the right cosets of N, so Q has degree and order |G|/|N|.
 
-    The action is on the cosets of a core-free subgroup found greedily in
-    the regular realization; the fallback is the regular action itself.
+    N = 1 returns G itself, with its tables and lattice already built.
+    N normal makes Nr x = N r r_x for the representative r_x of Nx, so
+    every element acts as its coset's representative does, and one
+    lookup of the representatives' rows gives the whole index map.
     """
     if not _is_normal_bits(G, N.member_indices(), N.bits):
         raise PreconditionError("quotient by a non-normal subgroup")
@@ -587,78 +529,12 @@ def quotient_with_map(G: Group, N: SubgroupRecord) -> QuotientMap:
             reps.append(i)
     q = len(reps)
     rep_arr = np.asarray(reps, dtype=np.int64)
-
-    def perm_on_cosets(elem_idx: int) -> Perm:
-        return Perm(cos_id[t[rep_arr, elem_idx]].tolist())
-
-    gen_imgs = [perm_on_cosets(g) for g in G.gen_indices]
-    Qreg = Group(gen_imgs, name=f"{G.name}/N{N.order}", degree=q, caps=G.caps)
-    assert Qreg.order == q, "regular realization has wrong order"
-
-    Q, reg_to_small = _reduce_degree(Qreg)
-    # an element acts on the cosets as its coset representative does
-    reg_of_coset = np.array([Qreg.element_index(perm_on_cosets(r)) for r in reps])
-    index_map = reg_to_small[reg_of_coset][cos_id]
-    return QuotientMap(G, N, Q, index_map)
-
-
-def quotient(G: Group, N: SubgroupRecord) -> Group:
-    return quotient_with_map(G, N).group
-
-
-def _reduce_degree(Qreg: Group):
-    """Re-realize a regular permutation group on cosets of a core-free
-    subgroup when that shrinks the degree; returns (Q, index map)."""
-    q = Qreg.order
-    if q <= 16:
-        return Qreg, np.arange(q, dtype=np.int64)
-    t = Qreg.table
-    nontrivial = [c.members for c in Qreg.conjugacy_classes()[1:]]
-
-    def core_free(rec):
-        # the core of K is the union of the classes inside K
-        return not any((rec.bits & c) == c for c in nontrivial)
-
-    best = _record(Qreg, [0], ())
-    for c in _cyclic_subgroups_prime_power(Qreg):
-        if c.order > best.order and core_free(c):
-            best = c
-    improved = True
-    while improved:
-        improved = False
-        inside = np.zeros(q, dtype=bool)
-        inside[best.member_indices()] = True
-        for x in range(1, q):
-            if inside[x]:
-                continue
-            members = closure_indices(Qreg, best.gens + (x,), early_full=False)
-            if len(members) == q:
-                continue
-            cand = _record(Qreg, members, best.gens + (x,))
-            if cand.order > best.order and core_free(cand):
-                best = cand
-                improved = True
-                break
-    if best.order == 1:
-        return Qreg, np.arange(q, dtype=np.int64)
-
-    Kidx = best.member_indices()
-    cos_id = np.full(q, -1, dtype=np.int64)
-    reps = []
-    for i in range(q):
-        if cos_id[i] < 0:
-            cos_id[t[Kidx, i]] = len(reps)
-            reps.append(i)
-    rep_arr = np.asarray(reps, dtype=np.int64)
-    gen_imgs = [Perm(cos_id[t[rep_arr, g]].tolist()) for g in Qreg.gen_indices]
-    Q = Group(gen_imgs, name=Qreg.name, degree=len(reps), caps=Qreg.caps)
-    if Q.order != q:
-        # the coset action turned out unfaithful; keep the regular action
-        return Qreg, np.arange(q, dtype=np.int64)
-    mapping = np.empty(q, dtype=np.int64)
-    for i in range(q):
-        mapping[i] = Q.element_index(Perm(cos_id[t[rep_arr, i]].tolist()))
-    return Q, mapping
+    # row x: the permutation of the cosets by the representative x
+    rows = cos_id[t[np.ix_(rep_arr, rep_arr)]].T
+    gen_imgs = [Perm(rows[cos_id[g]].tolist()) for g in G.gen_indices]
+    Q = Group(gen_imgs, name=f"{G.name}/N{N.order}", degree=q, caps=G.caps)
+    assert Q.order == q, "regular realization has wrong order"
+    return QuotientMap(G, N, Q, Q._lookup(rows)[cos_id])
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +556,7 @@ def _abelian_minimal_normal(G: Group) -> np.ndarray | None:
 
     def closure(c):
         if c.rep not in closures:
-            closures[c.rep] = _normal_closure(G, [c.rep])
+            closures[c.rep] = closure_indices(G, c.member_indices())
         return closures[c.rep]
 
     t = G.table
@@ -760,7 +636,7 @@ def _complement_orbits(G: Group, qm: QuotientMap) -> list[np.ndarray]:
     for g in Q.gen_indices:
         if not span[g]:
             qgens.append(g)
-            span[closure_indices(Q, qgens, early_full=False)] = True
+            span[closure_indices(Q, qgens)] = True
     found = []
 
     def extend(mask, gens):

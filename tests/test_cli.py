@@ -148,6 +148,20 @@ def test_survey_over_corpus(capsys, tmp_path, mini_corpus):
     assert rows[2]["c_exact_num"] == 19
 
 
+def test_survey_csv_format(capsys, tmp_path, mini_corpus):
+    args = ("survey", mini_corpus, "--trials", "300", "--seed", "5")
+    assert run(capsys, *args, "--out", str(tmp_path / "rows.jsonl"))[0] == 0
+    want = (tmp_path / "rows.csv").read_text()
+    assert want.startswith("name,family,order,r,c_exact_num,")
+    csv_path = tmp_path / "table.csv"
+    code, out, _ = run(capsys, *args, "--format", "csv", "--out", str(csv_path))
+    assert code == 0 and out == ""
+    assert csv_path.read_text() == want
+    assert not (tmp_path / "table.csv.csv").exists()
+    code, out, _ = run(capsys, *args, "--format", "csv")
+    assert code == 0 and out == want
+
+
 def test_agl_trend_cli(capsys):
     rows = out_json(capsys, "agl-trend", "--q", "2,3")
     assert [r["q"] for r in rows] == [2, 3]

@@ -57,7 +57,7 @@ def _check_classes(G):
         bits = [int.from_bytes(np.packbits(r, bitorder="little").tobytes(), "little") for r in masks]
         assert bits == sorted(set(bits))
         members = np.flatnonzero(masks[0])
-        assert len(closure_indices(G, members, early_full=False)) == len(members)
+        assert len(closure_indices(G, members)) == len(members)
 
 
 def test_routes_agree_on_corpus():
@@ -154,7 +154,7 @@ def test_elementary_abelian_closed_form(p, k):
     for cover in table.covers:
         members = [classes[c].rep for c in range(table.num_classes) if cover >> c & 1]
         assert len(members) == p ** (k - 1)
-        assert len(closure_indices(G, members, early_full=False)) == p ** (k - 1)
+        assert len(closure_indices(G, members)) == p ** (k - 1)
 
 
 def test_complement_search_extends_only_joins_that_avoid_n(monkeypatch):

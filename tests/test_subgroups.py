@@ -1,5 +1,6 @@
 """Subgroup lattice against values known independently of the code."""
 
+import numpy as np
 import pytest
 
 from invgen import load_group, read_corpus, realize_descriptor, shipped_corpus_path
@@ -122,6 +123,39 @@ def test_minimal_normal_subgroups_match_all_normal_subgroups():
         assert got == want, G.name
 
 
+def _small_corpus_groups(max_order):
+    for desc in read_corpus(shipped_corpus_path()):
+        G = realize_descriptor(desc)[0]
+        if G.order <= max_order:
+            yield G
+
+
+def test_normal_subgroups_match_the_lattice():
+    checked = 0
+    for G in _small_corpus_groups(120):
+        want = sorted((rep.order, rep.bits) for rep, orbit in _lattice(G).classes if len(orbit) == 1)
+        assert [(r.order, r.bits) for r in normal_subgroups(G)] == want, G.name
+        checked += 1
+    assert checked == 51
+
+
+def test_quotients_are_regular_with_kernel_n():
+    checked = 0
+    for G in _small_corpus_groups(200):
+        for N in normal_subgroups(G):
+            qm = quotient_with_map(G, N)
+            Q, phi = qm.group, qm.index_map
+            if N.order == 1:
+                assert Q is G
+            else:
+                assert Q.degree == Q.order == G.order // N.order, (G.name, N)
+            # phi(a b) = phi(a) phi(b) for every pair at once
+            assert (phi[G.table] == Q.table[np.ix_(phi, phi)]).all(), (G.name, N)
+            assert np.array_equal(np.flatnonzero(phi == 0), N.member_indices()), (G.name, N)
+            checked += 1
+    assert checked == 721
+
+
 def test_quotient_tables_reach_the_disk_cache(tmp_path, monkeypatch):
     # quotient generators carry Python ints, so the cache key serializes
     monkeypatch.setenv("INVGEN_CACHE_DIR", str(tmp_path))
@@ -129,12 +163,12 @@ def test_quotient_tables_reach_the_disk_cache(tmp_path, monkeypatch):
     (v4,) = minimal_normal_subgroups(s4)
     Q = quotient_with_map(s4, v4).group
     assert coverage_table(Q) == coverage_table(load_group({"family": "sym", "n": 3}), use_cache=False)
-    # a quotient of order > 16 is moved to a smaller degree first
+    # quotients keep the regular realization, whatever their order
     desc = next(d for d in read_corpus(shipped_corpus_path()) if d.get("name") == "mod_sl24_nat")
     G = realize_descriptor(desc)[0]
     (V,) = minimal_normal_subgroups(G)
     A5 = quotient_with_map(G, V).group
-    assert A5.degree < A5.order == 60
+    assert A5.degree == A5.order == 60
     assert coverage_table(A5).maximal_orders == (6, 10, 12)  # S3, D10, A4
     assert all(type(x) is int for H in (Q, A5) for g in H.generators for x in g.images)
     assert len(list(tmp_path.iterdir())) == 2
