@@ -28,6 +28,11 @@ and serves both estimators: C(G) is the mean of n and P_I(G, k) is the
 share of trials with n <= k, on the same draws.  The kernel keeps the
 reduced covers each trial has not yet ruled out as packed words, one
 bit per cover and ceil(r/64) little-endian uint64 words per trial.
+Each element's words are gathered once per call, so a drawn element
+index picks its words directly.  Draws are made in place in two
+trial-length buffers sliced to the live count, the first draw's words
+become the live words and later ones are ANDed into them, and the live
+arrays are compacted only at a step where some trial ended.
 """
 
 from __future__ import annotations
@@ -203,22 +208,33 @@ def _mc_draw_counts(
     A trial still short of it after `limit` draws reads limit + 1.
     """
     n = G.order
-    words = _class_cover_words(G)
-    class_of = G.class_of()
+    words = np.take(_class_cover_words(G), G.class_of(), axis=0)  # per element
+    W = words.shape[1]
     counts = np.zeros(trials, dtype=np.int64)
-    # a trial is live while some cover contains every class drawn so far;
-    # the trivial group has no covers, so its trials need no draw
-    live = np.arange(trials if words.shape[1] else 0)
-    states = stream_states_vec(seed, live.astype(np.uint64))
-    alive = ~np.uint64(0)  # every cover; the first draw clears the padding
+    # a trial is live while some cover contains every element drawn so
+    # far; the trivial group has no covers, so its trials need no draw
+    live = np.arange(trials if W else 0)
+    states = stream_states_vec(seed, live)
+    draw, scratch = np.empty(live.size, np.uint64), np.empty(live.size, np.uint64)
+    alive = None
     j = 0
     while live.size and j < limit:
-        cls = class_of[randbelow_vec(draws_vec(states, j), n)]
-        alive = alive & np.take(words, cls, axis=0)  # take: far faster than words[cls] on 2-D
+        m = live.size
+        u = draws_vec(states, j, out=draw[:m], scratch=scratch[:m])
+        # indices are < n, so an int64 view indexes without a cast copy
+        idx = randbelow_vec(u, n, out=u, scratch=scratch[:m]).view(np.int64)
+        if alive is None:  # the first draw's words; padding bits are clear
+            alive = np.take(words, idx, axis=0)  # take: far faster than words[idx] on 2-D
+        else:
+            alive &= np.take(words, idx, axis=0)
         j += 1
-        keep = alive.any(axis=1)
-        counts[live[~keep]] = j
-        live, states, alive = live[keep], states[keep], alive[keep]
+        keep = alive[:, 0] != 0
+        for w in range(1, W):
+            keep |= alive[:, w] != 0
+        if not keep.all():
+            rows = np.flatnonzero(keep)
+            counts[live] = j  # the survivors are overwritten when they end
+            live, states, alive = live[rows], states[rows], np.take(alive, rows, axis=0)
     counts[live] = limit + 1
     return counts
 

@@ -92,7 +92,7 @@ def _emit(rows: list[dict], fmt: str, out_path: str | None) -> None:
                     keys.append(k)
         fh = open(out_path, "w", encoding="utf-8", newline="") if out_path else sys.stdout
         try:
-            writer = csv.DictWriter(fh, fieldnames=keys, restval="")
+            writer = csv.DictWriter(fh, fieldnames=keys, restval="", lineterminator="\n")
             writer.writeheader()
             for row in rows:
                 writer.writerow({k: _csv_cell(v) for k, v in row.items()})

@@ -15,9 +15,10 @@ minimal normal subgroups are all nonabelian (a nonabelian socle) reads
 its maximal classes off the lattice.
 
 Tables can be cached on disk; point INVGEN_CACHE_DIR at a directory to
-enable it.  The cache key is a hash of the group's canonical descriptor,
-so two differently-constructed copies of the same permutation group
-share an entry.
+enable it.  The cache key is a hash of the cache format version and the
+group's canonical descriptor, so two differently-constructed copies of
+the same permutation group share an entry, and entries written in an
+older format are never read.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ from .perm import Perm
 from .subgroups import SubgroupRecord, closure_indices, maximal_classes, subgroup_conjugates
 
 CACHE_ENV = "INVGEN_CACHE_DIR"
+# part of every cache key: entries written in another format are never read
+CACHE_FORMAT = 1
 
 # exhaustive mode enumerates |class(g_2)| * ... * |class(g_k)| tuples
 EXHAUSTIVE_TUPLE_CAP = 200_000
@@ -87,6 +90,7 @@ class ClassCoverageTable:
         """
         return Fraction(self.order - self.covered_elements(m), self.order)
 
+    # the on-disk cache format: bump CACHE_FORMAT whenever this changes
     def to_json(self) -> dict:
         nc = self.num_classes
         return {
@@ -119,7 +123,8 @@ def _cache_path(G: Group):
     root = os.environ.get(CACHE_ENV)
     if not root:
         return None
-    digest = hashlib.sha256(G.canonical_key().encode()).hexdigest()
+    key = f"{CACHE_FORMAT}:{G.canonical_key()}"
+    digest = hashlib.sha256(key.encode()).hexdigest()
     return os.path.join(root, digest + ".json")
 
 

@@ -77,31 +77,52 @@ class Stream:
         return picked
 
 
-# vectorized counterparts (numpy uint64, silent wraparound is intended)
+# vectorized counterparts (numpy uint64, silent wraparound is intended).
+# draws_vec and randbelow_vec write into out= and use scratch= when given,
+# so a hot loop can reuse two buffers; out may be the input array itself,
+# scratch may not
 
 _NP_PHI = np.uint64(PHI64)
 _NP_M1 = np.uint64(_M1)
 _NP_M2 = np.uint64(_M2)
+_NP_LO32 = np.uint64(0xFFFFFFFF)
 
 
-def mix64_vec(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _NP_M1
-    z = (z ^ (z >> np.uint64(27))) * _NP_M2
-    return z ^ (z >> np.uint64(31))
+def _mix64_inplace(z: np.ndarray, scratch: np.ndarray | None) -> np.ndarray:
+    """splitmix64 finalizer, overwriting z; scratch is an array like z or None."""
+    t = np.empty_like(z) if scratch is None else scratch
+    for shift, mult in ((30, _NP_M1), (27, _NP_M2)):
+        np.right_shift(z, np.uint64(shift), out=t)
+        z ^= t
+        z *= mult
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z
 
 
 def stream_states_vec(seed: int, streams: np.ndarray) -> np.ndarray:
-    return mix64_vec(np.uint64(seed & MASK64) + _NP_PHI * streams.astype(np.uint64))
+    z = np.uint64(seed & MASK64) + _NP_PHI * streams.astype(np.uint64)
+    return _mix64_inplace(z, None)
 
 
-def draws_vec(states: np.ndarray, j: int) -> np.ndarray:
+def draws_vec(
+    states: np.ndarray, j: int, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
     # the Weyl step is reduced in Python first: numpy warns on scalar overflow
-    return mix64_vec(states + np.uint64((PHI64 * (j + 1)) & MASK64))
+    z = np.add(states, np.uint64((PHI64 * (j + 1)) & MASK64), out=out)
+    return _mix64_inplace(z, scratch)
 
 
-def randbelow_vec(u: np.ndarray, n: int) -> np.ndarray:
+def randbelow_vec(
+    u: np.ndarray, n: int, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
     """(u * n) >> 64 done in uint64 pieces; n must fit in 31 bits."""
-    hi = u >> np.uint64(32)
-    lo = u & np.uint64(0xFFFFFFFF)
     nn = np.uint64(n)
-    return (hi * nn + ((lo * nn) >> np.uint64(32))) >> np.uint64(32)
+    lo = np.bitwise_and(u, _NP_LO32, out=scratch)
+    lo *= nn
+    lo >>= np.uint64(32)
+    z = np.right_shift(u, np.uint64(32), out=out)
+    z *= nn
+    z += lo
+    z >>= np.uint64(32)
+    return z

@@ -241,13 +241,16 @@ def test_mc_matches_exact_within_4_sigma(s3):
 
 # the MC kernel packs r reduced covers into ceil(r/64) words per trial:
 # the trivial group has r = 0 (no words), S3 has r = 2, 2^6 has r = 63
-# (one word), 11^3 has r = 133 (three words, the last partly padding).
-# 2^7 (r = 127) would take a minute to build its subgroup lattice.
+# (one word), 2^7 has r = 127 (two words, one padding bit), 11^3 has
+# r = 133 (three words, the last partly padding).  AGL(1, 13) waits
+# long, so most of its draw steps end no trial.
 MC_GROUPS = {
     "C1": {"family": "cyclic", "n": 1},
     "S3": {"family": "sym", "n": 3},
     "elemab_2_6": {"family": "elemab", "p": 2, "k": 6},
+    "elemab_2_7": {"family": "elemab", "p": 2, "k": 7},
     "elemab_11_3": {"family": "elemab", "p": 11, "k": 3},
+    "agl1_13": {"family": "agl1", "q": 13},
 }
 
 
@@ -276,6 +279,15 @@ def test_mc_reference_twin_agrees(mc_group):
     fast = _mc_draw_counts(mc_group, 300, seed=9)
     slow = chebotarev_montecarlo_reference(mc_group, 300, seed=9)
     assert np.array_equal(fast, slow)
+
+
+def test_mc_draw_limit_truncates_the_twin(mc_group):
+    from invgen.cheb import _mc_draw_counts
+
+    slow = chebotarev_montecarlo_reference(mc_group, 300, seed=6)
+    for k in range(4):
+        fast = _mc_draw_counts(mc_group, 300, seed=6, limit=k)
+        assert np.array_equal(fast, np.minimum(slow, k + 1)), k
 
 
 def test_p_invariable_mc_is_the_draw_count_share(mc_group):

@@ -121,6 +121,16 @@ def test_csv_format(capsys):
     assert rows[0]["c_den"] == "5"
 
 
+def test_csv_lines_end_in_newline_only(capsys, tmp_path):
+    code, out, _ = run(capsys, "cheb", "exact", S3, "--format", "csv")
+    assert code == 0 and out.count("\n") == 2 and "\r" not in out
+    path = tmp_path / "trend.csv"
+    code, _, _ = run(capsys, "agl-trend", "--q", "2,3", "--format", "csv", "--out", str(path))
+    assert code == 0
+    data = path.read_bytes()
+    assert data.count(b"\n") == 3 and b"\r" not in data
+
+
 def test_out_file(capsys, tmp_path):
     path = tmp_path / "row.jsonl"
     code, out, _ = run(capsys, "cheb", "exact", S3, "--out", str(path))

@@ -228,6 +228,27 @@ def test_foreign_coverage_cache_entry_is_recomputed(tmp_path, monkeypatch):
     assert coverage_table(s3) == expected
 
 
+def test_unversioned_coverage_cache_entry_is_not_served(tmp_path, monkeypatch):
+    # an entry under the key without the format version, with a cover
+    # that passes the metadata checks but is wrong
+    import hashlib
+
+    from invgen.coverage import _cache_path
+
+    monkeypatch.setenv("INVGEN_CACHE_DIR", str(tmp_path))
+    s3 = load_group({"family": "sym", "n": 3})
+    expected = coverage_table(s3)
+    data = expected.to_json()
+    data["covers"][1] = [0, 1, 2]
+    digest = hashlib.sha256(s3.canonical_key().encode()).hexdigest()
+    unversioned = tmp_path / f"{digest}.json"
+    assert str(unversioned) != _cache_path(s3)
+    unversioned.write_text(json.dumps(data))
+    os.remove(_cache_path(s3))
+    assert coverage_table(load_group({"family": "sym", "n": 3})) == expected
+    assert json.loads(open(_cache_path(s3)).read()) == expected.to_json()
+
+
 CACHE_RACE_ROUNDS = 150
 
 
