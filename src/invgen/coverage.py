@@ -293,7 +293,7 @@ def coverage_to_csv(table: ClassCoverageTable, fh) -> None:
     element classes, count of covered elements, fixed-point-free
     proportion, and the covered class indices joined with spaces.
     """
-    writer = csv.writer(fh)
+    writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(
         [
             "maximal_order",

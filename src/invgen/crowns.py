@@ -9,10 +9,11 @@ its section, which is what equivalence of factors is measured against:
 abelian factors are equivalent when their modules are isomorphic,
 nonabelian factors when their section centralizers coincide.
 
-For a non-Frattini factor A the crown is computed from the normal
-subgroups N whose quotient is monolithic with socle equivalent to A
-and isomorphic to the monolithic primitive group L_A attached to A;
-R_G(A) is the intersection of all such N, I_G(A) the preimage of the
+For a non-Frattini factor A the crown is read off its definition:
+R_G(A) is the intersection of the normal subgroups N for which G/N is
+monolithic and primitive with socle equivalent to A (a monolithic
+quotient is primitive when its socle is not Frattini), with no
+isomorphism test against a model group; I_G(A) is the preimage of the
 socle of G/R_G(A), and delta the logarithm of that socle's size in
 base |A|.  A Frattini-trivial group always has a crown whose R is
 complemented in I by a normal subgroup; corona_decomposition finds one
@@ -28,8 +29,8 @@ import numpy as np
 
 from .errors import CapExceeded, InputError, InvgenError, PreconditionError
 from .group import Group, _int_param, is_prime, load_group
-from .iso import find_isomorphism
-from .modlin import ModuleAction, module_from_descriptor
+from .gf import rank
+from .modlin import ModuleAction, intertwiners, module_from_descriptor
 from .perm import Perm
 from .subgroups import (
     SubgroupRecord,
@@ -223,20 +224,8 @@ def modules_isomorphic(ma: ModuleAction, mb: ModuleAction) -> bool:
         raise InputError("module isomorphism needs actions of the same group")
     if ma.p != mb.p or ma.dim != mb.dim:
         return False
-    from .gf import nullspace_right, rank
-
-    p, d = ma.p, ma.dim
-    eye = np.eye(d, dtype=np.int64)
-    blocks = []
-    for A, B in zip(ma.gen_matrices, mb.gen_matrices):
-        blocks.append((np.kron(A, eye) - np.kron(eye, B.T)) % p)
-    sols = nullspace_right(np.vstack(blocks), p)
-    for row in sols:
-        T = row.reshape(d, d)
-        if rank(T, p) == d:
-            return True
-    # nonzero but singular solutions should not happen for chief factors
-    return False
+    sols = intertwiners(ma.gen_matrices, mb.gen_matrices, ma.p)
+    return any(rank(T, ma.p) == ma.dim for T in sols)
 
 
 def factors_equivalent(G: Group, A: ChiefFactor, B: ChiefFactor) -> bool:
@@ -282,33 +271,9 @@ def _record_from_bits(G: Group, bits: int) -> SubgroupRecord:
     return _record(G, members, small_generating_set(G, members))
 
 
-def _quotient_module_action(G: Group, qm, module: ModuleAction) -> ModuleAction:
-    """Push a G-module whose kernel contains ker(qm) down to the quotient."""
-    Q = qm.group
-    mats = []
-    for i, gi in enumerate(G.gen_indices):
-        if qm.apply_index(int(gi)) != 0:
-            mats.append(module.gen_matrices[i])
-    if len(mats) != len(Q.generators):
-        raise PreconditionError("generator alignment with the quotient failed")
-    return ModuleAction(Q, module.p, mats, name=f"{module.name} via {Q.name}")
-
-
-def monolithic_group_for(G: Group, A: ChiefFactor) -> Group:
-    """L_A: V x| (G/C_G(A)) for abelian A, G/C_G(A) otherwise."""
-    C = A.centralizer
-    if not A.is_abelian:
-        return quotient_with_map(G, C).group
-    if C.order == G.order:
-        # trivial action: the primitive group is the module itself
-        return load_group({"family": "elemab", "p": A.p, "k": A.f})
-    qm = quotient_with_map(G, C)
-    act_q = _quotient_module_action(G, qm, A.module)
-    return build_crown_power_abelian(act_q, 1)
-
-
-def _factor_of_quotient_socle(G: Group, N: SubgroupRecord, qm) -> ChiefFactor | None:
+def _factor_of_quotient_socle(G: Group, N: SubgroupRecord) -> ChiefFactor | None:
     """The section of G covering the unique minimal normal of G/N, if unique."""
+    qm = quotient_with_map(G, N)
     mins = minimal_normal_subgroups(qm.group)
     if len(mins) != 1:
         return None
@@ -317,25 +282,59 @@ def _factor_of_quotient_socle(G: Group, N: SubgroupRecord, qm) -> ChiefFactor | 
     return _make_factor(G, upper, N)
 
 
-def _crown_candidates(G: Group, A: ChiefFactor, L_A: Group) -> list[SubgroupRecord]:
-    target_index = L_A.order
+def _crown_candidates(G: Group, A: ChiefFactor) -> list[SubgroupRecord]:
+    """Normal N with G/N monolithic primitive and socle equivalent to A.
+
+    A monolithic G/N is primitive exactly when its socle is not
+    Frattini, so N passes when G/N has one minimal normal subgroup B, B
+    is not Frattini and B is equivalent to A.  No isomorphism test with
+    the monolithic primitive group L_A of A is needed; the order filter
+    |N| * |L_A| = |G| already pins G/N down to L_A:
+
+    - Equivalent factors have one centralizer C = C_G(A): isomorphic
+      G-modules have one kernel, and nonabelian factors are equivalent
+      by definition when their centralizers are equal.
+    - Nonabelian A: the nonabelian socle of a monolithic G/N has trivial
+      centralizer in G/N, so N = C and G/N is G/C = L_A.
+    - Abelian A: |G/N| = |A| * |G:C| makes the socle S/N
+      self-centralizing.  As it is not Frattini it has a complement
+      (Gaschütz), on which G/C acts as it acts on A, so G/N is
+      A x| G/C = L_A.
+    - Conversely, the socle of L_A is not Frattini, so every N with
+      G/N isomorphic to L_A passes.
+    """
+    index = G.order // A.centralizer.order
+    if A.is_abelian:
+        index *= A.order
     out = []
     for N in normal_subgroups(G):
-        if G.order != N.order * target_index:
+        if N.order * index != G.order:
             continue
-        qm = quotient_with_map(G, N)
-        B = _factor_of_quotient_socle(G, N, qm)
-        if B is None or B.order != A.order:
+        B = _factor_of_quotient_socle(G, N)
+        # Under the order cap the Frattini test changes no list: a group
+        # with a monolithic quotient of L_A's order whose socle is Frattini
+        # and equivalent to a non-Frattini A has order at least 16^2 * 60.
+        # Above the cap it matters: a nonsplit 2^4.A5 (order 960) is
+        # monolithic with a self-centralizing Frattini socle.
+        if B is None or B.is_frattini:
             continue
-        if not factors_equivalent(G, A, B):
-            continue
-        if find_isomorphism(qm.group, L_A) is None:
-            continue
-        out.append(N)
+        if factors_equivalent(G, A, B):
+            out.append(N)
     return out
 
 
-def _crown_from_candidates(G: Group, A: ChiefFactor, cands: list[SubgroupRecord]) -> CrownData:
+def abelian_crown(G: Group, A: ChiefFactor) -> CrownData:
+    """R_G(A), I_G(A) and delta for a non-Frattini abelian chief factor."""
+    if not A.is_abelian:
+        raise PreconditionError("factor is nonabelian; use the corona path")
+    return crown_of_factor(G, A)
+
+
+def crown_of_factor(G: Group, A: ChiefFactor) -> CrownData:
+    """R_G(A), I_G(A) and delta for a non-Frattini chief factor."""
+    if A.is_frattini:
+        raise PreconditionError("Frattini factors have no crown")
+    cands = _crown_candidates(G, A)
     if not cands:
         raise InvgenError(
             "no monolithic quotient matches the factor; crown undefined"
@@ -352,26 +351,8 @@ def _crown_from_candidates(G: Group, A: ChiefFactor, cands: list[SubgroupRecord]
         raise InvgenError(
             f"socle size {soc.order} is not a power of the factor size {A.order}"
         )
+    _assert_series_count(G, A, delta)
     return CrownData(factor=A, delta=delta, R=R, I=I)
-
-
-def abelian_crown(G: Group, A: ChiefFactor) -> CrownData:
-    """R_G(A), I_G(A) and delta for a non-Frattini abelian chief factor."""
-    if not A.is_abelian:
-        raise PreconditionError("factor is nonabelian; use the corona path")
-    if A.is_frattini:
-        raise PreconditionError("Frattini factors have no crown")
-    L_A = monolithic_group_for(G, A)
-    crown = _crown_from_candidates(G, A, _crown_candidates(G, A, L_A))
-    _assert_series_count(G, A, crown.delta)
-    return crown
-
-
-def _crown_nonabelian(G: Group, A: ChiefFactor) -> CrownData:
-    L_A = monolithic_group_for(G, A)
-    crown = _crown_from_candidates(G, A, _crown_candidates(G, A, L_A))
-    _assert_series_count(G, A, crown.delta)
-    return crown
 
 
 def _assert_series_count(G: Group, A: ChiefFactor, delta: int) -> None:
@@ -387,12 +368,6 @@ def _assert_series_count(G: Group, A: ChiefFactor, delta: int) -> None:
                 f"delta {delta} disagrees with the series count {count}"
                 f" (reverse_ties={reverse})"
             )
-
-
-def crown_of_factor(G: Group, A: ChiefFactor) -> CrownData:
-    if A.is_abelian:
-        return abelian_crown(G, A)
-    return _crown_nonabelian(G, A)
 
 
 def corona_decomposition(G: Group) -> CrownData:

@@ -18,10 +18,6 @@ def as_mat(A, p: int) -> np.ndarray:
     return A
 
 
-def matmul(A, B, p: int) -> np.ndarray:
-    return (as_mat(A, p) @ as_mat(B, p)) % p
-
-
 def rref(A, p: int):
     """Reduced row echelon form mod p; returns (R, pivot_columns)."""
     R = as_mat(A, p).copy()

@@ -423,9 +423,6 @@ class Group:
         self.conjugacy_classes()
         return self._class_of
 
-    def elements_at(self, indices):
-        return [self.elements[i] for i in indices]
-
     # -- serialization ---------------------------------------------------------
 
     def descriptor(self) -> dict:

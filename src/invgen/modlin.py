@@ -31,6 +31,21 @@ IRREDUCIBLE_ENUM_CAP = 4096  # vectors tried by the exhaustive spin test
 FIELD_ENUM_CAP = 4096  # elements enumerated when verifying E is a field
 
 
+def intertwiners(mats_a, mats_b, p: int) -> np.ndarray:
+    """Basis of the T with A T = T B for every pair (A, B), as (e, d, d).
+
+    The pairs are the generator matrices of two d-dimensional modules of
+    one group; the T are the module maps from the first to the second.
+    """
+    d = mats_a[0].shape[0]
+    eye = np.eye(d, dtype=np.int64)
+    # row-major vec: vec(A X B) = (A kron B^T) vec(X)
+    system = np.vstack([
+        (np.kron(A, eye) - np.kron(eye, B.T)) % p for A, B in zip(mats_a, mats_b)
+    ])
+    return nullspace_right(system, p).reshape(-1, d, d)
+
+
 @dataclass(frozen=True)
 class EndField:
     """The endomorphism field F = GF(p^e) of an irreducible module.
@@ -163,15 +178,7 @@ class ModuleAction:
 
     def commutant_basis(self) -> np.ndarray:
         """Matrices commuting with the action, as (e, dim, dim)."""
-        p, d = self.p, self.dim
-        eye = np.eye(d, dtype=np.int64)
-        blocks = []
-        for M in self.gen_matrices:
-            # row-major vec: vec(A X B) = (A kron B^T) vec(X)
-            blocks.append((np.kron(M, eye) - np.kron(eye, M.T)) % p)
-        system = np.vstack(blocks)
-        flat = nullspace_right(system, p)
-        return flat.reshape(-1, d, d)
+        return intertwiners(self.gen_matrices, self.gen_matrices, self.p)
 
     def end_field(self) -> EndField:
         """Commutant verified to be a field by brute enumeration."""

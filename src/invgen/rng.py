@@ -65,17 +65,6 @@ class Stream:
     def choice(self, seq):
         return seq[self.randbelow(len(seq))]
 
-    def sample_indices(self, n: int, k: int) -> list[int]:
-        """k distinct indices from range(n), k <= n."""
-        picked: list[int] = []
-        seen = set()
-        while len(picked) < k:
-            i = self.randbelow(n)
-            if i not in seen:
-                seen.add(i)
-                picked.append(i)
-        return picked
-
 
 # vectorized counterparts (numpy uint64, silent wraparound is intended).
 # draws_vec and randbelow_vec write into out= and use scratch= when given,

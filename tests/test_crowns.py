@@ -17,9 +17,13 @@ from invgen import (
     factors_equivalent,
     load_group,
     module_from_descriptor,
+    read_corpus,
+    realize_descriptor,
+    shipped_corpus_path,
     verify_sotto,
 )
-from invgen.subgroups import frattini, minimal_normal_subgroups, subgroup_lattice
+from invgen.crowns import _make_factor
+from invgen.subgroups import _lattice, frattini, minimal_normal_subgroups, subgroup_lattice
 
 S3_GL22 = {
     "group": {"family": "sym", "n": 3},
@@ -109,6 +113,63 @@ def test_frattini_factor_has_no_crown():
     assert bottom.is_frattini
     with pytest.raises(PreconditionError):
         abelian_crown(c4, bottom)
+
+
+def _crown_by_definition(G, A) -> int:
+    """Bits of R_G(A), read off the subgroup lattice.
+
+    R_G(A) is the intersection of the normal N for which G/N is
+    monolithic (one minimal normal subgroup strictly above N), primitive
+    (some maximal subgroup has core N) and has socle equivalent to A.
+    """
+    classes = _lattice(G).classes
+    normals = [rep for rep, orbit in classes if len(orbit) == 1]
+    cores = []
+    for rep, orbit in classes:
+        if rep.is_maximal:
+            core = rep.bits
+            for conj in orbit:
+                core &= conj.bits
+            cores.append(core)
+
+    def inside(small, big):
+        return small.bits != big.bits and small.bits & big.bits == small.bits
+
+    bits = (1 << G.order) - 1
+    for N in normals:
+        above = [M for M in normals if inside(N, M)]
+        minimal = [M for M in above if not any(inside(K, M) for K in above)]
+        if len(minimal) != 1 or N.bits not in cores:
+            continue
+        if factors_equivalent(G, A, _make_factor(G, minimal[0], N)):
+            bits &= N.bits
+    return bits
+
+
+# S3 x S3: each C3 has a monolithic quotient S3 of the right order whose
+# socle is the other, inequivalent C3
+S3_X_S3 = {
+    "degree": 6,
+    "generators": [[2, 3, 1, 4, 5, 6], [2, 1, 3, 4, 5, 6], [1, 2, 3, 5, 6, 4], [1, 2, 3, 5, 4, 6]],
+}
+
+
+def _reference_groups():
+    for desc in read_corpus(shipped_corpus_path()):
+        G = realize_descriptor(desc)[0]
+        if G.order <= 200:
+            yield G
+    yield load_group(S3_X_S3)
+
+
+def test_crowns_match_their_definition():
+    checked = 0
+    for G in _reference_groups():
+        for A in chief_series(G):
+            if not A.is_frattini:
+                assert crown_of_factor(G, A).R.bits == _crown_by_definition(G, A), G.name
+                checked += 1
+    assert checked >= 100
 
 
 def test_corona_s4(s4):

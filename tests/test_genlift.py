@@ -188,7 +188,7 @@ def test_build_dw_is_cached_per_tuple():
     hs = tuple(_gen_indices(act))
     dw = build_dw(act, hs)
     assert build_dw(act, list(hs)) is dw
-    assert build_dw(act, act.group.elements_at(hs)) is dw
+    assert build_dw(act, [act.group.elements[i] for i in hs]) is dw
     assert build_dw(act, hs[::-1]) is not dw
     fresh = _build_dw(act, hs)
     assert fresh is not dw

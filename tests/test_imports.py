@@ -8,8 +8,16 @@ import invgen
 PACKAGE = Path(invgen.__file__).parent
 
 
+def _modules() -> list[Path]:
+    return sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
 def _unused_imports(path: Path) -> list[str]:
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+    tree = _tree(path)
     imported = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -21,7 +29,27 @@ def _unused_imports(path: Path) -> list[str]:
 
 
 def test_every_module_import_is_used():
-    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    modules = _modules()
     assert len(modules) >= 14
     unused = {p.name: names for p in modules if (names := _unused_imports(p))}
+    assert unused == {}
+
+
+def test_every_module_level_definition_is_used():
+    referenced = set(invgen.__all__)
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    unused = {}
+    for path in _modules():
+        defs = (
+            node.name
+            for node in _tree(path).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        )
+        if names := [name for name in defs if name not in referenced]:
+            unused[path.name] = names
     assert unused == {}

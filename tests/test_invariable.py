@@ -108,6 +108,7 @@ def test_coverage_csv_has_one_row_per_maximal_class(s4):
     coverage_to_csv(t, buf)
     lines = [l for l in buf.getvalue().splitlines() if l.strip()]
     assert len(lines) == t.num_maximal_classes + 1  # header included
+    assert "\r" not in buf.getvalue()
 
 
 def test_coverage_table_cached_on_group(s4):
