@@ -67,8 +67,16 @@ def inclusion_exclusion_profile(G: Group) -> dict[int, int]:
     s_T counts group elements whose class is covered by every member of
     T, and T is counted with sign (-1)^(|T|+1).  The empty subset is
     excluded and zero counts are dropped, so values s >= 1 and the
-    counts can be summed directly against n/(n-s) or (s/n)^k.
+    counts can be summed directly against n/(n-s) or (s/n)^k.  The
+    profile is built once per group and cached on it, next to its
+    coverage table; every call returns a fresh dict.
     """
+    if G._profile is None:
+        G._profile = _build_profile(G)
+    return dict(G._profile)
+
+
+def _build_profile(G: Group) -> dict[int, int]:
     table = coverage_table(G)
     sizes = table.class_sizes
     full = (1 << len(sizes)) - 1

@@ -313,7 +313,12 @@ def _cmd_binom_check(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    only = tuple(args.suite.split(",")) if args.suite else None
+    only = None
+    if args.suite:
+        # "suite" selects a suite, "suite.name" one check of it
+        only = tuple(
+            tuple(sel.split(".", 1)) if "." in sel else sel for sel in args.suite.split(",")
+        )
     report = verify_props(
         seed=args.seed,
         corpus_path=args.corpus,
@@ -406,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run every property suite")
     p.add_argument("--corpus", default=None)
-    p.add_argument("--suite", default=None, help="comma list of suites to run")
+    p.add_argument("--suite", default=None, help="comma list of suites, or suite.name checks, to run")
     _add_common(p, seed_default=DEFAULT_SEED)
     p.set_defaults(fn=_cmd_verify)
 

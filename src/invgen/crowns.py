@@ -48,9 +48,12 @@ from .subgroups import (
 # chief factors
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChiefFactor:
-    """One section upper/lower of a chief series of G."""
+    """One section upper/lower of a chief series of G.
+
+    Frozen: chief_series hands the same factors to every caller.
+    """
 
     group: Group
     upper: SubgroupRecord
@@ -189,8 +192,15 @@ def chief_series(G: Group, reverse_ties: bool = False) -> list[ChiefFactor]:
     Deterministic: each step descends to the largest proper normal
     subgroup of G inside the current term, ties broken by bitset value
     (reverse_ties flips the tie order; the counts derived downstream
-    must not care, and tests check that).
+    must not care, and tests check that).  Each tie order's series is
+    built once per group and cached on it; callers get a fresh list.
     """
+    if reverse_ties not in G._chief_series:
+        G._chief_series[reverse_ties] = _build_chief_series(G, reverse_ties)
+    return list(G._chief_series[reverse_ties])
+
+
+def _build_chief_series(G: Group, reverse_ties: bool) -> list[ChiefFactor]:
     normals = normal_subgroups(G)
     chain = []
     cur = normals[-1]  # G itself
@@ -431,7 +441,9 @@ def abelian_crown_power_with_embedding(act: ModuleAction, u: int):
 
     embed(v, h) is the permutation x -> x @ diag-block(M_h) + v; the
     group multiplication realized is (v1, h1)(v2, h2) =
-    (v1 M_{h2} + v2, h1 h2), matching left-to-right composition.
+    (v1 M_{h2} + v2, h1 h2), matching left-to-right composition.  The
+    images of every point under the linear part are kept per h, so a
+    call is one add, one reduction mod p and one encode.
     """
     if u < 0:
         raise InputError(f"u must be nonnegative, got {u}")
@@ -455,21 +467,20 @@ def abelian_crown_power_with_embedding(act: ModuleAction, u: int):
     def encode(vecs: np.ndarray) -> np.ndarray:
         return (vecs % p) @ powers
 
-    blocks = {}
+    linear = {}  # h -> allpts @ diag-block(M_h), the points' images under h
 
-    def h_block(hi: int) -> np.ndarray:
-        if hi not in blocks:
+    def linear_images(hi: int) -> np.ndarray:
+        if hi not in linear:
             B = np.zeros((K, K), dtype=np.int64)
             for c in range(u):
                 B[c * dim : (c + 1) * dim, c * dim : (c + 1) * dim] = act.matrices[hi]
-            blocks[hi] = B
-        return blocks[hi]
+            linear[hi] = allpts @ B
+        return linear[hi]
 
     def embed(v, h) -> Perm:
         hi = _as_index(H, h)
         vec = np.asarray(v, dtype=np.int64).reshape(K) % p
-        imgs = encode(allpts @ h_block(hi) + vec)
-        return Perm(imgs.tolist())
+        return Perm(encode(linear_images(hi) + vec).tolist())
 
     gens = []
     zero = np.zeros(K, dtype=np.int64)

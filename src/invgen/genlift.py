@@ -191,14 +191,22 @@ def _rows_of(problem: LiftProblem) -> np.ndarray:
 
 
 def _independent_mod(problem: LiftProblem, base: RowSpace) -> bool:
-    act = problem.act
-    end = act.end_field()
-    space = base.copy()
-    for r in _rows_of(problem):
+    """True iff the u >= 1 rows r_j are F-independent modulo base.
+
+    Each row but the last is tested, then its F-line is added to a copy
+    of base, made at the first add; the last row needs only the test.
+    base is one of build_dw's shared spaces and is never added to.
+    """
+    end = problem.act.end_field()
+    *head, last = _rows_of(problem)
+    space = base
+    for r in head:
         if space.contains(r):
             return False
+        if space is base:
+            space = base.copy()
         f_closed_add(space, r, end)
-    return True
+    return not space.contains(last)
 
 
 def gen_criterion(problem: LiftProblem) -> bool:

@@ -190,6 +190,7 @@ def bit_indices(bits: int):
 # image rows
 
 _LOOKUP_CHUNK = 256  # rows per searchsorted batch in Group._lookup_all
+_TABLE_CHUNK = 1 << 16  # entries per row gather in Group.table
 
 
 def _row_dtype(degree: int) -> np.dtype:
@@ -273,6 +274,8 @@ class Group:
         self._lattice = None
         self._coverage = None
         self._normals = None
+        self._chief_series = {}  # reverse_ties -> chief factors
+        self._profile = None
 
     # -- enumeration --------------------------------------------------------
 
@@ -330,31 +333,37 @@ class Group:
         The left-multiplication map of a generator g sends e to g * e,
         whose images are e(g(x)): the rows E[:, E[g]] of the sorted
         image-row array, looked up by ``searchsorted`` in chunks.  The
-        table is then filled by BFS: if e_i = e_a * g for a generator
-        g, then row i is row a permuted by the left map of g, so each
-        row costs one vectorized gather.
+        table is then filled one BFS level at a time: if e_c = e_a * g
+        for a generator g, then row c is row a permuted by the left map
+        of g, so per generator a level's new rows are one gather of
+        their parents' rows, taken in chunks of about _TABLE_CHUNK
+        entries to keep the temporary small.
         """
         if self._table is None:
             n = self.order
-            left = {}
+            left = []
             for gi in self.gen_indices:
                 cols = self._E[gi].astype(np.intp)
-                left[gi] = self._lookup_all(lambda rows: rows[:, cols])
+                left.append(self._lookup_all(lambda rows: rows[:, cols]))
             table = np.empty((n, n), dtype=np.int32)
             table[0] = np.arange(n, dtype=np.int32)
             visited = np.zeros(n, dtype=bool)
             visited[0] = True
-            frontier = [0]
-            while frontier:
+            step = max(1, _TABLE_CHUNK // n)
+            frontier = np.zeros(1, dtype=np.intp)
+            while frontier.size:
                 nxt = []
-                for a in frontier:
-                    for gi in self.gen_indices:
-                        c = int(table[a, gi])
-                        if not visited[c]:
-                            visited[c] = True
-                            table[c] = table[a][left[gi]]
-                            nxt.append(c)
-                frontier = nxt
+                for gi, lmap in zip(self.gen_indices, left):
+                    # distinct, since right multiplication by g is injective
+                    kids = table[frontier, gi]
+                    fresh = ~visited[kids]
+                    kids, parents = kids[fresh], frontier[fresh]
+                    visited[kids] = True
+                    for s in range(0, kids.size, step):
+                        rows = parents[s : s + step, None]
+                        table[kids[s : s + step]] = table[rows, lmap]
+                    nxt.append(kids)
+                frontier = np.concatenate(nxt) if nxt else frontier[:0]
             self._table = table
         return self._table
 

@@ -977,6 +977,21 @@ PROPERTY_CHECKS = (
 )
 
 
+def _check_selectors(only) -> None:
+    suites = list(dict.fromkeys(suite for suite, _, _ in PROPERTY_CHECKS))
+    checks = {(suite, name) for suite, name, _ in PROPERTY_CHECKS}
+    unknown = [
+        ".".join(sel) if isinstance(sel, tuple) else str(sel)
+        for sel in only
+        if sel not in suites and sel not in checks
+    ]
+    if unknown:
+        raise InputError(
+            f"no property check matches {', '.join(unknown)}; valid suites:"
+            f" {', '.join(suites)} (suite.name selects one check)"
+        )
+
+
 def verify_props(
     seed: int = DEFAULT_SEED,
     corpus_path: str | None = None,
@@ -986,8 +1001,10 @@ def verify_props(
     """Run the property suites; deterministic for a fixed seed.
 
     only, when given, restricts to (suite, name) pairs or suite names;
-    used by tests to drive one suite at a time.
+    a selector that names no check raises InputError listing the suites.
     """
+    if only is not None:
+        _check_selectors(only)
     corpus = _Corpus(corpus_path)
     outcomes = []
     for i, (suite, name, fn) in enumerate(PROPERTY_CHECKS):

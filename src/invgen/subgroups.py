@@ -99,24 +99,29 @@ def _record(G: Group, member_idx, gens) -> SubgroupRecord:
 
 
 def closure_indices(G: Group, gen_idxs) -> np.ndarray:
-    """Member indices of <gens>.  A partial count above |G|/2 forces the
-    whole group (Lagrange), so the scan stops there."""
-    t = G.table
+    """Member indices of <gens>, ascending, by breadth-first search.
+
+    Each level is the frontier times every generator, gathered from the
+    n x d column block table[:, gens] rather than from whole table rows;
+    the level's new elements are the bits the gather set in ``seen``.
+    A partial count above |G|/2 forces the whole group (Lagrange), so
+    the scan stops there.
+    """
     n = G.order
     gen_idxs = [int(g) for g in gen_idxs if g != 0]
     if not gen_idxs:
         return np.array([0], dtype=np.int64)
+    right = G.table[:, gen_idxs]
     seen = np.zeros(n, dtype=bool)
     seen[0] = True
     count = 1
     frontier = np.array([0], dtype=np.int64)
-    while frontier.size:
-        prods = t[frontier][:, gen_idxs].ravel()
-        prods = prods[~seen[prods]]
-        if prods.size == 0:
+    while True:
+        before = seen.copy()
+        seen[right[frontier]] = True
+        new = np.flatnonzero(seen ^ before)
+        if new.size == 0:
             break
-        new = np.unique(prods)
-        seen[new] = True
         count += new.size
         if 2 * count > n:
             return np.arange(n, dtype=np.int64)

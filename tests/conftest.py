@@ -2,7 +2,13 @@ import json
 
 import pytest
 
-from invgen.group import load_group
+from invgen import (
+    abelian_crown_power_with_embedding,
+    module_from_descriptor,
+    read_corpus,
+    shipped_corpus_path,
+)
+from invgen.group import DEFAULT_CAPS, load_group
 from invgen.properties import verify_props
 
 
@@ -33,3 +39,18 @@ def mini_corpus(tmp_path):
     ]
     path.write_text("".join(json.dumps(r) + "\n" for r in rows))
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def lift_ambients():
+    """V^u x| H for every corpus module and every u with order within the cap."""
+    out = []
+    for d in read_corpus(shipped_corpus_path()):
+        if "module" not in d:
+            continue
+        act = module_from_descriptor(d["module"])
+        u = 1
+        while act.p ** (act.dim * u) * act.group.order <= DEFAULT_CAPS.order:
+            out.append(abelian_crown_power_with_embedding(act, u)[0])
+            u += 1
+    return out

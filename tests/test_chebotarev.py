@@ -110,6 +110,23 @@ def test_profile_signs_and_range(s4):
         assert cnt != 0
 
 
+def test_profile_is_built_once_and_handed_out_as_copies(monkeypatch):
+    import invgen.cheb as cheb
+
+    G = load_group({"family": "sym", "n": 4})
+    build = cheb._build_profile
+    want = build(G)
+    builds = []
+    monkeypatch.setattr(cheb, "_build_profile", lambda H: builds.append(H) or build(H))
+    chebotarev_exact(G).profile.clear()
+    inclusion_exclusion_profile(G)[G.order - 1] = 7
+    assert inclusion_exclusion_profile(G) == want
+    assert chebotarev_exact(G).profile == want
+    p_invariable_exact(G, 3)
+    min_k_for_probability(G, Fraction(2, 9))
+    assert builds == [G]
+
+
 def test_p_invariable_s3(s3):
     assert p_invariable_exact(s3, 1) == 0
     assert p_invariable_exact(s3, 2) == Fraction(1, 3)

@@ -196,6 +196,26 @@ def test_verify_cli_single_suite(capsys, mini_corpus):
     assert all(c["suite"] == "invariable" for c in report["checks"])
 
 
+def test_verify_cli_rejects_unknown_selectors(capsys, mini_corpus):
+    for sel in ("bogus", "genlift.bogus", "invariable,crowns.nope"):
+        code, out, err = run(capsys, "verify", "--suite", sel, "--corpus", mini_corpus)
+        assert code == 2, sel
+        assert out == ""
+        assert "input error" in err
+        assert "group_core, invariable, chebotarev, modlin, genlift, crowns, harness" in err
+
+
+def test_verify_cli_single_check(capsys, mini_corpus):
+    sel = "invariable.conjugation_invariance"
+    code, out, _ = run(capsys, "verify", "--suite", sel, "--corpus", mini_corpus)
+    assert code == 0
+    (check,) = json.loads(out)["checks"]
+    assert (check["suite"], check["name"]) == ("invariable", "conjugation_invariance")
+    # the same outcome as inside its whole suite
+    _, out, _ = run(capsys, "verify", "--suite", "invariable", "--corpus", mini_corpus)
+    assert check in json.loads(out)["checks"]
+
+
 def test_exit_code_input_error(capsys):
     code, _, err = run(capsys, "cheb", "exact", "definitely not json")
     assert code == 2

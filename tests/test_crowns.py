@@ -1,5 +1,7 @@
 """Chief series, crowns, coronas, and crown-based powers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -262,6 +264,46 @@ def test_embedding_is_a_homomorphism():
         lhs = emb(v1, h1) * emb(v2, h2)
         rhs = emb((v1 @ m2 + v2) % 2, int(H.table[h1, h2]))
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("name, u", [("mod_s3_gl22", 2), ("mod_d4_gf3", 1), ("mod_c2_gf3", 6)])
+def test_embed_matches_the_affine_map(name, u):
+    desc = next(d for d in read_corpus(shipped_corpus_path()) if d.get("name") == name)
+    act = module_from_descriptor(desc["module"])
+    H, p, K = act.group, act.p, act.dim * u
+    _, emb = abelian_crown_power_with_embedding(act, u)
+    powers = p ** np.arange(K, dtype=np.int64)
+    allpts = (np.arange(p**K, dtype=np.int64)[:, None] // powers) % p
+    rng = np.random.default_rng(20261018)
+    for _ in range(60):
+        h = int(rng.integers(0, H.order))
+        v = rng.integers(0, p, size=K)
+        B = np.kron(np.eye(u, dtype=np.int64), act.matrices[h])
+        want = tuple((((allpts @ B + v) % p) @ powers).tolist())
+        assert emb(v, h).images == want
+        assert emb(v, H.elements[h]).images == want
+
+
+def test_chief_series_is_built_once_per_tie_order(monkeypatch):
+    import invgen.crowns as crowns
+
+    G = load_group({"family": "sym", "n": 4})
+    builds = []
+    build = crowns._build_chief_series
+    monkeypatch.setattr(
+        crowns, "_build_chief_series", lambda H, rev: builds.append(rev) or build(H, rev)
+    )
+    first = chief_series(G)
+    first.pop()
+    again = chief_series(G)
+    assert len(again) == len(first) + 1
+    assert all(a is b for a, b in zip(first, again))
+    for A in again:
+        if not A.is_frattini:
+            crown_of_factor(G, A)  # counts delta along both tie orders
+    assert builds == [False, True]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        again[0].is_frattini = True
 
 
 def test_frattini_values():

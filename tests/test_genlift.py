@@ -21,8 +21,10 @@ from invgen import (
     module_from_descriptor,
     resolve_word,
 )
-from invgen.genlift import _build_dw
-from invgen.harness import shipped_corpus_path
+from invgen.coverage import invariably_generates
+from invgen.genlift import _build_dw, _rows_of
+from invgen.harness import read_corpus, shipped_corpus_path
+from invgen.modlin import f_closed_add
 
 S3_GL22 = {
     "group": {"family": "sym", "n": 3},
@@ -229,3 +231,61 @@ def test_shared_dw_spaces_are_not_mutated_by_callers():
     assert grown.dim == r.spaces.ambient
     assert r.spaces.D.dim == r.spaces.dim_d_f * r.spaces.e
     assert gen_criterion(prob) == before
+
+
+def _independent_mod_copying(problem, base):
+    """Reference kernel: copy base, then test and add every row."""
+    end = problem.act.end_field()
+    space = base.copy()
+    for r in _rows_of(problem):
+        if space.contains(r):
+            return False
+        f_closed_add(space, r, end)
+    return True
+
+
+def _criterion_problems(act, hs, rng):
+    """Seeded lifts at u >= 2: random parts at u = 2..u_max + 2, and each
+    mode's witness at u_max with a copy of its first row appended, so
+    that only the last row is dependent."""
+    d, p, dim = len(hs), act.p, act.dim
+    u_top = max_lift_rank(act, hs, MODE_GENERATE).u_max + 2
+    for u in range(2, u_top + 1):
+        for ws in rng.integers(0, p, size=(60, d, u, dim)):
+            yield LiftProblem(act, u, hs, ws)
+    for mode in (MODE_GENERATE, MODE_INVARIABLE):
+        if mode == MODE_INVARIABLE and not invariably_generates(act.group, hs):
+            continue
+        ws = max_lift_rank(act, hs, mode).ws
+        u = ws.shape[1]
+        if u >= 2:
+            yield LiftProblem(act, u, hs, ws)
+        if u >= 1:
+            yield LiftProblem(act, u + 1, hs, np.concatenate([ws, ws[:, :1]], axis=1))
+
+
+def test_criteria_match_the_copying_kernel():
+    rng = np.random.default_rng(20261018)
+    verdicts = {True: 0, False: 0}
+    for desc in read_corpus(shipped_corpus_path()):
+        if "module" not in desc:
+            continue
+        act = module_from_descriptor(desc["module"])
+        gens = _gen_indices(act)
+        for hs in (gens, gens + gens[:1]):
+            dw = build_dw(act, hs)
+            before = dw.D.basis_matrix(), dw.sum.basis_matrix()
+            inv = invariably_generates(act.group, hs)
+            for prob in _criterion_problems(act, hs, rng):
+                want = _independent_mod_copying(prob, dw.D)
+                assert gen_criterion(prob) == want, (desc["name"], prob.ws.tolist())
+                verdicts[want] += 1
+                if inv:
+                    want = _independent_mod_copying(prob, dw.sum)
+                    assert invgen_criterion(prob) == want, (desc["name"], prob.ws.tolist())
+                    verdicts[want] += 1
+            after = build_dw(act, hs)
+            assert after is dw
+            assert np.array_equal(after.D.basis_matrix(), before[0]), desc["name"]
+            assert np.array_equal(after.sum.basis_matrix(), before[1]), desc["name"]
+    assert verdicts == {True: 700, False: 3669}

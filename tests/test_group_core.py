@@ -15,9 +15,7 @@ from invgen import (
     Group,
     InputError,
     Perm,
-    abelian_crown_power_with_embedding,
     load_group,
-    module_from_descriptor,
     read_corpus,
     realize_descriptor,
     shipped_corpus_path,
@@ -80,21 +78,6 @@ def _perm_inverses(G):
 @pytest.fixture(scope="module")
 def corpus_groups():
     return [realize_descriptor(d)[0] for d in read_corpus(shipped_corpus_path())]
-
-
-@pytest.fixture(scope="module")
-def lift_ambients():
-    """V^u x| H for every corpus module and every u with order within the cap."""
-    out = []
-    for d in read_corpus(shipped_corpus_path()):
-        if "module" not in d:
-            continue
-        act = module_from_descriptor(d["module"])
-        u = 1
-        while act.p ** (act.dim * u) * act.group.order <= DEFAULT_CAPS.order:
-            out.append(abelian_crown_power_with_embedding(act, u)[0])
-            u += 1
-    return out
 
 
 def test_perm_composition_is_left_to_right():
@@ -360,6 +343,41 @@ def test_table_matches_products_on_corpus(corpus_groups):
             assert t[i].tolist() == want, G.name
         checked += 1
     assert checked >= 40
+
+
+def _table_by_rows(G):
+    """Reference table: the per-row BFS, one gather per (element, generator).
+
+    Row c = row a permuted by the left map of g whenever e_c = e_a * g.
+    """
+    n = G.order
+    left = {}
+    for gi in G.gen_indices:
+        cols = G._E[gi].astype(np.intp)
+        left[gi] = G._lookup_all(lambda rows: rows[:, cols])
+    table = np.empty((n, n), dtype=np.int32)
+    table[0] = np.arange(n, dtype=np.int32)
+    visited = np.zeros(n, dtype=bool)
+    visited[0] = True
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for gi in G.gen_indices:
+                c = int(table[a, gi])
+                if not visited[c]:
+                    visited[c] = True
+                    table[c] = table[a][left[gi]]
+                    nxt.append(c)
+        frontier = nxt
+    return table
+
+
+def test_table_matches_the_per_row_bfs(corpus_groups, lift_ambients):
+    for G in (*corpus_groups, *lift_ambients):
+        want = _table_by_rows(G)
+        assert G.table.dtype == want.dtype, G.name
+        assert np.array_equal(G.table, want), G.name
 
 
 def test_enumeration_cap_boundary():

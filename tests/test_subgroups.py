@@ -7,6 +7,7 @@ from invgen import load_group, read_corpus, realize_descriptor, shipped_corpus_p
 from invgen.coverage import coverage_table
 from invgen.subgroups import (
     _lattice,
+    closure_indices,
     minimal_normal_subgroups,
     normal_subgroups,
     quotient_with_map,
@@ -172,3 +173,56 @@ def test_quotient_tables_reach_the_disk_cache(tmp_path, monkeypatch):
     assert coverage_table(A5).maximal_orders == (6, 10, 12)  # S3, D10, A4
     assert all(type(x) is int for H in (Q, A5) for g in H.generators for x in g.images)
     assert len(list(tmp_path.iterdir())) == 2
+
+
+def _closure_by_unique(G, gen_idxs):
+    """Reference closure: BFS over whole table rows, deduplicated by np.unique."""
+    t = G.table
+    n = G.order
+    gen_idxs = [int(g) for g in gen_idxs if g != 0]
+    if not gen_idxs:
+        return np.array([0], dtype=np.int64)
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    count = 1
+    frontier = np.array([0], dtype=np.int64)
+    while frontier.size:
+        prods = t[frontier][:, gen_idxs].ravel()
+        prods = prods[~seen[prods]]
+        if prods.size == 0:
+            break
+        new = np.unique(prods)
+        seen[new] = True
+        count += new.size
+        if 2 * count > n:
+            return np.arange(n, dtype=np.int64)
+        frontier = new
+    return np.flatnonzero(seen).astype(np.int64)
+
+
+def _assert_closure_matches(G, gens):
+    got, want = closure_indices(G, gens), _closure_by_unique(G, gens)
+    assert got.dtype == want.dtype, (G.name, gens)
+    assert np.array_equal(got, want), (G.name, gens)
+
+
+def test_closure_matches_the_unique_bfs_on_class_generated_subgroups():
+    checked = 0
+    for G in _small_corpus_groups(200):
+        classes = G.conjugacy_classes()
+        for i, c in enumerate(classes):
+            # a class, its representative, and its representative joined
+            # with every later class's
+            pairs = [[c.rep, d.rep] for d in classes[i + 1 :]]
+            for gens in ([c.rep], c.member_indices(), *pairs):
+                _assert_closure_matches(G, gens)
+                checked += 1
+    assert checked == 3189
+
+
+def test_closure_matches_the_unique_bfs_on_lift_ambients(lift_ambients):
+    rng = np.random.default_rng(20261018)
+    for G in lift_ambients:
+        for k in (1, 2, 3):
+            for _ in range(40):
+                _assert_closure_matches(G, rng.integers(0, G.order, size=k).tolist())
