@@ -36,7 +36,6 @@ import numpy as np
 
 from .errors import CapExceeded, InputError
 from .group import Group
-from .perm import Perm
 from .subgroups import SubgroupRecord, closure_indices, maximal_classes, subgroup_conjugates
 
 CACHE_ENV = "INVGEN_CACHE_DIR"
@@ -129,12 +128,25 @@ def _cache_path(G: Group):
 
 
 def _class_data(G: Group) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(class sizes, element order of each class), in class-index order."""
+    """(class sizes, element order of each class), in class-index order.
+
+    A representative's order is the lcm of its cycle lengths, read from
+    its image row alone, since the cache check has no table.  All rows
+    are squared together, r -> r^2, while each point keeps the least of
+    its first 2^j images; once 2^j reaches the degree that is the least
+    point of its cycle, and the points sharing it make up the cycle.
+    """
     classes = G.conjugacy_classes()
-    return (
-        tuple(c.size for c in classes),
-        tuple(G.elements[c.rep].order() for c in classes),
-    )
+    k, d = len(classes), G.degree
+    # point x of the r-th representative is r * d + x, so one flat gather
+    # applies every representative at once
+    power = (G._E[[c.rep for c in classes]] + d * np.arange(k)[:, None]).ravel()
+    least = np.arange(k * d)
+    for _ in range((d - 1).bit_length()):  # until 2^j >= d
+        least = np.minimum(least, least[power])
+        power = power[power]
+    lengths = np.bincount(least, minlength=k * d)[least].reshape(k, d)
+    return tuple(c.size for c in classes), tuple(np.lcm.reduce(lengths, axis=1).tolist())
 
 
 def _compute_table(G: Group) -> ClassCoverageTable:
@@ -209,19 +221,6 @@ def _write_entry(path: str, table: ClassCoverageTable) -> None:
         raise
 
 
-def _element_indices(G: Group, elements) -> list[int]:
-    out = []
-    for e in elements:
-        if isinstance(e, Perm):
-            out.append(G.element_index(e))
-        else:
-            i = int(e)
-            if not 0 <= i < G.order:
-                raise InputError(f"element index {i} out of range for order {G.order}")
-            out.append(i)
-    return out
-
-
 def invariably_generates(G: Group, elements, exhaustive: bool = False) -> bool:
     """Whether the tuple invariably generates G.
 
@@ -233,7 +232,7 @@ def invariably_generates(G: Group, elements, exhaustive: bool = False) -> bool:
     first entry (conjugating the whole tuple changes nothing) and
     running over all conjugates of the rest.
     """
-    idxs = _element_indices(G, elements)
+    idxs = [G.element_index(e) for e in elements]
     if G.order == 1:
         return True
     if not idxs:

@@ -436,14 +436,38 @@ def verify_sotto(G: Group, crown: CrownData, K: SubgroupRecord) -> bool:
 # crown-based power constructors
 
 
+def _affine_image_rows(act: ModuleAction, u: int):
+    """image_rows(vs, his): row i is the images of the p^(dim u) points of
+    V^u under x -> x @ diag-block(M_h) + vs[i], h the element of index
+    his[i]: the encoded linear map, built once per h, gathered through the
+    encoded translation, built once per v."""
+    p, K = act.p, act.dim * u
+    powers = p ** np.arange(K, dtype=np.int64)
+    allpts = (np.arange(p**K, dtype=np.int64)[:, None] // powers) % p
+    linear = {}  # hi -> the code of x @ diag-block(M_h), per point x
+    shift = {}  # code of v -> the code of x + v, per point x
+
+    def image_rows(vs, his) -> np.ndarray:
+        vs = np.asarray(vs, dtype=np.int64).reshape(len(his), K) % p
+        rows = []
+        for v, code, hi in zip(vs, (vs @ powers).tolist(), his):
+            if hi not in linear:
+                B = np.kron(np.eye(u, dtype=np.int64), act.matrices[hi])
+                linear[hi] = (allpts @ B % p) @ powers
+            if code not in shift:
+                shift[code] = ((allpts + v) % p) @ powers
+            rows.append(shift[code][linear[hi]])
+        return np.array(rows)
+
+    return image_rows
+
+
 def abelian_crown_power_with_embedding(act: ModuleAction, u: int):
     """V^u x| H as a permutation group on the points of V^u, plus an embed map.
 
     embed(v, h) is the permutation x -> x @ diag-block(M_h) + v; the
     group multiplication realized is (v1, h1)(v2, h2) =
-    (v1 M_{h2} + v2, h1 h2), matching left-to-right composition.  The
-    images of every point under the linear part are kept per h, so a
-    call is one add, one reduction mod p and one encode.
+    (v1 M_{h2} + v2, h1 h2), matching left-to-right composition.
     """
     if u < 0:
         raise InputError(f"u must be nonnegative, got {u}")
@@ -452,35 +476,18 @@ def abelian_crown_power_with_embedding(act: ModuleAction, u: int):
         def embed0(v, h):
             if np.asarray(v).size:
                 raise InputError("u = 0 admits no vector part")
-            return H.elements[_as_index(H, h)]
+            return H.element(H.element_index(h))
         return H, embed0
-    p, dim = act.p, act.dim
-    K = dim * u
-    npoints = p**K
+    K = act.dim * u
+    npoints = act.p**K
     if npoints * H.order > H.caps.order:
         raise CapExceeded(
             f"order {npoints * H.order} exceeds cap {H.caps.order} (order)"
         )
-    powers = p ** np.arange(K, dtype=np.int64)
-    allpts = (np.arange(npoints, dtype=np.int64)[:, None] // powers) % p
-
-    def encode(vecs: np.ndarray) -> np.ndarray:
-        return (vecs % p) @ powers
-
-    linear = {}  # h -> allpts @ diag-block(M_h), the points' images under h
-
-    def linear_images(hi: int) -> np.ndarray:
-        if hi not in linear:
-            B = np.zeros((K, K), dtype=np.int64)
-            for c in range(u):
-                B[c * dim : (c + 1) * dim, c * dim : (c + 1) * dim] = act.matrices[hi]
-            linear[hi] = allpts @ B
-        return linear[hi]
+    image_rows = _affine_image_rows(act, u)
 
     def embed(v, h) -> Perm:
-        hi = _as_index(H, h)
-        vec = np.asarray(v, dtype=np.int64).reshape(K) % p
-        return Perm(encode(linear_images(hi) + vec).tolist())
+        return Perm(image_rows(v, [H.element_index(h)])[0].tolist())
 
     gens = []
     zero = np.zeros(K, dtype=np.int64)
@@ -497,12 +504,6 @@ def abelian_crown_power_with_embedding(act: ModuleAction, u: int):
             f"crown power closed to order {G.order}, wanted {npoints * H.order}"
         )
     return G, embed
-
-
-def _as_index(H: Group, h) -> int:
-    if isinstance(h, Perm):
-        return H.element_index(h)
-    return int(h)
 
 
 def build_crown_power_abelian(act: ModuleAction, u: int) -> Group:
@@ -533,9 +534,8 @@ def build_crown_power_general(L: Group, A: SubgroupRecord, k: int) -> Group:
         gens.append(Perm(imgs))
     for c in range(k):
         for ai in A.gens:
-            a = L.elements[int(ai)]
             imgs = list(range(deg))
-            for i, img in enumerate(a.images):
+            for i, img in enumerate(L.element(int(ai)).images):
                 imgs[c * L.degree + i] = c * L.degree + img
             gens.append(Perm(imgs))
     G = Group(gens, name=f"crownpower_general({L.name}, k={k})", degree=deg, caps=L.caps)

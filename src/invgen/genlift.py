@@ -26,7 +26,6 @@ from .coverage import invariably_generates
 from .errors import InputError, PreconditionError
 from .gf import RowSpace, row_space_basis
 from .modlin import ModuleAction, f_closed_add, module_from_descriptor
-from .perm import Perm
 from .subgroups import closure_indices
 
 MODE_GENERATE = "generate"
@@ -47,7 +46,7 @@ class LiftProblem:
     ws: np.ndarray
 
     def __post_init__(self):
-        self.hs = tuple(_element_index(self.act, h) for h in self.hs)
+        self.hs = tuple(self.act.group.element_index(h) for h in self.hs)
         if len(self.hs) < 1:
             raise InputError("need at least one lifted generator")
         if self.u < 0:
@@ -61,15 +60,6 @@ class LiftProblem:
                 f"ws shape {ws.shape} != (d={d}, u={self.u}, dim={self.act.dim})"
             )
         self.ws = ws % self.act.p
-
-
-def _element_index(act: ModuleAction, h) -> int:
-    if isinstance(h, Perm):
-        return act.group.element_index(h)
-    i = int(h)
-    if not 0 <= i < act.group.order:
-        raise InputError(f"element index {i} out of range")
-    return i
 
 
 @dataclass(frozen=True)
@@ -120,7 +110,7 @@ def build_dw(act: ModuleAction, hs) -> DWSpaces:
     RowSpaces before adding to them.  Failures are not cached; a
     PreconditionError is raised again on every call.
     """
-    hs = tuple(_element_index(act, h) for h in hs)
+    hs = tuple(act.group.element_index(h) for h in hs)
     if hs not in act._dw:
         act._dw[hs] = _build_dw(act, hs)
     return act._dw[hs]

@@ -1,14 +1,15 @@
 """Finite permutation groups enumerated explicitly.
 
-Elements are stored sorted lexicographically by image tuple, so element
-indices, class representatives, and every downstream report are
-deterministic.  Alongside the tuple of Perms, a group keeps the same
-elements as one sorted array of image rows, big-endian (uint16 up to
-degree 65536, uint32 above), so that a row's bytes compare exactly as
-its image tuple does.  Enumeration applies a generator to a whole BFS
-frontier of rows with one gather, and a row is looked up by
-``np.searchsorted`` on a void view of that array.  Sizes are desk
-scale and guarded by two caps (``Caps``), each raising ``CapExceeded``:
+A group's elements are one array of image rows ``_E``, sorted
+lexicographically and big-endian (uint16 up to degree 65536, uint32
+above), so that a row's bytes compare exactly as its image tuple does;
+element i is row i, so indices, class representatives and every report
+are deterministic.  The rows are the only element representation: a Perm
+is built from a row only when asked (``Group.element``).  Enumeration
+applies a generator to a whole BFS frontier of rows with one gather, and
+a row is looked up by ``np.searchsorted`` on a void view of the array.
+Sizes are desk scale and guarded by two caps (``Caps``), each raising
+``CapExceeded``:
 
     order  <= 2_000     checked while enumerating, so every group can
                         build its multiplication table, the one primitive
@@ -246,7 +247,7 @@ def _enumerate_rows(generators, degree: int, order_cap: int) -> np.ndarray:
 
 
 class Group:
-    """A finite permutation group with a full, sorted element list."""
+    """A finite permutation group; element i is row i of the sorted image rows."""
 
     def __init__(self, generators, name="G", degree=None, caps=None):
         caps = _caps(caps)
@@ -261,10 +262,11 @@ class Group:
         self.degree = degree
         self.generators = tuple(gens)
         self.caps = caps
-        self.elements = self._enumerate(caps.order)
-        self.order = len(self.elements)
-        self.index = {p.images: i for i, p in enumerate(self.elements)}
-        self.gen_indices = tuple(self.index[g.images] for g in self.generators)
+        self._E = _enumerate_rows(gens, degree, caps.order)
+        self._keys = _void_view(self._E)
+        self.order = len(self._E)
+        gen_rows = np.reshape([g.images for g in gens], (len(gens), degree))
+        self.gen_indices = tuple(self._lookup(gen_rows).tolist())
         # lazy caches
         self._table = None
         self._inv = None
@@ -277,26 +279,15 @@ class Group:
         self._chief_series = {}  # reverse_ties -> chief factors
         self._profile = None
 
-    # -- enumeration --------------------------------------------------------
-
-    def _enumerate(self, order_cap):
-        """Sorted Perms of the group; their sorted image rows go to self._E."""
-        self._E = _enumerate_rows(self.generators, self.degree, order_cap)
-        self._keys = _void_view(self._E)
-        if self.degree == 1:  # itemgetter of one point returns a bare int
-            return (Perm.identity(1),)
-        # one shared int object per point, not one per image
-        pts = tuple(range(self.degree))
-        return tuple(Perm(operator.itemgetter(*row.tolist())(pts)) for row in self._E)
+    # -- rows ------------------------------------------------------------------
 
     def _lookup(self, rows) -> np.ndarray:
         """Element indices of image rows, by binary search in the sorted rows."""
-        keys = _void_view(_big_endian(rows, self._E.dtype))
-        lo = np.searchsorted(self._keys, keys, side="left")
-        hi = np.searchsorted(self._keys, keys, side="right")
-        if not np.all(hi - lo == 1):
+        keys = _big_endian(rows, self._E.dtype).view(self._keys.dtype).ravel()
+        at = self._keys.searchsorted(keys)
+        if self._keys.take(at, mode="clip").tobytes() != keys.tobytes():
             raise KeyError(f"image row is not an element of {self.name}")
-        return lo
+        return at
 
     def _lookup_all(self, rows_of) -> np.ndarray:
         """Element index of rows_of(E) row by row, for the sorted image rows E
@@ -309,14 +300,37 @@ class Group:
 
     # -- basics --------------------------------------------------------------
 
-    def element_index(self, p: Perm) -> int:
-        try:
-            return self.index[p.images]
-        except KeyError:
-            raise InputError(f"{p.cycle_string()} is not an element of {self.name}")
+    def element(self, i) -> Perm:
+        """Element i as a Perm, built from its image row."""
+        return Perm(self._E[self.element_index(i)].tolist())
+
+    def element_index(self, p) -> int:
+        """Index of p, a Perm of this group or an element index.
+
+        An index is checked against 0..order-1, never wrapped; a Perm is
+        found by one binary search for its row among the sorted rows.
+        """
+        if not isinstance(p, Perm):
+            i = operator.index(p)
+            if not 0 <= i < self.order:
+                raise InputError(f"element index {i} out of range for order {self.order}")
+            return i
+        if p.degree == self.degree:
+            key = np.array(p.images, dtype=self._E.dtype).view(self._keys.dtype)
+            i = int(np.searchsorted(self._keys, key)[0])
+            if i < self.order and self._keys[i].tobytes() == key.tobytes():
+                return i
+        raise InputError(f"{p.cycle_string()} is not an element of {self.name}")
 
     def __contains__(self, p):
-        return isinstance(p, Perm) and p.images in self.index
+        """Whether p is a Perm of this group (an index is not an element)."""
+        if isinstance(p, Perm):
+            try:
+                self.element_index(p)
+                return True
+            except InputError:
+                pass
+        return False
 
     def mult_index(self, i: int, j: int) -> int:
         return int(self.table[i, j])

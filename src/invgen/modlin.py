@@ -25,7 +25,6 @@ import numpy as np
 from .errors import CapExceeded, InputError, PreconditionError
 from .gf import RowSpace, left_kernel, nullspace_right, rank, row_space_basis
 from .group import Group, is_prime, load_group, perms_from_images
-from .perm import Perm
 
 IRREDUCIBLE_ENUM_CAP = 4096  # vectors tried by the exhaustive spin test
 FIELD_ENUM_CAP = 4096  # elements enumerated when verifying E is a field
@@ -130,9 +129,7 @@ class ModuleAction:
         return mats
 
     def matrix(self, elem) -> np.ndarray:
-        if isinstance(elem, Perm):
-            elem = self.group.element_index(elem)
-        return self.matrices[int(elem)]
+        return self.matrices[self.group.element_index(elem)]
 
     def is_faithful(self) -> bool:
         keys = {m.tobytes() for m in self.matrices}

@@ -30,9 +30,11 @@ from .cheb import (
 )
 from .coverage import coverage_table, fpf_proportion, invariably_generates
 from .crowns import (
+    _affine_image_rows,
     _make_factor,
     abelian_crown,
     abelian_crown_power_with_embedding,
+    build_crown_power_abelian,
     build_crown_power_general,
     chief_series,
     corona_decomposition,
@@ -52,7 +54,6 @@ from .genlift import (
 )
 from .group import DEFAULT_CAPS, Group, load_group
 from .harness import read_corpus, realize_descriptor, run_survey, shipped_corpus_path
-from .perm import Perm
 from .rng import Stream
 from .subgroups import (
     _record,
@@ -241,7 +242,7 @@ def _check_descriptor_determinism(corpus: _Corpus, st: Stream):
     for desc in descs:
         A = load_group(desc)
         B = load_group(desc)
-        if [p.images for p in A.elements] != [p.images for p in B.elements]:
+        if not np.array_equal(A._E, B._E):
             bad.append(f"{A.name}: element order differs between runs")
         ca = [(c.rep, c.size) for c in A.conjugacy_classes()]
         cb = [(c.rep, c.size) for c in B.conjugacy_classes()]
@@ -548,7 +549,8 @@ def _check_criterion_soundness(corpus: _Corpus, st: Stream):
             npts = p ** (dim * u)
             if npts * act.group.order > DEFAULT_CAPS.order:
                 break
-            GA, emb = abelian_crown_power_with_embedding(act, u)
+            GA = build_crown_power_abelian(act, u)
+            image_rows = _affine_image_rows(act, u)  # the rows of embed's Perms
             brute_invgen = can_invgen and npts <= 128
             n_assign = p ** (d * u * dim)
             exhaustive = npts <= 256
@@ -562,10 +564,7 @@ def _check_criterion_soundness(corpus: _Corpus, st: Stream):
                         dtype=np.int64,
                     ).reshape(d, u, dim)
                 prob = LiftProblem(act, u, hs, ws)
-                idxs = [
-                    GA.element_index(emb(ws[i].reshape(-1), hs[i]))
-                    for i in range(d)
-                ]
+                idxs = GA._lookup(image_rows(ws, hs)).tolist()
                 if gen_criterion(prob) != (len(closure_indices(GA, idxs)) == GA.order):
                     bad.append(
                         f"{act.name} u={u}: gen criterion disagrees at {ws.tolist()}"
@@ -745,14 +744,12 @@ def _check_coordinate_copies(corpus: _Corpus, st: Stream):
         Lk = build_crown_power_general(L, A, k)
         trivial = _record(Lk, [0], ())
         copies = []
+        a_rows = L._E[A.member_indices()].astype(np.intp)
         for c in range(k):
-            members = []
-            for ai in A.member_indices():
-                images = list(range(Lk.degree))
-                imgs = L.elements[int(ai)].images
-                for i, img in enumerate(imgs):
-                    images[c * L.degree + i] = c * L.degree + img
-                members.append(Lk.element_index(Perm(images)))
+            # a in copy c: a on points c * deg(L) + x, the other copies fixed
+            rows = np.tile(np.arange(Lk.degree), (len(a_rows), 1))
+            rows[:, c * L.degree : (c + 1) * L.degree] = a_rows + c * L.degree
+            members = Lk._lookup(rows)
             rec = _record(Lk, members, small_generating_set(Lk, members))
             copies.append(rec)
         mins = {m.bits for m in minimal_normal_subgroups(Lk)}

@@ -131,7 +131,7 @@ def closure_indices(G: Group, gen_idxs) -> np.ndarray:
 
 def generated_subgroup(G: Group, elems) -> SubgroupRecord:
     """Subgroup generated by elements (Perms or element indices)."""
-    idxs = [e if isinstance(e, (int, np.integer)) else G.element_index(e) for e in elems]
+    idxs = [G.element_index(e) for e in elems]
     members = closure_indices(G, idxs)
     return _record(G, members, [i for i in idxs if i != 0])
 

@@ -281,7 +281,7 @@ def test_embed_matches_the_affine_map(name, u):
         B = np.kron(np.eye(u, dtype=np.int64), act.matrices[h])
         want = tuple((((allpts @ B + v) % p) @ powers).tolist())
         assert emb(v, h).images == want
-        assert emb(v, H.elements[h]).images == want
+        assert emb(v, H.element(h)).images == want
 
 
 def test_chief_series_is_built_once_per_tie_order(monkeypatch):

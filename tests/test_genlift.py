@@ -61,9 +61,7 @@ def test_dw_dimensions_s3():
 def test_build_dw_requires_generating_tuple():
     act = module_from_descriptor(S3_GL22)
     # a single involution generates only C2 < S3
-    invol = next(
-        i for i in _gen_indices(act) if act.group.elements[i].order() == 2
-    )
+    invol = next(i for i in _gen_indices(act) if act.group.element(i).order() == 2)
     with pytest.raises(PreconditionError):
         build_dw(act, [invol])
 
@@ -117,8 +115,8 @@ def test_invariable_mode_requires_invariably_generating_tuple():
     # dihedral subgroup, so they do not invariably generate
     with pytest.raises(PreconditionError):
         max_lift_rank(act, list(G.gen_indices), MODE_INVARIABLE)
-    o3 = next(i for i, g in enumerate(G.elements) if g.order() == 3)
-    o5 = next(i for i, g in enumerate(G.elements) if g.order() == 5)
+    o3 = next(i for i in range(G.order) if G.element(i).order() == 3)
+    o5 = next(i for i in range(G.order) if G.element(i).order() == 5)
     assert max_lift_rank(act, [o3, o5], MODE_GENERATE).u_max == 1
     assert max_lift_rank(act, [o3, o5], MODE_INVARIABLE).u_max == 0
 
@@ -190,7 +188,7 @@ def test_build_dw_is_cached_per_tuple():
     hs = tuple(_gen_indices(act))
     dw = build_dw(act, hs)
     assert build_dw(act, list(hs)) is dw
-    assert build_dw(act, [act.group.elements[i] for i in hs]) is dw
+    assert build_dw(act, [act.group.element(i) for i in hs]) is dw
     assert build_dw(act, hs[::-1]) is not dw
     fresh = _build_dw(act, hs)
     assert fresh is not dw
@@ -204,7 +202,7 @@ def test_build_dw_is_cached_per_tuple():
 
 def test_build_dw_failure_is_not_cached():
     act = module_from_descriptor(S3_GL22)
-    invol = next(i for i in _gen_indices(act) if act.group.elements[i].order() == 2)
+    invol = next(i for i in _gen_indices(act) if act.group.element(i).order() == 2)
     for _ in range(2):
         with pytest.raises(PreconditionError, match="do not generate"):
             build_dw(act, [invol])

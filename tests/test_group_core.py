@@ -14,13 +14,19 @@ from invgen import (
     CapExceeded,
     Group,
     InputError,
+    LiftProblem,
     Perm,
+    abelian_crown_power_with_embedding,
+    build_dw,
     load_group,
+    module_from_descriptor,
     read_corpus,
     realize_descriptor,
     shipped_corpus_path,
 )
+from invgen.coverage import _class_data, invariably_generates
 from invgen.group import DEFAULT_CAPS
+from invgen.subgroups import generated_subgroup
 
 
 def _perm_bfs_elements(generators, degree):
@@ -40,7 +46,18 @@ def _perm_bfs_elements(generators, degree):
     return tuple(sorted(seen.values()))
 
 
-def _perm_classes(G):
+def _reference(G):
+    """The reference enumeration of G and its own images -> index dict,
+    independent of the rows and lookups under test."""
+    ref = _perm_bfs_elements(G.generators, G.degree)
+    return ref, {p.images: i for i, p in enumerate(ref)}
+
+
+def _elements(G):
+    return tuple(G.element(i) for i in range(G.order))
+
+
+def _perm_classes(G, ref, index):
     """Reference classes: orbits under conjugation by two Perm products per
     element and generator.  Returns ([(rep, size, members bitset)] sorted by
     (size, rep), class index of each element)."""
@@ -54,10 +71,10 @@ def _perm_classes(G):
         orbit = [start]
         k = 0
         while k < len(orbit):
-            x = G.elements[orbit[k]]
+            x = ref[orbit[k]]
             k += 1
             for g, ginv in gen_perms:
-                yi = G.index[(ginv * x * g).images]
+                yi = index[(ginv * x * g).images]
                 if not assigned[yi]:
                     assigned[yi] = True
                     orbit.append(yi)
@@ -70,9 +87,9 @@ def _perm_classes(G):
     return [(min(o), len(o), sum(1 << i for i in o)) for o in orbits], class_of
 
 
-def _perm_inverses(G):
+def _perm_inverses(ref, index):
     """Reference inverse of every element, by inverting its Perm."""
-    return [G.index[p.inverse().images] for p in G.elements]
+    return [index[p.inverse().images] for p in ref]
 
 
 @pytest.fixture(scope="module")
@@ -187,7 +204,7 @@ def test_explicit_generator_descriptor():
     )
     assert q8.order == 8
     assert q8.name == "Q8"
-    orders = sorted(g.order() for g in q8.elements)
+    orders = sorted(g.order() for g in _elements(q8))
     assert orders == [1, 2, 4, 4, 4, 4, 4, 4]
 
 
@@ -305,17 +322,84 @@ def test_canonical_key_is_representation_stable():
     assert a.canonical_key() != load_group({"family": "cyclic", "n": 6}).canonical_key()
 
 
-def test_element_index_round_trip(s3):
-    for i, g in enumerate(s3.elements):
-        assert s3.element_index(g) == i
-    with pytest.raises(InputError):
-        s3.element_index(Perm((1, 0, 2, 3)))  # wrong degree
+def test_element_index_round_trip(corpus_groups, lift_ambients):
+    big = list(range(70_000))
+    big[0], big[-1] = big[-1], big[0]
+    edge_cases = (
+        Group([Perm.identity(1)], degree=1),
+        Group([], degree=5),  # generator-free, explicit degree
+        Group([Perm(big)]),  # 32-bit rows
+    )
+    assert max(G.degree for G in lift_ambients) == 729
+    for G in (*corpus_groups, *lift_ambients, *edge_cases):
+        for i in range(G.order):
+            g = G.element(i)
+            assert G.element_index(g) == i, G.name
+            assert g in G, G.name
+    a4 = load_group({"family": "alt", "n": 4})
+    for p in (Perm((1, 0, 2, 3)), Perm((1, 0, 2))):  # odd; wrong degree
+        assert p not in a4
+        with pytest.raises(InputError, match="not an element"):
+            a4.element_index(p)
+    assert 0 not in a4  # an index is not an element
+
+
+def test_class_orders_match_perm_order(corpus_groups, lift_ambients):
+    # the orders come from the representatives' rows; the oracle is Perm.order
+    for G in (*corpus_groups, *lift_ambients):
+        want = tuple(G.element(c.rep).order() for c in G.conjugacy_classes())
+        assert _class_data(G)[1] == want, G.name
+
+
+_S3_GL22 = {
+    "group": {"family": "sym", "n": 3},
+    "p": 2,
+    "matrices": [[[1, 0], [1, 1]], [[0, 1], [1, 1]]],
+}
+
+
+def _index_entry_points():
+    """name -> (group order, a call taking one element index)."""
+    s4 = load_group({"family": "sym", "n": 4})
+    act = module_from_descriptor(_S3_GL22)
+    _, embed = abelian_crown_power_with_embedding(act, 1)
+    zero = np.zeros((1, 1, 2), dtype=np.int64)
+    return {
+        "element_index": (24, s4.element_index),
+        "element": (24, s4.element),
+        "generated_subgroup": (24, lambda i: generated_subgroup(s4, [i])),
+        "invariably_generates": (24, lambda i: invariably_generates(s4, [i])),
+        "matrix": (6, act.matrix),
+        "embed": (6, lambda i: embed(zero.ravel(), i)),
+        "lift_problem": (6, lambda i: LiftProblem(act, 1, [i], zero)),
+        "build_dw": (6, lambda i: build_dw(act, [i])),
+    }
+
+
+@pytest.mark.parametrize("past", [False, True], ids=["minus_one", "order"])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "build_dw",
+        "element",
+        "element_index",
+        "embed",
+        "generated_subgroup",
+        "invariably_generates",
+        "lift_problem",
+        "matrix",
+    ],
+)
+def test_element_index_out_of_range_is_an_input_error(entry, past):
+    # -1 used to wrap to the last element, and order raised a bare IndexError
+    order, call = _index_entry_points()[entry]
+    with pytest.raises(InputError, match="out of range"):
+        call(order if past else -1)
 
 
 def _assert_matches_reference(G):
-    ref = _perm_bfs_elements(G.generators, G.degree)
-    assert G.elements == ref, G.name
-    index = {p.images: i for i, p in enumerate(ref)}
+    ref, index = _reference(G)
+    assert _elements(G) == ref, G.name
     assert G.gen_indices == tuple(index[g.images] for g in G.generators), G.name
 
 
@@ -338,8 +422,9 @@ def test_table_matches_products_on_corpus(corpus_groups):
         if G.order > 200:
             continue
         t = G.table
-        for i, a in enumerate(G.elements):
-            want = [G.index[(a * b).images] for b in G.elements]
+        ref, index = _reference(G)
+        for i, a in enumerate(ref):
+            want = [index[(a * b).images] for b in ref]
             assert t[i].tolist() == want, G.name
         checked += 1
     assert checked >= 40
@@ -394,11 +479,12 @@ def test_one_order_cap():
 
 
 def _assert_classes_match_reference(G):
-    classes, class_of = _perm_classes(G)
+    ref, index = _reference(G)
+    classes, class_of = _perm_classes(G, ref, index)
     got = [(c.rep, c.size, c.members) for c in G.conjugacy_classes()]
     assert got == classes, G.name
     assert G.class_of().tolist() == class_of, G.name
-    inverses = _perm_inverses(G)
+    inverses = _perm_inverses(ref, index)
     assert G.inverses().tolist() == inverses, G.name
     assert [G.inv_index(i) for i in range(G.order)] == inverses, G.name
 
@@ -417,17 +503,17 @@ def test_trivial_and_identity_only_generators():
     for gens in ([], [Perm.identity(5)], [Perm.identity(5), Perm.identity(5)]):
         G = Group(gens, degree=5)
         assert G.order == 1
-        assert G.elements == (Perm.identity(5),)
+        assert _elements(G) == (Perm.identity(5),)
         assert G.generators == ()
         assert G.gen_indices == ()
         assert G.table.tolist() == [[0]]
         assert G.conjugacy_classes()[0].size == 1
     G = Group([Perm.identity(1)], degree=1)
-    assert G.elements == (Perm.identity(1),)
+    assert _elements(G) == (Perm.identity(1),)
     # a degree-1 family and a nontrivial group with fixed points
     assert load_group({"family": "sym", "n": 1}).order == 1
     G = Group([Perm((1, 0, 2, 3))])
-    assert G.elements == (Perm.identity(4), Perm((1, 0, 2, 3)))
+    assert _elements(G) == (Perm.identity(4), Perm((1, 0, 2, 3)))
     assert G.table.tolist() == [[0, 1], [1, 0]]
 
 
@@ -438,6 +524,6 @@ def test_enumeration_above_uint16_degree():
     imgs[0], imgs[n - 1] = n - 1, 0
     G = Group([Perm(imgs)])
     assert G.order == 2
-    assert G.elements[1].images[0] == n - 1
+    assert G.element(1).images[0] == n - 1
     assert G.gen_indices == (1,)
     assert G.table.tolist() == [[0, 1], [1, 0]]

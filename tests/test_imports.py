@@ -53,3 +53,27 @@ def test_every_module_level_definition_is_used():
         if names := [name for name in defs if name not in referenced]:
             unused[path.name] = names
     assert unused == {}
+
+
+def _perm_isinstance_calls(path: Path) -> int:
+    """Calls isinstance(x, Perm) or isinstance(x, (..., Perm, ...))."""
+    count = 0
+    for node in ast.walk(_tree(path)):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+        ):
+            kinds = node.args[1]
+            names = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+            count += any(isinstance(n, ast.Name) and n.id == "Perm" for n in names)
+    return count
+
+
+def test_only_group_normalises_perms():
+    # Group.element_index is the one Perm-or-index normaliser; perm.py is
+    # exempt for Perm.__eq__
+    calls = {p.name: n for p in _modules() if (n := _perm_isinstance_calls(p))}
+    assert set(calls) <= {"group.py", "perm.py"}, calls
+    assert calls.get("perm.py") == 1

@@ -63,10 +63,8 @@ def test_fpf_proportion_rejects_whole_group(s3):
 
 
 def test_invariable_generation_s3(s3):
-    transposition = next(
-        i for i, g in enumerate(s3.elements) if g.order() == 2
-    )
-    rotation = next(i for i, g in enumerate(s3.elements) if g.order() == 3)
+    transposition = next(i for i in range(6) if s3.element(i).order() == 2)
+    rotation = next(i for i in range(6) if s3.element(i).order() == 3)
     assert invariably_generates(s3, [transposition, rotation])
     assert not invariably_generates(s3, [rotation])
     assert not invariably_generates(s3, [transposition])
@@ -82,8 +80,8 @@ def test_invariable_generation_trivial_group():
 def test_exhaustive_mode_agrees(s4):
     # class-based test vs direct enumeration over conjugate tuples
     by_order = {}
-    for i, g in enumerate(s4.elements):
-        by_order.setdefault(g.order(), i)
+    for i in range(s4.order):
+        by_order.setdefault(s4.element(i).order(), i)
     for pair in [(2, 3), (2, 4), (3, 4), (4, 4)]:
         elems = [by_order[o] for o in pair]
         fast = invariably_generates(s4, elems)
@@ -93,8 +91,8 @@ def test_exhaustive_mode_agrees(s4):
 
 def test_invariable_generation_is_class_function(s3):
     # replacing an element by any conjugate cannot change the answer
-    transposition = next(i for i, g in enumerate(s3.elements) if g.order() == 2)
-    rotation = next(i for i, g in enumerate(s3.elements) if g.order() == 3)
+    transposition = next(i for i in range(6) if s3.element(i).order() == 2)
+    rotation = next(i for i in range(6) if s3.element(i).order() == 3)
     base = invariably_generates(s3, [transposition, rotation])
     t = s3.table
     for x in range(6):
