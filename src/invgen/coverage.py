@@ -14,11 +14,19 @@ recursion on G/N, or it is a complement of N.  Only a group whose
 minimal normal subgroups are all nonabelian (a nonabelian socle) reads
 its maximal classes off the lattice.
 
+The covers are the rows of one boolean (maximal classes x element
+classes) array, each packed into an int bitmask with ``np.packbits``;
+the class element orders come from ``Group.class_orders``, which needs
+no multiplication table.
+
 Tables can be cached on disk; point INVGEN_CACHE_DIR at a directory to
 enable it.  The cache key is a hash of the cache format version and the
 group's canonical descriptor, so two differently-constructed copies of
 the same permutation group share an entry, and entries written in an
-older format are never read.
+older format are never read.  An entry lists each cover's class indices
+in ascending order, converted to and from the bitmask by unpacking and
+packing bits; an entry whose covers are not strictly ascending lists of
+in-range ints is treated as corrupt.
 """
 
 from __future__ import annotations
@@ -36,7 +44,14 @@ import numpy as np
 
 from .errors import CapExceeded, InputError
 from .group import Group
-from .subgroups import SubgroupRecord, closure_indices, maximal_classes, subgroup_conjugates
+from .subgroups import (
+    SubgroupRecord,
+    _row_bits,
+    bits_to_indices,
+    closure_indices,
+    maximal_classes,
+    subgroup_conjugates,
+)
 
 CACHE_ENV = "INVGEN_CACHE_DIR"
 # part of every cache key: entries written in another format are never read
@@ -98,24 +113,45 @@ class ClassCoverageTable:
             "class_orders": list(self.class_orders),
             "maximal_orders": list(self.maximal_orders),
             "maximal_counts": list(self.maximal_counts),
-            "covers": [
-                [c for c in range(nc) if (mask >> c) & 1] for mask in self.covers
-            ],
+            "covers": [bits_to_indices(mask, nc).tolist() for mask in self.covers],
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "ClassCoverageTable":
-        covers = tuple(
-            sum(1 << c for c in cover) for cover in data["covers"]
-        )
+        """The table of a cache entry; ValueError, TypeError or
+        OverflowError if a cover is not a strictly ascending list of
+        class indices."""
+        class_sizes = tuple(int(s) for s in data["class_sizes"])
         return cls(
             order=int(data["order"]),
-            class_sizes=tuple(int(s) for s in data["class_sizes"]),
+            class_sizes=class_sizes,
             class_orders=tuple(int(s) for s in data["class_orders"]),
             maximal_orders=tuple(int(s) for s in data["maximal_orders"]),
             maximal_counts=tuple(int(s) for s in data["maximal_counts"]),
-            covers=covers,
+            covers=_cover_masks(data["covers"], len(class_sizes)),
         )
+
+
+def _cover_masks(covers, num_classes: int) -> tuple[int, ...]:
+    """The bitmasks of a cache entry's covers, each of which must list
+    class indices below num_classes as non-bool ints in strictly
+    ascending order; a repeated index would otherwise carry into another
+    bit.  All covers are checked and packed together, as the rows of one
+    boolean array."""
+    if not (isinstance(covers, list) and all(isinstance(c, list) for c in covers)):
+        raise TypeError("covers must be lists of class indices")
+    if not set(map(type, itertools.chain.from_iterable(covers))) <= {int}:
+        raise TypeError("a class index must be an int")
+    lengths = [len(c) for c in covers]
+    flat = np.fromiter(itertools.chain.from_iterable(covers), dtype=np.int64, count=sum(lengths))
+    row = np.repeat(np.arange(len(covers)), lengths)
+    if flat.size and (flat.min() < 0 or flat.max() >= num_classes):
+        raise ValueError("cover index out of range")
+    if ((flat[1:] <= flat[:-1]) & (row[1:] == row[:-1])).any():
+        raise ValueError("cover indices not strictly ascending")
+    hit = np.zeros((len(covers), num_classes), dtype=bool)
+    hit[row, flat] = True
+    return tuple(_row_bits(hit))
 
 
 def _cache_path(G: Group):
@@ -128,25 +164,9 @@ def _cache_path(G: Group):
 
 
 def _class_data(G: Group) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(class sizes, element order of each class), in class-index order.
-
-    A representative's order is the lcm of its cycle lengths, read from
-    its image row alone, since the cache check has no table.  All rows
-    are squared together, r -> r^2, while each point keeps the least of
-    its first 2^j images; once 2^j reaches the degree that is the least
-    point of its cycle, and the points sharing it make up the cycle.
-    """
-    classes = G.conjugacy_classes()
-    k, d = len(classes), G.degree
-    # point x of the r-th representative is r * d + x, so one flat gather
-    # applies every representative at once
-    power = (G._E[[c.rep for c in classes]] + d * np.arange(k)[:, None]).ravel()
-    least = np.arange(k * d)
-    for _ in range((d - 1).bit_length()):  # until 2^j >= d
-        least = np.minimum(least, least[power])
-        power = power[power]
-    lengths = np.bincount(least, minlength=k * d)[least].reshape(k, d)
-    return tuple(c.size for c in classes), tuple(np.lcm.reduce(lengths, axis=1).tolist())
+    """(class sizes, element order of each class), in class-index order:
+    what the cache check compares, read without the table."""
+    return tuple(c.size for c in G.conjugacy_classes()), G.class_orders()
 
 
 def _compute_table(G: Group) -> ClassCoverageTable:
@@ -162,17 +182,17 @@ def _compute_table(G: Group) -> ClassCoverageTable:
     class_sizes, class_orders = _class_data(G)
     class_of = G.class_of()
     maximal = maximal_classes(G)
-    covers = []
-    for masks in maximal:
-        hit = np.unique(class_of[masks[0]])
-        covers.append(int(sum(1 << int(c) for c in hit)))
+    # hit[m, c]: class c meets the m-th maximal class's first conjugate
+    hit = np.zeros((len(maximal), len(class_sizes)), dtype=bool)
+    for m, masks in enumerate(maximal):
+        hit[m, class_of[masks[0]]] = True
     return ClassCoverageTable(
         order=G.order,
         class_sizes=class_sizes,
         class_orders=class_orders,
         maximal_orders=tuple(int(masks[0].sum()) for masks in maximal),
         maximal_counts=tuple(len(masks) for masks in maximal),
-        covers=tuple(covers),
+        covers=tuple(_row_bits(hit)),
     )
 
 
@@ -180,9 +200,9 @@ def coverage_table(G: Group, use_cache: bool = True) -> ClassCoverageTable:
     """Coverage table for G, from the in-memory or on-disk cache if possible.
 
     A disk entry is served only if its order and class sizes and orders
-    are G's and every cover indexes one of G's classes; anything else
-    (corrupt, stale or another group's table) is recomputed and
-    rewritten.
+    are G's and every cover lists G's class indices in strictly ascending
+    order; anything else (corrupt, stale or another group's table) is
+    recomputed and rewritten.
     """
     if G._coverage is not None:
         return G._coverage
@@ -191,11 +211,10 @@ def coverage_table(G: Group, use_cache: bool = True) -> ClassCoverageTable:
         try:
             with open(path) as fh:
                 table = ClassCoverageTable.from_json(json.load(fh))
-        except (ValueError, KeyError, TypeError, OSError):
+        except (ValueError, KeyError, TypeError, OverflowError, OSError):
             table = None  # corrupt entry: recompute
         if table is not None and (
             (table.order, table.class_sizes, table.class_orders) == (G.order, *_class_data(G))
-            and all(c >> table.num_classes == 0 for c in table.covers)
         ):
             G._coverage = table
             return table
@@ -214,7 +233,8 @@ def _write_entry(path: str, table: ClassCoverageTable) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(table.to_json(), fh)
+            # the C encoder; json.dump writes the same text in pure Python
+            fh.write(json.dumps(table.to_json()))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -303,9 +323,8 @@ def coverage_to_csv(table: ClassCoverageTable, fh) -> None:
             "class_indices",
         ]
     )
-    nc = table.num_classes
-    for m in range(table.num_maximal_classes):
-        idxs = [c for c in range(nc) if (table.covers[m] >> c) & 1]
+    for m, mask in enumerate(table.covers):
+        idxs = bits_to_indices(mask, table.num_classes).tolist()
         writer.writerow(
             [
                 table.maximal_orders[m],

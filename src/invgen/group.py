@@ -191,7 +191,7 @@ def bit_indices(bits: int):
 # image rows
 
 _LOOKUP_CHUNK = 256  # rows per searchsorted batch in Group._lookup_all
-_TABLE_CHUNK = 1 << 16  # entries per row gather in Group.table
+_TABLE_CHUNK = 1 << 16  # entries per gather in Group.table and Group.class_orders
 
 
 def _row_dtype(degree: int) -> np.dtype:
@@ -273,6 +273,7 @@ class Group:
         self._conj_maps = None
         self._classes = None
         self._class_of = None
+        self._class_orders = None
         self._lattice = None
         self._coverage = None
         self._normals = None
@@ -445,6 +446,38 @@ class Group:
     def class_of(self) -> np.ndarray:
         self.conjugacy_classes()
         return self._class_of
+
+    def class_orders(self) -> tuple[int, ...]:
+        """Element order of each conjugacy class, in class-index order.
+
+        A representative's order is the lcm of its cycle lengths, read
+        from its image row alone, so neither the coverage cache check nor
+        the search for prime-order classes needs the table.  The rows are
+        squared together, r -> r^2, while each point keeps the least of
+        its first 2^j images; once 2^j reaches the degree that is the
+        least point of its cycle, and the points sharing it make up the
+        cycle.  Representatives go through in chunks of about
+        _TABLE_CHUNK points, so a regular quotient's d x d rows stay small.
+        """
+        if self._class_orders is None:
+            d = self.degree
+            reps = self._E[[c.rep for c in self.conjugacy_classes()]]
+            step = max(1, _TABLE_CHUNK // d)
+            orders = []
+            for s in range(0, len(reps), step):
+                rows = reps[s : s + step]
+                k = len(rows)
+                # point x of the r-th row is r * d + x, so one flat gather
+                # applies every row at once
+                power = (rows + d * np.arange(k)[:, None]).ravel()
+                least = np.arange(k * d)
+                for _ in range((d - 1).bit_length()):  # until 2^j >= d
+                    least = np.minimum(least, least[power])
+                    power = power[power]
+                lengths = np.bincount(least, minlength=k * d)[least].reshape(k, d)
+                orders += np.lcm.reduce(lengths, axis=1).tolist()
+            self._class_orders = tuple(orders)
+        return self._class_orders
 
     # -- serialization ---------------------------------------------------------
 

@@ -519,13 +519,27 @@ def _lift_instances(corpus: _Corpus):
     return out
 
 
-def _decode_ws(idx: int, p: int, d: int, u: int, dim: int) -> np.ndarray:
-    digits = []
-    rest = idx
-    for _ in range(d * u * dim):
-        digits.append(rest % p)
-        rest //= p
-    return np.array(digits, dtype=np.int64).reshape(d, u, dim)
+_WS_BLOCK = 4096  # indices decoded per step by _ws_samples
+
+
+def _ws_samples(p: int, d: int, u: int, dim: int, st: Stream | None, count: int | None = None):
+    """Translation parts ws of shape (d, u, dim) over GF(p), one at a time.
+
+    With no count, all p^(d*u*dim) of them in index order: the idx-th
+    holds the base-p digits of idx, least significant first, decoded a
+    block of indices at a time against the precomputed powers of p.
+    With a count, that many, each drawn from st one entry at a time.
+    """
+    n = d * u * dim
+    if count is not None:
+        for _ in range(count):
+            yield np.array([st.randbelow(p) for _ in range(n)], dtype=np.int64).reshape(d, u, dim)
+        return
+    powers = p ** np.arange(n, dtype=np.int64)
+    total = p**n
+    for s in range(0, total, _WS_BLOCK):
+        idx = np.arange(s, min(s + _WS_BLOCK, total), dtype=np.int64)[:, None]
+        yield from (idx // powers % p).reshape(len(idx), d, u, dim)
 
 
 def _check_criterion_soundness(corpus: _Corpus, st: Stream):
@@ -552,17 +566,8 @@ def _check_criterion_soundness(corpus: _Corpus, st: Stream):
             GA = build_crown_power_abelian(act, u)
             image_rows = _affine_image_rows(act, u)  # the rows of embed's Perms
             brute_invgen = can_invgen and npts <= 128
-            n_assign = p ** (d * u * dim)
             exhaustive = npts <= 256
-            count = n_assign if exhaustive else 500
-            for idx in range(count):
-                if exhaustive:
-                    ws = _decode_ws(idx, p, d, u, dim)
-                else:
-                    ws = np.array(
-                        [st.randbelow(p) for _ in range(d * u * dim)],
-                        dtype=np.int64,
-                    ).reshape(d, u, dim)
+            for ws in _ws_samples(p, d, u, dim, st, None if exhaustive else 500):
                 prob = LiftProblem(act, u, hs, ws)
                 idxs = GA._lookup(image_rows(ws, hs)).tolist()
                 if gen_criterion(prob) != (len(closure_indices(GA, idxs)) == GA.order):
@@ -594,14 +599,7 @@ def _check_rank_formula(corpus: _Corpus, st: Stream):
             u_over = r.u_max + 1
             n_assign = p ** (dim * d * u_over)
             exhaustive = n_assign <= 2**16
-            for idx in range(n_assign if exhaustive else 1000):
-                if exhaustive:
-                    ws_over = _decode_ws(idx, p, d, u_over, dim)
-                else:
-                    ws_over = np.array(
-                        [st.randbelow(p) for _ in range(d * u_over * dim)],
-                        dtype=np.int64,
-                    ).reshape(d, u_over, dim)
+            for ws_over in _ws_samples(p, d, u_over, dim, st, None if exhaustive else 1000):
                 if crit(LiftProblem(act, u_over, hs, ws_over)):
                     bad.append(f"{act.name} {mode}: witness exists past u_max at u = {u_over}")
                     break

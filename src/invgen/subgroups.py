@@ -436,16 +436,7 @@ def normal_subgroups(G: Group) -> list[SubgroupRecord]:
 
 def _prime_order_classes(G: Group):
     """Conjugacy classes of elements of prime order, in class order."""
-    t = G.table
-    out = []
-    for c in G.conjugacy_classes():
-        order, x = 1, c.rep
-        while x != 0:
-            x = int(t[x, c.rep])
-            order += 1
-        if is_prime(order):
-            out.append(c)
-    return out
+    return [c for c, o in zip(G.conjugacy_classes(), G.class_orders()) if is_prime(o)]
 
 
 def minimal_normal_subgroups(G: Group) -> list[SubgroupRecord]:
@@ -493,7 +484,7 @@ class QuotientMap:
 
     def image_bits(self, bits: int) -> int:
         idxs = bits_to_indices(bits, self.source.order)
-        return indices_to_bits(np.unique(self.index_map[idxs]), self.group.order)
+        return indices_to_bits(self.index_map[idxs], self.group.order)
 
     def preimage_bits(self, qbits: int) -> int:
         qmask = np.zeros(self.group.order, dtype=bool)

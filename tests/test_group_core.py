@@ -24,9 +24,9 @@ from invgen import (
     realize_descriptor,
     shipped_corpus_path,
 )
-from invgen.coverage import _class_data, invariably_generates
-from invgen.group import DEFAULT_CAPS
-from invgen.subgroups import generated_subgroup
+from invgen.coverage import invariably_generates
+from invgen.group import DEFAULT_CAPS, is_prime
+from invgen.subgroups import _prime_order_classes, generated_subgroup
 
 
 def _perm_bfs_elements(generators, degree):
@@ -346,9 +346,29 @@ def test_element_index_round_trip(corpus_groups, lift_ambients):
 
 def test_class_orders_match_perm_order(corpus_groups, lift_ambients):
     # the orders come from the representatives' rows; the oracle is Perm.order
-    for G in (*corpus_groups, *lift_ambients):
+    regular = Group([Perm(tuple(range(1, 300)) + (0,))])  # 300 classes of 300 points: two chunks
+    for G in (*corpus_groups, *lift_ambients, regular):
         want = tuple(G.element(c.rep).order() for c in G.conjugacy_classes())
-        assert _class_data(G)[1] == want, G.name
+        assert G.class_orders() == want, G.name
+
+
+def _prime_order_classes_by_table(G):
+    """Reference: each representative's order by walking its powers in the table."""
+    t = G.table
+    out = []
+    for c in G.conjugacy_classes():
+        order, x = 1, c.rep
+        while x != 0:
+            x = int(t[x, c.rep])
+            order += 1
+        if is_prime(order):
+            out.append(c)
+    return out
+
+
+def test_prime_order_classes_match_the_table_walk(corpus_groups, lift_ambients):
+    for G in (*corpus_groups, *lift_ambients):
+        assert _prime_order_classes(G) == _prime_order_classes_by_table(G), G.name
 
 
 _S3_GL22 = {

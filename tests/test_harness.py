@@ -227,6 +227,18 @@ def test_foreign_coverage_cache_entry_is_recomputed(tmp_path, monkeypatch):
     s3 = load_group({"family": "sym", "n": 3})
     assert coverage_table(s3) == expected
 
+    # covers that are not strictly ascending lists of class indices: a
+    # repeated index would carry into another bit, true would read as 1
+    assert expected.to_json()["covers"] == [[0, 2], [0, 1]]
+    for bad in ([0, 0, 2], [2, 0], [0, True], [-1, 2], [0, 2.0], [0, 10**30, 2]):
+        data = expected.to_json()
+        data["covers"][0] = bad
+        with open(_cache_path(s3), "w") as fh:
+            json.dump(data, fh)
+        s3 = load_group({"family": "sym", "n": 3})
+        assert coverage_table(s3) == expected, bad
+        assert json.loads(open(_cache_path(s3)).read()) == expected.to_json(), bad
+
 
 def test_unversioned_coverage_cache_entry_is_not_served(tmp_path, monkeypatch):
     # an entry under the key without the format version, with a cover
