@@ -393,7 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus", nargs="?", default=None,
                    help="corpus path (default: shipped corpus)")
     p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes (default 1); each row's Monte Carlo"
+                        " kernel already uses every usable CPU")
     _add_common(p, seed_default=20_260_814)
     p.set_defaults(fn=_cmd_survey)
 

@@ -10,10 +10,11 @@ exception, as "<Type>: <message>" with its traceback on stderr, and
 the property battery's survey check counts every errored row as a
 violation.
 
-Rows are computed by a process pool when threads > 1 and written in
-corpus order either way; every row's Monte Carlo seed derives from
-(base seed, line index), so output bytes depend only on (corpus,
-trials, seed).
+Rows are computed by a pool of `threads` worker processes (never more
+than there are rows) when threads > 1, and written in corpus order
+either way; each row's Monte Carlo kernel already runs on every usable
+CPU.  Every row's Monte Carlo seed derives from (base seed, line
+index), so output bytes depend only on (corpus, trials, seed).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import csv
 import json
 import math
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib.resources import files as _pkg_files
@@ -205,18 +205,25 @@ def run_survey(
     """One SurveyRow per corpus line, in corpus order.
 
     Writes JSONL to out_path and a CSV sibling (same stem) when
-    out_path is given.  Row i's Monte Carlo stream is seeded from
-    (seed, i), so any thread count produces identical output.
+    out_path is given.  threads counts worker processes, capped at the
+    number of rows.  Row i's Monte Carlo stream is seeded from (seed, i),
+    so any thread count produces identical output.
     """
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
+    if threads < 1:
+        raise InputError(f"threads must be >= 1, got {threads}")
     corpus = read_corpus(corpus_path)
     tasks = [
         (desc, trials, int(stream_state(seed, i)))
         for i, desc in enumerate(corpus)
     ]
     if threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # imported here: the process pool pulls in multiprocessing and logging
+        from concurrent.futures import ProcessPoolExecutor
+
+        # the pool forks all its workers up front
+        with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
             rows = list(pool.map(_survey_task, tasks))
     else:
         rows = [_survey_task(t) for t in tasks]

@@ -1,6 +1,9 @@
 """Exact values, truncation identity, and Monte Carlo agreement for C(G)."""
 
 import json
+import os
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +22,7 @@ from invgen import (
     p_invariable_montecarlo,
     truncated_expectation,
 )
+from invgen import cheb
 from invgen.cheb import MAX_DRAWS_PER_TRIAL, _reduced_covers
 from invgen.harness import read_corpus, realize_descriptor, shipped_corpus_path
 from invgen.rng import randbelow, stream_state
@@ -314,6 +318,99 @@ def test_p_invariable_mc_is_the_draw_count_share(mc_group):
     for k in range(4):
         rep = p_invariable_montecarlo(mc_group, k, trials=300, seed=4)
         assert rep.p_hat == (counts <= k).mean()
+
+
+# a kernel call splits its trials into contiguous parts, one per usable
+# CPU but none under MC_MIN_PART_TRIALS; this many trials split unevenly
+# into two or three parts
+PART_TRIALS = 3 * cheb.MC_MIN_PART_TRIALS + 7
+
+
+def _force_parts(monkeypatch, parts: int, fail: bool = False) -> list:
+    """Make the kernel see `parts` usable CPUs and record each part it
+    runs as (first trial, size, ran in the calling thread); with fail,
+    every part but the first raises instead."""
+    ran = []
+    real = cheb._mc_part
+    caller = threading.current_thread()
+
+    def spy(words, n, seed, limit, first, out):
+        ran.append((first, out.size, threading.current_thread() is caller))
+        if fail and first:
+            raise RuntimeError(f"part at trial {first} failed")
+        real(words, n, seed, limit, first, out)
+
+    monkeypatch.setattr(cheb, "_usable_cpus", lambda: parts)
+    monkeypatch.setattr(cheb, "_mc_part", spy)
+    return ran
+
+
+def _check_split(ran: list, parts: int, G) -> None:
+    if G.order == 1:  # no covers: the kernel draws nothing and runs no part
+        assert ran == []
+        return
+    ran.sort()
+    assert len(ran) == parts
+    assert [first for first, _, _ in ran] == [
+        sum(size for _, size, _ in ran[:i]) for i in range(parts)
+    ]
+    assert sum(size for _, size, _ in ran) == PART_TRIALS
+    assert min(size for _, size, _ in ran) >= cheb.MC_MIN_PART_TRIALS
+    assert [in_caller for _, _, in_caller in ran] == [True] + [False] * (parts - 1)
+
+
+@pytest.mark.parametrize("limit", [MAX_DRAWS_PER_TRIAL, 0, 1, 2, 3])
+def test_mc_parts_give_identical_counts(mc_group, monkeypatch, limit):
+    threads = threading.active_count()
+    counts = []
+    for parts in (1, 2, 3):
+        ran = _force_parts(monkeypatch, parts)
+        counts.append(cheb._mc_draw_counts(mc_group, PART_TRIALS, seed=13, limit=limit))
+        _check_split(ran, parts, mc_group)
+        assert threading.active_count() == threads  # no thread outlives the call
+    assert np.array_equal(counts[0], counts[1])
+    assert np.array_equal(counts[0], counts[2])
+
+
+def test_mc_parts_outnumbering_cores_under_frequent_switches(load, monkeypatch):
+    # more parts than this host has cores, and the interpreter switching
+    # threads every microsecond: the parts still fill disjoint slices
+    G = load(MC_GROUPS["elemab_2_7"])
+    trials = 4 * cheb.MC_MIN_PART_TRIALS
+    monkeypatch.setattr(cheb, "_usable_cpus", lambda: 1)
+    serial = cheb._mc_draw_counts(G, trials, seed=21)
+    monkeypatch.setattr(cheb, "_usable_cpus", lambda: 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        split = cheb._mc_draw_counts(G, trials, seed=21)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(serial, split)
+
+
+def test_mc_small_calls_stay_in_the_calling_thread(s3, monkeypatch):
+    # the tests' 300 trials, pinv's 4096, and anything short of two
+    # minimum parts run as one part even with CPUs to spare
+    for trials in (300, 4096, 2 * cheb.MC_MIN_PART_TRIALS - 1):
+        ran = _force_parts(monkeypatch, 8)
+        cheb._mc_draw_counts(s3, trials, seed=2)
+        assert ran == [(0, trials, True)]
+
+
+def test_mc_part_error_reaches_the_caller(s3, monkeypatch):
+    before = threading.active_count()
+    ran = _force_parts(monkeypatch, 3, fail=True)
+    with pytest.raises(RuntimeError, match="failed"):
+        cheb._mc_draw_counts(s3, PART_TRIALS, seed=1)
+    assert len(ran) == 3
+    assert threading.active_count() == before
+
+
+def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
+    assert cheb._usable_cpus() >= 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert cheb._usable_cpus() == (os.cpu_count() or 1)
 
 
 def test_mc_trivial_group_needs_no_draws():

@@ -226,6 +226,13 @@ def test_exit_code_input_error(capsys):
         assert "input error" in err
 
 
+def test_survey_needs_a_worker(capsys, mini_corpus):
+    for threads in ("0", "-3"):
+        code, _, err = run(capsys, "survey", mini_corpus, "--threads", threads)
+        assert code == 2
+        assert "threads must be >= 1" in err
+
+
 def test_exit_code_cap_exceeded(capsys):
     code, _, err = run(capsys, "cheb", "exact", '{"family": "sym", "n": 99}')
     assert code == 3

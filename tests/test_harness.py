@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import invgen
 from invgen import (
     AGL_SUPPORTED_Q,
     InputError,
@@ -81,6 +84,64 @@ def test_survey_bytes_identical_across_threads(mini_corpus, tmp_path):
         )
         outs.append(path.read_bytes())
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_survey_pool_never_outnumbers_rows(mini_corpus, monkeypatch):
+    import concurrent.futures
+
+    asked = []
+
+    class SpyPool:
+        """Records max_workers and maps in this process: no fork."""
+
+        def __init__(self, max_workers=None, **kwargs):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+    serial = run_survey(mini_corpus, trials=300, seed=3, **QUIET)
+    assert asked == []
+    for threads in (2, 3, 4, 5000):
+        rows = run_survey(mini_corpus, trials=300, seed=3, threads=threads, **QUIET)
+        assert rows == serial
+    assert asked == [2, 3, 3, 3]  # the mini corpus has three rows
+
+
+def test_forked_survey_workers_run_threaded_kernels(mini_corpus, tmp_path):
+    # each pool worker's Monte Carlo calls start and join their own
+    # threads, and the parent ran one such call before forking: a lock
+    # held across the fork would hang the pool until the timeout
+    from invgen.cheb import MC_MIN_PART_TRIALS
+
+    trials = 2 * MC_MIN_PART_TRIALS + 7
+    serial = tmp_path / "t1.jsonl"
+    run_survey(mini_corpus, trials=trials, seed=5, out_path=str(serial), **QUIET)
+    pooled = tmp_path / "t2.jsonl"
+    script = (
+        "import sys\n"
+        "from invgen import chebotarev_montecarlo, load_group, run_survey\n"
+        "corpus, trials, out = sys.argv[1], int(sys.argv[2]), sys.argv[3]\n"
+        "chebotarev_montecarlo(load_group({'family': 'sym', 'n': 3}), trials, seed=1)\n"
+        "run_survey(corpus, trials=trials, seed=5, out_path=out, threads=2,"
+        " echo=lambda *_: None)\n"
+    )
+    src = os.path.dirname(os.path.dirname(invgen.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    subprocess.run(
+        [sys.executable, "-c", script, mini_corpus, str(trials), str(pooled)],
+        env=env, check=True, timeout=120,
+    )
+    assert pooled.read_bytes() == serial.read_bytes()
 
 
 def test_survey_seed_changes_mc_only(mini_corpus):

@@ -1,6 +1,10 @@
-"""Import hygiene of the package modules, read from their syntax trees."""
+"""Import hygiene of the package modules: their syntax trees, and what
+importing the package loads."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import invgen
@@ -26,6 +30,23 @@ def _unused_imports(path: Path) -> list[str]:
             imported += [a.asname or a.name for a in node.names]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [name for name in imported if name not in used]
+
+
+def test_import_leaves_the_process_pool_out():
+    # run_survey imports its process pool only when it starts one
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p
+    ))
+    probe = (
+        "import sys, invgen\n"
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process')"
+        " if m in sys.modules])\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_every_module_import_is_used():
