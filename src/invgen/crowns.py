@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded, InputError, InvgenError, PreconditionError
-from .group import Group, _int_param, is_prime, load_group
+from .group import Group, _int_param, _row_dtype, is_prime, load_group
 from .gf import rank
 from .modlin import ModuleAction, intertwiners, module_from_descriptor
 from .perm import Perm
@@ -440,12 +440,14 @@ def _affine_image_rows(act: ModuleAction, u: int):
     """image_rows(vs, his): row i is the images of the p^(dim u) points of
     V^u under x -> x @ diag-block(M_h) + vs[i], h the element of index
     his[i]: the encoded linear map, built once per h, gathered through the
-    encoded translation, built once per v."""
+    encoded translation, built once per v.  Rows are in the group's row
+    dtype, so they need no conversion before ``Group._lookup``."""
     p, K = act.p, act.dim * u
+    dtype = _row_dtype(p**K)
     powers = p ** np.arange(K, dtype=np.int64)
     allpts = (np.arange(p**K, dtype=np.int64)[:, None] // powers) % p
     linear = {}  # hi -> the code of x @ diag-block(M_h), per point x
-    shift = {}  # code of v -> the code of x + v, per point x
+    shift = {}  # code of v -> the code of x + v, per point x, in dtype
 
     def image_rows(vs, his) -> np.ndarray:
         vs = np.asarray(vs, dtype=np.int64).reshape(len(his), K) % p
@@ -455,9 +457,9 @@ def _affine_image_rows(act: ModuleAction, u: int):
                 B = np.kron(np.eye(u, dtype=np.int64), act.matrices[hi])
                 linear[hi] = (allpts @ B % p) @ powers
             if code not in shift:
-                shift[code] = ((allpts + v) % p) @ powers
+                shift[code] = (((allpts + v) % p) @ powers).astype(dtype)
             rows.append(shift[code][linear[hi]])
-        return np.array(rows)
+        return np.array(rows, dtype=dtype)
 
     return image_rows
 

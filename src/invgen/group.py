@@ -8,8 +8,15 @@ are deterministic.  The rows are the only element representation: a Perm
 is built from a row only when asked (``Group.element``).  Enumeration
 applies a generator to a whole BFS frontier of rows with one gather, and
 a row is looked up by ``np.searchsorted`` on a void view of the array.
-Sizes are desk scale and guarded by two caps (``Caps``), each raising
-``CapExceeded``:
+The multiplication table stores each entry, an element index below the
+order, in the smallest unsigned type that holds order - 1
+(``np.min_scalar_type``): uint8 up to order 256 and uint16 up to 65 536,
+so at the order cap a table takes 2 bytes per entry, 8 MB.  Entries are
+read only as indices or through ``int()``, since arithmetic on an
+unsigned numpy scalar wraps.
+
+Sizes are desk scale and guarded by two caps (``Caps``, each a positive
+int, else ``InputError``), each raising ``CapExceeded`` when passed:
 
     order  <= 2_000     checked while enumerating, so every group can
                         build its multiplication table, the one primitive
@@ -41,6 +48,12 @@ from .perm import Perm
 class Caps:
     order: int = 2_000
     degree: int = 64
+
+    def __post_init__(self):
+        for name in ("order", "degree"):
+            val = getattr(self, name)
+            if isinstance(val, bool) or not isinstance(val, int) or val < 1:
+                raise InputError(f"cap {name!r} must be a positive integer, got {val!r}")
 
 
 DEFAULT_CAPS = Caps()
@@ -240,7 +253,8 @@ def _enumerate_rows(generators, degree: int, order_cap: int) -> np.ndarray:
     del seen
     rows = _big_endian(np.concatenate(found), dtype)
     del found
-    return _big_endian(rows[np.lexsort(rows.T[::-1])], dtype)
+    # big-endian, so sorting the rows' bytes sorts them lexicographically
+    return rows[np.argsort(_void_view(rows), kind="stable")]
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +359,13 @@ class Group:
     def table(self) -> np.ndarray:
         """Full index multiplication table, table[i, j] = index(e_i * e_j).
 
+        Entries are in np.min_scalar_type(order - 1): uint8 up to order
+        256, uint16 up to 65 536, so every group under the order cap takes
+        at most 2 bytes per entry.  They are unsigned, the narrowest type
+        that holds every index, so read them as indices or through
+        ``int()``: numpy arithmetic on a uint8 or uint16 entry wraps, and
+        so does a write of -1 into an array of the table's type.
+
         The left-multiplication map of a generator g sends e to g * e,
         whose images are e(g(x)): the rows E[:, E[g]] of the sorted
         image-row array, looked up by ``searchsorted`` in chunks.  The
@@ -360,8 +381,9 @@ class Group:
             for gi in self.gen_indices:
                 cols = self._E[gi].astype(np.intp)
                 left.append(self._lookup_all(lambda rows: rows[:, cols]))
-            table = np.empty((n, n), dtype=np.int32)
-            table[0] = np.arange(n, dtype=np.int32)
+            dtype = np.min_scalar_type(n - 1)
+            table = np.empty((n, n), dtype=dtype)
+            table[0] = np.arange(n, dtype=dtype)
             visited = np.zeros(n, dtype=bool)
             visited[0] = True
             step = max(1, _TABLE_CHUNK // n)

@@ -24,7 +24,7 @@ from invgen import (
     shipped_corpus_path,
     verify_sotto,
 )
-from invgen.crowns import _make_factor
+from invgen.crowns import _affine_image_rows, _make_factor
 from invgen.subgroups import _lattice, frattini, minimal_normal_subgroups, subgroup_lattice
 
 S3_GL22 = {
@@ -271,7 +271,8 @@ def test_embed_matches_the_affine_map(name, u):
     desc = next(d for d in read_corpus(shipped_corpus_path()) if d.get("name") == name)
     act = module_from_descriptor(desc["module"])
     H, p, K = act.group, act.p, act.dim * u
-    _, emb = abelian_crown_power_with_embedding(act, u)
+    GA, emb = abelian_crown_power_with_embedding(act, u)
+    image_rows = _affine_image_rows(act, u)
     powers = p ** np.arange(K, dtype=np.int64)
     allpts = (np.arange(p**K, dtype=np.int64)[:, None] // powers) % p
     rng = np.random.default_rng(20261018)
@@ -282,6 +283,8 @@ def test_embed_matches_the_affine_map(name, u):
         want = tuple((((allpts @ B + v) % p) @ powers).tolist())
         assert emb(v, h).images == want
         assert emb(v, H.element(h)).images == want
+        rows = image_rows(v, [h])  # in the ambient's row dtype, ready for _lookup
+        assert rows.dtype == GA._E.dtype and tuple(rows[0].tolist()) == want
 
 
 def test_chief_series_is_built_once_per_tie_order(monkeypatch):

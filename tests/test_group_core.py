@@ -24,9 +24,17 @@ from invgen import (
     realize_descriptor,
     shipped_corpus_path,
 )
-from invgen.coverage import invariably_generates
+from invgen.cheb import inclusion_exclusion_profile
+from invgen.coverage import coverage_table, invariably_generates
+from invgen.crowns import chief_series
 from invgen.group import DEFAULT_CAPS, is_prime
-from invgen.subgroups import _prime_order_classes, generated_subgroup
+from invgen.subgroups import (
+    _prime_order_classes,
+    _row_bits,
+    closure_indices,
+    generated_subgroup,
+    maximal_classes,
+)
 
 
 def _perm_bfs_elements(generators, degree):
@@ -460,8 +468,9 @@ def _table_by_rows(G):
     for gi in G.gen_indices:
         cols = G._E[gi].astype(np.intp)
         left[gi] = G._lookup_all(lambda rows: rows[:, cols])
-    table = np.empty((n, n), dtype=np.int32)
-    table[0] = np.arange(n, dtype=np.int32)
+    dtype = np.min_scalar_type(n - 1)
+    table = np.empty((n, n), dtype=dtype)
+    table[0] = np.arange(n, dtype=dtype)
     visited = np.zeros(n, dtype=bool)
     visited[0] = True
     frontier = [0]
@@ -483,6 +492,90 @@ def test_table_matches_the_per_row_bfs(corpus_groups, lift_ambients):
         want = _table_by_rows(G)
         assert G.table.dtype == want.dtype, G.name
         assert np.array_equal(G.table, want), G.name
+
+
+def test_enumerated_rows_are_in_lexsort_order(corpus_groups, lift_ambients):
+    # the rows are distinct, so one sorted order exists: lexsort's, one
+    # key per point, last point least significant
+    for G in (*corpus_groups, *lift_ambients):
+        assert np.array_equal(G._E, G._E[np.lexsort(G._E.T[::-1])]), G.name
+
+
+def test_tables_take_at_most_two_bytes_per_entry(corpus_groups, lift_ambients):
+    for G in (*corpus_groups, *lift_ambients):
+        assert G.table.itemsize <= 2, G.name
+
+
+def _swap_table(H, G):
+    """H, a fresh copy of G, with its table swapped for G's widened to int32."""
+    assert H.order == G.order and H.table.dtype != np.int32
+    H._table = G.table.astype(np.int32)
+    H._inv = None
+    return H
+
+
+def _maximal_class_bits(G):
+    return [_row_bits(masks) for masks in maximal_classes(G)]
+
+
+@pytest.mark.parametrize(
+    "desc,order,dtype",
+    [
+        ({"family": "elemab", "p": 2, "k": 8}, 256, np.uint8),
+        ({"family": "agl1", "q": 17}, 272, np.uint16),
+    ],
+    ids=["elemab(2,8)", "agl1(17)"],
+)
+def test_narrow_table_at_the_uint8_boundary(desc, order, dtype):
+    G = load_group(desc)
+    assert G.order == order
+    assert G.table.dtype == dtype
+    assert int(G.table.max()) == order - 1
+    assert np.array_equal(G.table, _table_by_rows(G))
+    inv = G.inverses()
+    assert (G.table[np.arange(order), inv] == 0).all()
+    assert closure_indices(G, G.gen_indices).tolist() == list(range(order))
+    wide = _swap_table(load_group(desc), G)
+    assert _maximal_class_bits(wide) == _maximal_class_bits(G)
+
+
+def _row_desc(name):
+    return next(d for d in read_corpus(shipped_corpus_path()) if d.get("name") == name)
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [
+        {"family": "sym", "n": 5},
+        {"family": "dihedral", "n": 8},
+        _row_desc("mod_s3_gl22"),
+        _row_desc("cp_c2gf3_u2"),
+    ],
+    ids=["sym(5)", "dihedral(8)", "mod_s3_gl22", "cp_c2gf3_u2"],
+)
+def test_table_dtype_does_not_change_results(desc):
+    G = realize_descriptor(desc)[0]
+    wide = _swap_table(realize_descriptor(desc)[0], G)
+
+    def series(X):
+        return [
+            (f.upper.bits, f.lower.bits, f.centralizer.bits, f.is_abelian, f.is_frattini, f.p, f.f)
+            for f in chief_series(X)
+        ]
+
+    assert coverage_table(wide, use_cache=False).covers == coverage_table(G, use_cache=False).covers
+    assert series(wide) == series(G)
+    assert inclusion_exclusion_profile(wide) == inclusion_exclusion_profile(G)
+
+
+def test_caps_must_be_positive_integers():
+    for bad in (-5, 0, True, False, 2.0, "5", None):
+        with pytest.raises(InputError, match="must be a positive integer"):
+            Caps(order=bad)
+        with pytest.raises(InputError, match="must be a positive integer"):
+            Caps(degree=bad)
+    assert Caps(order=1, degree=1) == Caps(1, 1)
+    assert load_group({"family": "cyclic", "n": 1}, caps=Caps(order=1)).order == 1
 
 
 def test_enumeration_cap_boundary():
