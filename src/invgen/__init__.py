@@ -64,7 +64,6 @@ from .genlift import (
 )
 from .group import Caps, ConjClass, Group, load_group
 from .harness import (
-    AGL_SUPPORTED_Q,
     BinomialCheckRow,
     SurveyRow,
     agl_trend,
@@ -97,7 +96,6 @@ from .subgroups import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AGL_SUPPORTED_Q",
     "BinomialCheckRow",
     "Caps",
     "CapExceeded",

@@ -37,7 +37,6 @@ from .genlift import (
 )
 from .modlin import module_from_descriptor
 from .harness import (
-    AGL_SUPPORTED_Q,
     agl_trend,
     binomial_check,
     realize_descriptor,
@@ -268,18 +267,7 @@ def _cmd_survey(args) -> int:
 
 
 def _cmd_agl_trend(args) -> int:
-    if args.q:
-        qs = []
-        for part in args.q.split(","):
-            part = part.strip()
-            if part:
-                try:
-                    qs.append(int(part))
-                except ValueError:
-                    raise InputError(f"not an integer q: {part!r}")
-    else:
-        qs = list(AGL_SUPPORTED_Q)
-    rows = agl_trend(qs)
+    rows = agl_trend(_parse_grid(args.q, int, "q"))
     _emit(rows, args.format, args.out)
     return EXIT_OK
 
@@ -400,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_survey)
 
     p = sub.add_parser("agl-trend", help="C(AGL(1,q)) and C/q per prime power")
-    p.add_argument("--q", default=None, help="comma list, default all supported")
+    p.add_argument("--q", default="2,3,4,5,7,8,9,11,13",
+                   help="comma list of prime powers q, each within the degree and order caps")
     _add_common(p)
     p.set_defaults(fn=_cmd_agl_trend)
 

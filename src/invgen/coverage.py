@@ -43,11 +43,10 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapExceeded, InputError
-from .group import Group
+from .group import Group, bits_to_indices
 from .subgroups import (
     SubgroupRecord,
     _row_bits,
-    bits_to_indices,
     closure_indices,
     maximal_classes,
     subgroup_conjugates,
@@ -273,7 +272,7 @@ def _invariably_generates_exhaustive(G: Group, idxs) -> bool:
     member_lists = []
     total = 1
     for i in idxs[1:]:
-        members = list(classes[int(class_of[i])].member_indices())
+        members = classes[int(class_of[i])].member_indices().tolist()
         total *= len(members)
         if total > EXHAUSTIVE_TUPLE_CAP:
             raise CapExceeded(

@@ -28,14 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded, InputError, InvgenError, PreconditionError
-from .group import Group, _int_param, _row_dtype, is_prime, load_group
+from .group import Group, _int_param, _row_dtype, bits_to_indices, load_group, prime_power
 from .gf import rank
 from .modlin import ModuleAction, intertwiners, module_from_descriptor
 from .perm import Perm
 from .subgroups import (
     SubgroupRecord,
     _record,
-    bits_to_indices,
     closure_indices,
     frattini,
     minimal_normal_subgroups,
@@ -126,16 +125,10 @@ def _coords_of_section(G: Group, upper: SubgroupRecord, lower: SubgroupRecord, p
 def _section_module(G: Group, upper: SubgroupRecord, lower: SubgroupRecord):
     """(p, f, ModuleAction) for an abelian chief factor."""
     size = upper.order // lower.order
-    p = min(q for q in range(2, size + 1) if size % q == 0)
-    if not is_prime(p):
-        raise PreconditionError("section size has no prime part; not abelian")
-    f = 0
-    size_left = size
-    while size_left % p == 0:
-        size_left //= p
-        f += 1
-    if size_left != 1:
+    pf = prime_power(size)
+    if pf is None:
         raise PreconditionError(f"abelian chief factor size {size} is not a prime power")
+    p, f = pf
     basis, coords, rank = _coords_of_section(G, upper, lower, p)
     if rank != f:
         raise PreconditionError("section rank disagrees with its order")

@@ -82,98 +82,12 @@ def prime_power(q: int):
     """Return (p, k) with q = p**k, or None."""
     if q < 2:
         return None
-    for p in range(2, q + 1):
-        if not is_prime(p):
-            continue
-        if q % p == 0:
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            return (p, k) if m == 1 else None
-    return None
-
-
-class SmallField:
-    """GF(p^k) for k <= 3, as index arithmetic tables.
-
-    Elements are polynomials over GF(p) modulo the lexicographically first
-    monic irreducible of degree k; element index is sum(c_i * p^i).
-    """
-
-    def __init__(self, p: int, k: int):
-        if not is_prime(p):
-            raise InputError(f"field characteristic {p} is not prime")
-        if not 1 <= k <= 3:
-            raise InputError(f"field degree {k} outside the tabulated range 1..3")
-        self.p, self.k, self.q = p, k, p**k
-        self.modulus = self._find_irreducible(p, k)
-
-    @staticmethod
-    def _find_irreducible(p, k):
-        if k == 1:
-            return (0, 1)
-        # degree 2 or 3: irreducible iff no root in GF(p)
-        for idx in range(p**k):
-            coeffs = []
-            m = idx
-            for _ in range(k):
-                coeffs.append(m % p)
-                m //= p
-            poly = tuple(coeffs) + (1,)
-            if all(
-                sum(c * pow(x, i, p) for i, c in enumerate(poly)) % p for x in range(p)
-            ):
-                return poly
-        raise AssertionError("no irreducible polynomial found")
-
-    def coeffs(self, idx):
-        out = []
-        for _ in range(self.k):
-            out.append(idx % self.p)
-            idx //= self.p
-        return out
-
-    def index(self, coeffs):
-        v = 0
-        for c in reversed(coeffs):
-            v = v * self.p + (c % self.p)
-        return v
-
-    def add(self, a, b):
-        ca, cb = self.coeffs(a), self.coeffs(b)
-        return self.index([x + y for x, y in zip(ca, cb)])
-
-    def mul(self, a, b):
-        ca, cb = self.coeffs(a), self.coeffs(b)
-        prod = [0] * (2 * self.k - 1)
-        for i, x in enumerate(ca):
-            for j, y in enumerate(cb):
-                prod[i + j] += x * y
-        # reduce modulo the monic modulus
-        for i in range(len(prod) - 1, self.k - 1, -1):
-            c = prod[i] % self.p
-            if c:
-                for j in range(self.k):
-                    prod[i - self.k + j] -= c * self.modulus[j]
-            prod[i] = 0
-        return self.index(prod[: self.k])
-
-    def mult_order(self, a):
-        n, x = 1, a
-        while x != 1:
-            x = self.mul(x, a)
-            n += 1
-            if n > self.q:
-                raise AssertionError("nonunit passed to mult_order")
-        return n
-
-    def primitive_element(self):
-        for a in range(2, self.q):
-            if self.mult_order(a) == self.q - 1:
-                return a
-        raise AssertionError("no primitive element")
+    p = next(d for d in range(2, q + 1) if q % d == 0)  # least divisor, a prime
+    k = 0
+    while q % p == 0:
+        q //= p
+        k += 1
+    return (p, k) if q == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -186,18 +100,15 @@ class ConjClass:
     size: int
     members: int  # bitset over element indices
 
-    def member_indices(self):
-        return bit_indices(self.members)
+    def member_indices(self) -> np.ndarray:
+        return bits_to_indices(self.members, self.members.bit_length())
 
 
-def bit_indices(bits: int):
-    """Indices of set bits, ascending."""
-    out = []
-    while bits:
-        lsb = bits & -bits
-        out.append(lsb.bit_length() - 1)
-        bits ^= lsb
-    return out
+def bits_to_indices(bits: int, n: int) -> np.ndarray:
+    """Indices of the set bits of a bitset over n indices, ascending."""
+    raw = bits.to_bytes((n + 7) // 8, "little")
+    mask = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n, bitorder="little")
+    return np.flatnonzero(mask)
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +503,8 @@ def _family_generators(family, desc):
 
 def _family_degree(family, desc) -> int:
     """The degree a family descriptor implies, read from its parameters
-    alone, so that the degree cap is checked before any generator (or
-    field, for agl1) is built."""
+    alone, so that the degree cap is checked before any generator is
+    built."""
     if family == "elemab":
         return _int_param(desc, "p") * _int_param(desc, "k")
     if family == "agl1":
@@ -624,17 +535,36 @@ def _elemab_group(p, k, caps):
 
 
 def _agl1_group(q, caps):
+    """AGL(1, q), generated by x -> x + 1 and x -> x * a on GF(p)[X]/(f).
+
+    Point i is the polynomial whose base-p digits are i, low digit first.
+    x -> x * a is the map digits @ M_a % p, where row i of M_a is X^i * a,
+    each row the one before it times the companion matrix of f.  f is the
+    first monic polynomial of degree k in digit order, and a the first
+    element, such that x -> x * a is a bijection of order q - 1: exactly
+    when f is irreducible and a is primitive, since a reducible f leaves
+    fewer than q - 1 units.  The search starts at a = 1, the identity,
+    which is primitive only for q = 2.
+    """
     pk = prime_power(q)
     if pk is None:
         raise InputError(f"agl1 needs a prime power, got {q}")
     p, k = pk
-    F = SmallField(p, k)
-    trans = Perm([F.add(x, 1) for x in range(q)])
-    gens = [trans]
-    if q > 2:
-        g = F.primitive_element()
-        gens.append(Perm([F.mul(x, g) for x in range(q)]))
-    return Group(gens, name=f"agl1({q})", degree=q, caps=caps)
+    place = p ** np.arange(k)
+    digits = np.arange(q)[:, None] // place % p
+    trans = Perm([i - i % p + (i + 1) % p for i in range(q)])  # steps the low digit
+    for f in digits:  # the monic X^k + sum f_i X^i
+        companion = np.eye(k, k, 1, dtype=int)
+        companion[-1] = -f % p
+        for a in digits[1:]:
+            rows = [a]
+            for _ in range(k - 1):
+                rows.append(rows[-1] @ companion % p)
+            images = (digits @ np.array(rows) % p @ place).tolist()
+            # bijection first: Perm.cycles does not end on any other map
+            if len(set(images)) == q and Perm(images).order() == q - 1:
+                return Group([trans, Perm(images)], name=f"agl1({q})", degree=q, caps=caps)
+    raise AssertionError(f"no primitive element found for GF({q})")
 
 
 def load_group(desc: dict, caps=None) -> Group:

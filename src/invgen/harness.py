@@ -29,7 +29,7 @@ from importlib.resources import files as _pkg_files
 
 from .cheb import chebotarev_exact, chebotarev_montecarlo, min_k_for_probability
 from .coverage import coverage_table
-from .crowns import build_crown_power_abelian, crown_power_from_descriptor
+from .crowns import _crown_fields, build_crown_power_abelian, crown_power_from_descriptor
 from .errors import InputError, InvgenError
 from .group import Group, load_group
 from .modlin import ModuleAction, module_from_descriptor
@@ -116,25 +116,24 @@ def read_corpus(path: str) -> list[dict]:
 
 def realize_descriptor(desc: dict) -> tuple[Group, str, ModuleAction | None]:
     """(group, family tag, attached module if any) for one corpus line."""
-    if "module" in desc:
-        act = module_from_descriptor(desc["module"])
-        G = build_crown_power_abelian(act, 1)
-        if "name" in desc:
-            G.name = desc["name"]
-        return G, "module", act
-    if "crownpower" in desc:
+    if "module" in desc or "crownpower" in desc:
+        # a module row is the crown power V^1 x| H; either way the module
+        # is built once, so the attached module's group is the H inside G
+        if "module" in desc:
+            family, module, u = "module", desc["module"], 1
+        else:
+            family = "crownpower"
+            module, u = _crown_fields(desc["crownpower"], "module", "u")
+        act = module_from_descriptor(module)
+        G = build_crown_power_abelian(act, u)
+    elif "crownpower_general" in desc:
+        family, act = "crownpower_general", None
         G = crown_power_from_descriptor(desc)
-        act = module_from_descriptor(desc["crownpower"]["module"])
-        if "name" in desc:
-            G.name = desc["name"]
-        return G, "crownpower", act
-    if "crownpower_general" in desc:
-        G = crown_power_from_descriptor(desc)
-        if "name" in desc:
-            G.name = desc["name"]
-        return G, "crownpower_general", None
-    G = load_group(desc)
-    return G, desc.get("family", "explicit"), None
+    else:
+        return load_group(desc), desc.get("family", "explicit"), None
+    if "name" in desc:
+        G.name = desc["name"]
+    return G, family, act
 
 
 def _module_diagnostics(act: ModuleAction) -> tuple[int, int, int]:
@@ -265,18 +264,15 @@ def write_rows_csv(rows: list[SurveyRow], fh) -> None:
 # AGL(1, q) trend
 
 
-AGL_SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13)
-
-
 def agl_trend(qs) -> list[dict]:
-    """Exact C(AGL(1, q)) and the ratio C/q for each listed prime power."""
+    """Exact C(AGL(1, q)) and the ratio C/q for each listed prime power.
+
+    A q that is not a prime power raises InputError; one whose group is
+    past a cap raises CapExceeded.
+    """
     rows = []
     for q in qs:
         q = int(q)
-        if q not in AGL_SUPPORTED_Q:
-            raise InputError(
-                f"q = {q} unsupported; available: {AGL_SUPPORTED_Q}"
-            )
         G = load_group({"family": "agl1", "q": q})
         value = chebotarev_exact(G).value
         rows.append(

@@ -53,7 +53,7 @@ from .genlift import (
     max_lift_rank,
 )
 from .group import DEFAULT_CAPS, Group, load_group
-from .harness import read_corpus, realize_descriptor, run_survey, shipped_corpus_path
+from .harness import agl_trend, read_corpus, realize_descriptor, run_survey, shipped_corpus_path
 from .rng import Stream
 from .subgroups import (
     _record,
@@ -919,8 +919,6 @@ def _check_survey_bounds(corpus: _Corpus, st: Stream):
 
 
 def _check_agl_band(corpus: _Corpus, st: Stream):
-    from .harness import agl_trend
-
     checked = 0
     bad = []
     rows = agl_trend([5, 7, 11, 13])

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionError
-from .group import Group, is_prime
+from .group import Group, bits_to_indices, is_prime, prime_power
 from .perm import Perm
 
 # ---------------------------------------------------------------------------
@@ -48,12 +48,6 @@ def indices_to_bits(indices, n: int) -> int:
     mask = np.zeros(n, dtype=bool)
     mask[np.asarray(indices, dtype=np.int64)] = True
     return mask_to_bits(mask)
-
-
-def bits_to_indices(bits: int, n: int) -> np.ndarray:
-    raw = bits.to_bytes((n + 7) // 8, "little")
-    mask = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n, bitorder="little")
-    return np.flatnonzero(mask)
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +195,8 @@ def _cyclic_subgroups_prime_power(G: Group):
         while x != 0:
             members.append(x)
             x = int(t[x, i])
-        k = len(members)
         # keep only prime-power orders; they generate everything by joins
-        p = min(f for f in range(2, k + 1) if k % f == 0)
-        kk = k
-        while kk % p == 0:
-            kk //= p
-        if kk != 1:
+        if prime_power(len(members)) is None:
             continue
         bits = indices_to_bits(members, G.order)
         if bits not in seen:

@@ -213,6 +213,29 @@ def cheb_cyclic(n):
     return total
 
 
+def cheb_agl1(q):
+    """C(AGL(1, q)) = C(C_{q-1}) + sum over sets R of primes of q - 1 of
+    (-1)^|R| n/(n - 1 - q((q - 1)/prod R - 1)), n = q(q - 1)."""
+    primes = _prime_divisors(q - 1)
+    n = q * (q - 1)
+    total = cheb_cyclic(q - 1)
+    for t in range(1 << len(primes)):
+        d = 1
+        for i, r in enumerate(primes):
+            if t >> i & 1:
+                d *= r
+        total += (-1) ** t.bit_count() * Fraction(n, n - 1 - q * ((q - 1) // d - 1))
+    return total
+
+
+AGL1_CLOSED_FORM = [2, 3, 4, 5, 8, 9, 16, 25, 27, 32]
+
+
+@pytest.mark.parametrize("q", AGL1_CLOSED_FORM)
+def test_exact_matches_agl1_closed_form(q):
+    assert chebotarev_exact(load_group({"family": "agl1", "q": q})).value == cheb_agl1(q)
+
+
 ELEMAB_CLOSED_FORM = [(2, k) for k in range(2, 7)] + [(3, 2), (3, 3), (3, 4), (5, 3), (11, 3)]
 
 

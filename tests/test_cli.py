@@ -176,6 +176,12 @@ def test_agl_trend_cli(capsys):
     rows = out_json(capsys, "agl-trend", "--q", "2,3")
     assert [r["q"] for r in rows] == [2, 3]
     assert rows[1]["c_num"] == 19
+    rows = out_json(capsys, "agl-trend")
+    assert [r["q"] for r in rows] == [2, 3, 4, 5, 7, 8, 9, 11, 13]
+    rows = out_json(capsys, "agl-trend", "--q", "16,32")
+    assert [r["order"] for r in rows] == [240, 992]
+    for q, code in (("6", 2), ("x", 2), ("", 2), ("64", 3)):
+        assert run(capsys, "agl-trend", "--q", q)[0] == code, q
 
 
 def test_binom_check_cli(capsys):

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 import invgen
 from invgen import load_group, read_corpus, realize_descriptor, shipped_corpus_path
 from invgen.coverage import ClassCoverageTable, _cover_masks, _write_entry, coverage_table
-from invgen.subgroups import bits_to_indices, indices_to_bits
+from invgen.group import bits_to_indices
+from invgen.subgroups import indices_to_bits
 
 SRC = Path(invgen.__file__).resolve().parents[1]
 

@@ -27,7 +27,7 @@ from invgen import (
 from invgen.cheb import inclusion_exclusion_profile
 from invgen.coverage import coverage_table, invariably_generates
 from invgen.crowns import chief_series
-from invgen.group import DEFAULT_CAPS, is_prime
+from invgen.group import DEFAULT_CAPS, is_prime, prime_power
 from invgen.subgroups import (
     _prime_order_classes,
     _row_bits,
@@ -195,10 +195,36 @@ def test_class_of_constant_under_conjugation(s3):
         ({"family": "elemab", "p": 2, "k": 3}, 8),
         ({"family": "agl1", "q": 8}, 56),
         ({"family": "agl1", "q": 9}, 72),
+        ({"family": "agl1", "q": 16}, 240),
+        ({"family": "agl1", "q": 32}, 992),
     ],
 )
 def test_family_orders(desc, order):
     assert load_group(desc).order == order
+
+
+# images of x -> x * a on GF(q), point i the polynomial whose base-p digits
+# are i; for q not prime the field's modulus decides them
+AGL1_PRODUCT_IMAGES = {
+    4: (0, 2, 3, 1),
+    8: (0, 2, 4, 6, 3, 1, 7, 5),
+    9: (0, 4, 8, 5, 6, 1, 7, 2, 3),
+    25: (0, 6, 12, 18, 24, 8, 14, 15, 21, 2, 11, 17, 23, 4, 5, 19, 20, 1, 7, 13, 22, 3, 9,
+         10, 16),
+    27: (0, 3, 6, 9, 12, 15, 18, 21, 24, 5, 8, 2, 14, 17, 11, 23, 26, 20, 7, 1, 4, 16, 10, 13,
+         25, 19, 22),
+}
+
+
+@pytest.mark.parametrize("q", sorted(AGL1_PRODUCT_IMAGES))
+def test_agl1_generator_images(q):
+    G = load_group({"family": "agl1", "q": q})
+    p, _ = prime_power(q)
+    trans, product = G.generators
+    # x + 1 steps the low digit
+    assert trans.images == tuple(i // p * p + (i + 1) % p for i in range(q))
+    assert product.images == AGL1_PRODUCT_IMAGES[q]
+    assert product.order() == q - 1
 
 
 def test_explicit_generator_descriptor():

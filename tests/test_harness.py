@@ -10,7 +10,7 @@ import pytest
 
 import invgen
 from invgen import (
-    AGL_SUPPORTED_Q,
+    CapExceeded,
     InputError,
     agl_trend,
     binomial_check,
@@ -181,7 +181,15 @@ def test_agl_trend_small_values():
     assert (rows[1]["c_num"], rows[1]["c_den"]) == (19, 5)
     with pytest.raises(InputError):
         agl_trend([6])
-    assert set(AGL_SUPPORTED_Q) >= {5, 7, 11, 13}
+
+
+def test_agl_trend_takes_any_prime_power_under_the_caps():
+    rows = agl_trend([16, 32])
+    assert [(r["q"], r["order"]) for r in rows] == [(16, 240), (32, 992)]
+    assert (rows[0]["c_num"], rows[0]["c_den"]) == (37290553, 2308740)
+    assert (rows[1]["c_num"], rows[1]["c_den"]) == (952321, 29730)
+    with pytest.raises(CapExceeded):
+        agl_trend([64])  # order 4 032, past the order cap
 
 
 def test_binomial_tail_exact():

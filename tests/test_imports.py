@@ -56,22 +56,29 @@ def test_every_module_import_is_used():
     assert unused == {}
 
 
+def _definitions(tree: ast.Module):
+    """Names a module's top level binds: def, class and NAME = ... targets."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
 def test_every_module_level_definition_is_used():
+    # a use is a load of the name, or of an attribute of that name, in any
+    # module of the package, or an entry of the package's __all__
     referenced = set(invgen.__all__)
     for path in PACKAGE.glob("*.py"):
         for node in ast.walk(_tree(path)):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 referenced.add(node.attr)
     unused = {}
     for path in _modules():
-        defs = (
-            node.name
-            for node in _tree(path).body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        )
-        if names := [name for name in defs if name not in referenced]:
+        if names := [name for name in _definitions(_tree(path)) if name not in referenced]:
             unused[path.name] = names
     assert unused == {}
 
