@@ -117,10 +117,6 @@ class ExactChebotarev:
     profile: dict
     order: int
 
-    @property
-    def as_float(self) -> float:
-        return float(self.value)
-
 
 def chebotarev_exact(G: Group) -> ExactChebotarev:
     """C(G) as an exact fraction."""

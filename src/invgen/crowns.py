@@ -15,9 +15,11 @@ monolithic and primitive with socle equivalent to A (a monolithic
 quotient is primitive when its socle is not Frattini), with no
 isomorphism test against a model group; I_G(A) is the preimage of the
 socle of G/R_G(A), and delta the logarithm of that socle's size in
-base |A|.  A Frattini-trivial group always has a crown whose R is
-complemented in I by a normal subgroup; corona_decomposition finds one
-and treats absence as an internal defect, not a soft failure.
+base |A|.  No quotient group is built: the minimal normal subgroups of
+G/N are the normal subgroups of G minimal over N.  A Frattini-trivial
+group always has a crown whose R is complemented in I by a normal
+subgroup; corona_decomposition finds one and treats absence as an
+internal defect, not a soft failure.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ from .subgroups import (
     _record,
     closure_indices,
     frattini,
+    maximal_classes,
     minimal_normal_subgroups,
     normal_subgroups,
-    quotient_with_map,
     small_generating_set,
 )
 
@@ -165,14 +167,15 @@ def _make_factor(G: Group, upper: SubgroupRecord, lower: SubgroupRecord) -> Chie
     abelian = _section_is_abelian(G, upper, lower)
     cent = section_centralizer(G, upper, lower)
     module = p = f = None
-    if abelian:
-        p, f, module = _section_module(G, upper, lower)
     frattini_flag = False
     if abelian:
-        qm = quotient_with_map(G, lower)
-        phi = frattini(qm.group)
-        image = qm.image_bits(upper.bits)
-        frattini_flag = (image & phi.bits) == image
+        p, f, module = _section_module(G, upper, lower)
+        # the maximal subgroups of G/lower are those of G over lower, so
+        # upper/lower is Frattini when each of them contains upper
+        frattini_flag = all(
+            masks[masks[:, list(lower.gens)].all(axis=1)][:, list(upper.gens)].all()
+            for masks in maximal_classes(G)
+        )
     return ChiefFactor(
         group=G, upper=upper, lower=lower, order=order, is_abelian=abelian,
         is_frattini=frattini_flag, centralizer=cent, module=module, p=p, f=f,
@@ -257,32 +260,20 @@ class CrownData:
     U: SubgroupRecord | None = None
 
 
-def socle_record(G: Group) -> SubgroupRecord:
-    """Product of all minimal normal subgroups."""
-    mins = minimal_normal_subgroups(G)
-    if not mins:
-        return _record(G, [0], ())
-    gens = []
-    for rec in mins:
-        gens.extend(rec.gens)
-    members = closure_indices(G, gens)
-    return _record(G, members, small_generating_set(G, members))
+def _minimal_over(G: Group, N: SubgroupRecord) -> list[SubgroupRecord]:
+    """Normal subgroups of G minimal over N (the minimal normal subgroups
+    of G/N): in ascending order, those over N containing none found before."""
+    mins: list[SubgroupRecord] = []
+    for M in normal_subgroups(G):
+        if M.order > N.order and (M.bits & N.bits) == N.bits:
+            if not any((K.bits & M.bits) == K.bits for K in mins):
+                mins.append(M)
+    return mins
 
 
 def _record_from_bits(G: Group, bits: int) -> SubgroupRecord:
     members = bits_to_indices(bits, G.order)
     return _record(G, members, small_generating_set(G, members))
-
-
-def _factor_of_quotient_socle(G: Group, N: SubgroupRecord) -> ChiefFactor | None:
-    """The section of G covering the unique minimal normal of G/N, if unique."""
-    qm = quotient_with_map(G, N)
-    mins = minimal_normal_subgroups(qm.group)
-    if len(mins) != 1:
-        return None
-    soc_bits = qm.preimage_bits(mins[0].bits)
-    upper = _record_from_bits(G, soc_bits)
-    return _make_factor(G, upper, N)
 
 
 def _crown_candidates(G: Group, A: ChiefFactor) -> list[SubgroupRecord]:
@@ -313,13 +304,16 @@ def _crown_candidates(G: Group, A: ChiefFactor) -> list[SubgroupRecord]:
     for N in normal_subgroups(G):
         if N.order * index != G.order:
             continue
-        B = _factor_of_quotient_socle(G, N)
+        mins = _minimal_over(G, N)
+        if len(mins) != 1:
+            continue
+        B = _make_factor(G, mins[0], N)
         # Under the order cap the Frattini test changes no list: a group
         # with a monolithic quotient of L_A's order whose socle is Frattini
         # and equivalent to a non-Frattini A has order at least 16^2 * 60.
         # Above the cap it matters: a nonsplit 2^4.A5 (order 960) is
         # monolithic with a self-centralizing Frattini socle.
-        if B is None or B.is_frattini:
+        if B.is_frattini:
             continue
         if factors_equivalent(G, A, B):
             out.append(N)
@@ -346,13 +340,15 @@ def crown_of_factor(G: Group, A: ChiefFactor) -> CrownData:
     for N in cands[1:]:
         bits &= N.bits
     R = _record_from_bits(G, bits)
-    qm = quotient_with_map(G, R)
-    soc = socle_record(qm.group)
-    I = _record_from_bits(G, qm.preimage_bits(soc.bits))
-    delta = round(math.log(soc.order) / math.log(A.order))
-    if A.order**delta != soc.order:
+    # I/R is the socle of G/R: the product of the normal subgroups minimal over R
+    gens = [g for M in _minimal_over(G, R) for g in M.gens]
+    members = closure_indices(G, [*R.gens, *gens])
+    I = _record(G, members, small_generating_set(G, members))
+    socle = I.order // R.order
+    delta = round(math.log(socle) / math.log(A.order))
+    if A.order**delta != socle:
         raise InvgenError(
-            f"socle size {soc.order} is not a power of the factor size {A.order}"
+            f"socle size {socle} is not a power of the factor size {A.order}"
         )
     _assert_series_count(G, A, delta)
     return CrownData(factor=A, delta=delta, R=R, I=I)

@@ -183,6 +183,9 @@ class Group:
             degree = gens[0].degree
         if any(g.degree != degree for g in gens):
             raise InputError("generators act on different point sets")
+        gen_rows = np.reshape([g.images for g in gens], (len(gens), degree))
+        if (np.sort(gen_rows, axis=1) != np.arange(degree)).any():
+            raise InputError(f"a generator is not a permutation of 0..{degree - 1}")
         self.name = name
         self.degree = degree
         self.generators = tuple(gens)
@@ -190,7 +193,6 @@ class Group:
         self._E = _enumerate_rows(gens, degree, caps.order)
         self._keys = _void_view(self._E)
         self.order = len(self._E)
-        gen_rows = np.reshape([g.images for g in gens], (len(gens), degree))
         self.gen_indices = tuple(self._lookup(gen_rows).tolist())
         # lazy caches
         self._table = None
@@ -200,6 +202,7 @@ class Group:
         self._class_of = None
         self._class_orders = None
         self._lattice = None
+        self._maximal_classes = None
         self._coverage = None
         self._normals = None
         self._chief_series = {}  # reverse_ties -> chief factors

@@ -291,14 +291,6 @@ class DerivationSpace:
         """Concatenated values (d(h_1), ..., d(h_t)) as one row."""
         return np.concatenate([self.evaluate(x, i) for i in elem_idxs])
 
-    def inner_coordinates(self, v) -> np.ndarray:
-        """x-coordinates of the inner derivation d_v."""
-        act = self.action
-        eye = np.eye(act.dim, dtype=np.int64)
-        return np.concatenate(
-            [(np.asarray(v) @ ((M - eye) % act.p)) % act.p for M in act.gen_matrices]
-        )
-
 
 def _compute_derivations(act: ModuleAction) -> DerivationSpace:
     G = act.group

@@ -74,7 +74,8 @@ class Perm:
         return math.lcm(*map(len, self.cycles()))
 
     def cycles(self):
-        """Nontrivial cycles as 0-based tuples, shortest point first."""
+        """Nontrivial cycles as 0-based tuples, shortest point first;
+        InputError when a walk revisits a point (not a bijection)."""
         seen = [False] * self.degree
         out = []
         for start in range(self.degree):
@@ -85,6 +86,8 @@ class Perm:
             seen[start] = True
             x = self.images[start]
             while x != start:
+                if seen[x]:
+                    raise InputError(f"not a permutation: {list(self.images)} revisits {x}")
                 cyc.append(x)
                 seen[x] = True
                 x = self.images[x]

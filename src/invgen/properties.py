@@ -52,7 +52,7 @@ from .genlift import (
     invgen_criterion,
     max_lift_rank,
 )
-from .group import DEFAULT_CAPS, Group, load_group
+from .group import DEFAULT_CAPS, Group, bits_to_indices, load_group
 from .harness import agl_trend, read_corpus, realize_descriptor, run_survey, shipped_corpus_path
 from .rng import Stream
 from .subgroups import (
@@ -181,17 +181,29 @@ def _check_lagrange(corpus: _Corpus, st: Stream):
 
 
 def _check_frattini_nongenerators(corpus: _Corpus, st: Stream):
-    # samples count only when the premise <S u {x}> = G actually holds
-    eligible = [G for G in corpus.groups() if frattini(G).order > 1]
-    checked = 0
+    # samples count only when the premise <S u {x}> = G actually holds;
+    # Phi(G) is the AND of the lattice's maximal subgroups, a route apart
+    # from frattini's maximal classes, and frattini(G) must agree with it
     bad = []
+    phis = {}
+    for G in corpus.groups():
+        bits = (1 << G.order) - 1
+        for rec in subgroup_lattice(G):
+            if rec.is_maximal:
+                bits &= rec.bits
+        if frattini(G).bits != bits:
+            bad.append(f"{G.name}: frattini(G) differs from the lattice's Phi(G)")
+        if bits != 1:
+            phis[G] = bits_to_indices(bits, G.order)
+    eligible = list(phis)
+    checked = 0
     if not eligible:
-        return 0, []
+        return 0, bad
     attempts = 0
     while checked < 200 and attempts < 20_000:
         attempts += 1
         G = st.choice(eligible)
-        phi = frattini(G).member_indices()
+        phi = phis[G]
         x = int(phi[st.randbelow(len(phi))])
         S = _random_elements(st, G, 1 + st.randbelow(3))
         if len(closure_indices(G, S + [x])) != G.order:

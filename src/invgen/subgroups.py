@@ -1,13 +1,14 @@
 """Subgroup enumeration and quotients, all at multiplication-table scale.
 
 Subgroups are identified by membership bitsets (Python ints over element
-indices).  The coverage table needs only the conjugacy classes of
-maximal subgroups, and ``maximal_classes`` finds them through an abelian
-minimal normal subgroup N without the lattice: preimages of the maximal
-subgroups of G/N, and complements of N.  The lattice is left for what
-needs every subgroup (``subgroup_lattice``, ``frattini``,
-``maximal_subgroups_up_to_conjugacy``, so the property battery checks
-one route against the other) and for groups with a nonabelian socle.
+indices).  The coverage table, ``frattini`` and the Frattini test of a
+chief factor need only the conjugacy classes of maximal subgroups, and
+``maximal_classes`` finds them through an abelian minimal normal
+subgroup N without the lattice: preimages of the maximal subgroups of
+G/N, and complements of N.  The lattice is left for what needs every
+subgroup (``subgroup_lattice`` and ``maximal_subgroups_up_to_conjugacy``,
+so the property battery checks one route against the other) and for
+groups with a nonabelian socle.
 
 The lattice is built bottom-up: seed with the prime-power
 cyclic subgroups, then repeatedly join class representatives with cyclic
@@ -373,16 +374,12 @@ def subgroup_conjugates(G: Group, rec: SubgroupRecord) -> list[SubgroupRecord]:
 
 
 def frattini(G: Group) -> SubgroupRecord:
-    """Intersection of all maximal subgroups."""
-    lat = _lattice(G)
-    if G.order == 1:
-        return lat.classes[0][0]
-    bits = (1 << G.order) - 1
-    for rep, orbit in lat.classes:
-        if rep.is_maximal:
-            for r in orbit:
-                bits &= r.bits
-    members = bits_to_indices(bits, G.order)
+    """Intersection of all maximal subgroups: the AND of every row of
+    ``maximal_classes(G)``."""
+    mask = np.ones(G.order, dtype=bool)
+    for masks in maximal_classes(G):
+        mask &= masks.all(axis=0)
+    members = np.flatnonzero(mask)
     return _record(G, members, small_generating_set(G, members))
 
 
@@ -470,15 +467,6 @@ class QuotientMap:
 
     def apply_index(self, i: int) -> int:
         return int(self.index_map[int(i)])
-
-    def image_bits(self, bits: int) -> int:
-        idxs = bits_to_indices(bits, self.source.order)
-        return indices_to_bits(self.index_map[idxs], self.group.order)
-
-    def preimage_bits(self, qbits: int) -> int:
-        qmask = np.zeros(self.group.order, dtype=bool)
-        qmask[bits_to_indices(qbits, self.group.order)] = True
-        return mask_to_bits(qmask[self.index_map])
 
 
 def _is_normal_bits(G: Group, members, bits) -> bool:
@@ -677,12 +665,16 @@ def maximal_classes(G: Group) -> list[np.ndarray]:
     Each class is a boolean array with one membership row per conjugate.
     Rows ascend by bitset and classes by (order, least bitset), the key
     of the lattice's class representatives, so both routes list the
-    classes in one order.
+    classes in one order.  The list is built once per group and cached
+    on it.
     """
+    if G._maximal_classes is not None:
+        return G._maximal_classes
     keyed = []
     for masks in _maximal_orbits(G):
         bits = _row_bits(masks)
         rows = sorted(range(len(bits)), key=bits.__getitem__)
         keyed.append(((int(masks[0].sum()), bits[rows[0]]), masks[rows]))
     keyed.sort(key=lambda pair: pair[0])
-    return [masks for _, masks in keyed]
+    G._maximal_classes = [masks for _, masks in keyed]
+    return G._maximal_classes

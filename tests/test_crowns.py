@@ -25,7 +25,13 @@ from invgen import (
     verify_sotto,
 )
 from invgen.crowns import _affine_image_rows, _make_factor
-from invgen.subgroups import _lattice, frattini, minimal_normal_subgroups, subgroup_lattice
+from invgen.subgroups import (
+    _lattice,
+    frattini,
+    minimal_normal_subgroups,
+    quotient_with_map,
+    subgroup_lattice,
+)
 
 S3_GL22 = {
     "group": {"family": "sym", "n": 3},
@@ -315,36 +321,61 @@ def test_frattini_values():
     assert frattini(load_group({"family": "cyclic", "n": 12})).order == 2
 
 
-def test_preimage_bits_matches_the_index_loop(monkeypatch):
-    import invgen.crowns as crowns
+def _lattice_frattini_bits(G) -> int:
+    """Phi(G) as the AND of the maximal subgroups in the whole lattice."""
+    bits = (1 << G.order) - 1
+    for rec in subgroup_lattice(G):
+        if rec.is_maximal:
+            bits &= rec.bits
+    return bits
 
-    built = []
-    real = crowns.quotient_with_map
 
-    def recording(G, N):
-        built.append(real(G, N))
-        return built[-1]
+def test_frattini_matches_the_lattice():
+    checked = 0
+    for G in _reference_groups():
+        assert frattini(G).bits == _lattice_frattini_bits(G), G.name
+        checked += 1
+    assert checked >= 40
 
-    monkeypatch.setattr(crowns, "quotient_with_map", recording)
-    for desc in (
-        {"family": "sym", "n": 3},
-        {"family": "sym", "n": 4},
-        {"family": "cyclic", "n": 6},
-        {"family": "cyclic", "n": 12},
-        {"family": "dihedral", "n": 6},
-        {"family": "alt", "n": 5},
-        {"family": "elemab", "p": 2, "k": 4},
-    ):
-        G = load_group(desc)
-        for f in chief_series(G):
-            if not f.is_frattini:
-                crown_of_factor(G, f)
-    corona_decomposition(load_group({"family": "sym", "n": 4}))
-    assert len(built) >= 20
-    for qm in built:
-        for rec in subgroup_lattice(qm.group):
-            loop = 0
-            for i, q in enumerate(qm.index_map):
-                if (rec.bits >> int(q)) & 1:
-                    loop |= 1 << i
-            assert qm.preimage_bits(rec.bits) == loop
+
+def test_frattini_flags_match_the_quotient_lattice():
+    # the definition read before maximal classes: upper/lower is Frattini
+    # when its image lies in Phi(G/lower), from the quotient's lattice
+    checked = 0
+    for G in _reference_groups():
+        quotients = {}
+        for reverse in (False, True):
+            for A in chief_series(G, reverse_ties=reverse):
+                if A.lower.bits not in quotients:
+                    qm = quotient_with_map(G, A.lower)
+                    quotients[A.lower.bits] = (qm, _lattice_frattini_bits(qm.group))
+                qm, phi = quotients[A.lower.bits]
+                image = {int(i) for i in qm.index_map[A.upper.member_indices()]}
+                assert A.is_frattini == all(phi >> i & 1 for i in image), (G.name, A)
+                checked += 1
+    assert checked >= 200
+
+
+def _row(name):
+    return next(d for d in read_corpus(shipped_corpus_path()) if d.get("name") == name)
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [{"family": "sym", "n": 4}, {"family": "agl1", "q": 7}, _row("cp_gl22_u2"), _row("cpg_s4_k2")],
+    ids=["S4", "agl1(7)", "cp_gl22_u2", "cpg_s4_k2"],
+)
+def test_crowns_build_no_lattice_over_an_abelian_minimal_normal(monkeypatch, desc):
+    import invgen.subgroups as sg
+
+    def no_lattice(G):
+        raise AssertionError(f"the lattice of {G.name} was built")
+
+    monkeypatch.setattr(sg, "_lattice", no_lattice)
+    G = realize_descriptor(desc)[0]
+    assert frattini(G).order == 1
+    for reverse in (False, True):
+        for A in chief_series(G, reverse_ties=reverse):
+            if not A.is_frattini:
+                crown_of_factor(G, A)
+    assert corona_decomposition(G).U is not None

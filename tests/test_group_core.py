@@ -1,14 +1,19 @@
 """Permutations, multiplication tables, classes, descriptors."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 import time
 from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import invgen
 from invgen import (
     Caps,
     CapExceeded,
@@ -145,6 +150,34 @@ def test_one_based_parser_rejects_non_bijections():
         Perm.from_one_based([1, 1, 2])
     with pytest.raises(InputError):
         Perm.from_one_based([1, 6, 2])
+
+
+def test_group_rejects_generators_that_are_not_bijections():
+    with pytest.raises(InputError, match="not a permutation"):
+        Group([Perm([1, 1, 2])])
+    with pytest.raises(InputError, match="not a permutation"):
+        Group([Perm([1, 0, 3])])
+
+
+def test_cycles_of_a_non_bijection_raise_instead_of_looping():
+    # in a child process, so a walk that never closes fails the test
+    # at the timeout instead of hanging the run
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(Path(invgen.__file__).parent.parent), os.environ.get("PYTHONPATH")) if p
+    ))
+    probe = (
+        "from invgen import InputError, Perm\n"
+        "for images in ([1, 1], [1, 0, 0], [2, 2, 1]):\n"
+        "    try:\n"
+        "        Perm(images).order()\n"
+        "    except InputError:\n"
+        "        print('raised')\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert out.stdout.split() == ["raised"] * 3
 
 
 def test_s3_table_consistency(s3):

@@ -83,6 +83,39 @@ def test_every_module_level_definition_is_used():
     assert unused == {}
 
 
+def _attribute_loads(paths) -> set[str]:
+    """Every attribute name loaded (read or called) in the given files."""
+    return {
+        node.attr
+        for path in paths
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_method_is_used():
+    # a method, property included, is used when it is loaded as an attribute
+    # in the package, in tests/ or in perfbench/ (which drives the package
+    # from outside); dunders are called by the language
+    root = PACKAGE.parent.parent
+    loaded = _attribute_loads(
+        [*PACKAGE.glob("*.py"), *(root / "tests").glob("*.py"), *(root / "perfbench").glob("*.py")]
+    )
+    unused = {}
+    for path in _modules():
+        for node in _tree(path).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if (
+                    isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                    and item.name not in loaded
+                ):
+                    unused.setdefault(path.name, []).append(f"{node.name}.{item.name}")
+    assert unused == {}
+
+
 def _perm_isinstance_calls(path: Path) -> int:
     """Calls isinstance(x, Perm) or isinstance(x, (..., Perm, ...))."""
     count = 0

@@ -16,12 +16,13 @@ from invgen import (
     shipped_corpus_path,
 )
 from invgen.coverage import coverage_table
-from invgen.crowns import abelian_crown_power_with_embedding
+from invgen.crowns import abelian_crown_power_with_embedding, chief_series, corona_decomposition
 from invgen.modlin import ModuleAction
 from invgen.subgroups import (
     _abelian_minimal_normal,
     _lattice,
     closure_indices,
+    frattini,
     maximal_classes,
     minimal_normal_subgroups,
     quotient_with_map,
@@ -243,3 +244,19 @@ def test_routes_agree_on_random_semidirect_products():
         assert new_route(G) == lattice_route(G), (act.p, [m.tolist() for m in act.gen_matrices])
         orders.append(G.order)
     assert max(orders) > 100
+
+
+def test_maximal_classes_are_built_once_per_group(monkeypatch):
+    import invgen.subgroups as sg
+
+    builds = []
+    real = sg._maximal_orbits
+    monkeypatch.setattr(sg, "_maximal_orbits", lambda H: builds.append(H) or real(H))
+    G = load_group({"family": "sym", "n": 4})
+    first = maximal_classes(G)
+    frattini(G)
+    chief_series(G)
+    corona_decomposition(G)
+    coverage_table(G, use_cache=False)
+    assert maximal_classes(G) is first
+    assert sum(H is G for H in builds) == 1

@@ -99,7 +99,8 @@ def test_inner_derivations_take_commutator_form():
     G = act.group
     for v_bits in range(1, 4):
         v = np.array([v_bits & 1, v_bits >> 1], dtype=np.int64)
-        x = ds.inner_coordinates(v)
+        # x lists the values at the generators: here d_v(s) = v M_s - v
+        x = np.concatenate([(v @ M - v) % act.p for M in act.gen_matrices])
         for g in range(G.order):
             want = (v @ act.matrix(g) - v) % act.p
             assert np.array_equal(ds.evaluate(x, g), want)
