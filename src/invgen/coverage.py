@@ -7,12 +7,12 @@ entry, so everything downstream (exact Chebotarev values, Monte Carlo
 runs, the survey) only needs one table per group: for each conjugacy
 class of maximal subgroups, the set of element classes covered.
 
-The maximal classes come without the subgroup lattice when G has an
-abelian minimal normal subgroup N.  A maximal subgroup either contains
-N, and is the preimage of a maximal subgroup of G/N, found by the same
-recursion on G/N, or it is a complement of N.  Only a group whose
-minimal normal subgroups are all nonabelian (a nonabelian socle) reads
-its maximal classes off the lattice.
+The maximal classes come without the lattice of G through a minimal
+normal subgroup N.  A maximal subgroup either contains N, and is the
+preimage of a maximal subgroup of G/N, found by the same recursion on
+G/N, or it is a complement of N, or (N nonabelian only) the normalizer
+of a subgroup of N, read off the lattice of N alone.  Only a
+nonabelian simple group reads its maximal classes off its own lattice.
 
 The covers are the rows of one boolean (maximal classes x element
 classes) array, each packed into an int bitmask with ``np.packbits``;
@@ -171,12 +171,13 @@ def _class_data(G: Group) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def _compute_table(G: Group) -> ClassCoverageTable:
     """The table from the classes of maximal subgroups of G.
 
-    They are found without the subgroup lattice when G has an abelian
-    minimal normal subgroup N (``subgroups.maximal_classes``): the
-    preimages of the maximal subgroups of G/N, from the same recursion
-    on G/N, and the complements of N, found by lifting generators of G/N
-    one coset of N at a time.  A group whose minimal normal subgroups are
-    all nonabelian (a nonabelian socle) takes them from the lattice.
+    They are found through a minimal normal subgroup N
+    (``subgroups.maximal_classes``): the preimages of the maximal
+    subgroups of G/N, from the same recursion on G/N, the complements of
+    N, found by lifting generators of G/N one coset of N at a time, and,
+    when N is nonabelian, the normalizers of subgroups of N, from the
+    lattice of N.  Only a nonabelian simple group takes them from its
+    own lattice.
     """
     class_sizes, class_orders = _class_data(G)
     class_of = G.class_of()

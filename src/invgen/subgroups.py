@@ -3,12 +3,13 @@
 Subgroups are identified by membership bitsets (Python ints over element
 indices).  The coverage table, ``frattini`` and the Frattini test of a
 chief factor need only the conjugacy classes of maximal subgroups, and
-``maximal_classes`` finds them through an abelian minimal normal
-subgroup N without the lattice: preimages of the maximal subgroups of
-G/N, and complements of N.  The lattice is left for what needs every
-subgroup (``subgroup_lattice`` and ``maximal_subgroups_up_to_conjugacy``,
-so the property battery checks one route against the other) and for
-groups with a nonabelian socle.
+``maximal_classes`` finds them through a minimal normal subgroup N
+without the lattice of G: preimages of the maximal subgroups of G/N,
+complements of N and, when N is nonabelian, normalizers of subgroups of
+N, read off the lattice of N alone.  The lattice of G is left for what
+needs every subgroup (``subgroup_lattice`` and
+``maximal_subgroups_up_to_conjugacy``, so the property battery checks
+one route against the other) and for nonabelian simple groups.
 
 The lattice is built bottom-up: seed with the prime-power
 cyclic subgroups, then repeatedly join class representatives with cyclic
@@ -220,21 +221,34 @@ def _cyclic_index(G: Group, cyclics) -> np.ndarray:
     return cyc_of
 
 
+def _normalizers(G: Group, masks: np.ndarray, gens) -> np.ndarray:
+    """Membership rows of N_G(H), one for each subgroup H given by a row
+    of the boolean array masks and by its generators, an index sequence
+    in gens: g normalizes H when g^-1 s g lies in H for each generator
+    s of H.  The j-th generators of all rows are conjugated together.
+    """
+    t = G.table
+    inv = G.inverses()
+    everything = np.arange(G.order)
+    out = np.ones(masks.shape, dtype=bool)
+    for j in range(max(map(len, gens), default=0)):
+        rows = np.array([i for i, g in enumerate(gens) if len(g) > j], dtype=np.int64)
+        s = np.array([gens[i][j] for i in rows], dtype=np.int64)
+        conj = t[t[inv[:, None], s], everything[:, None]]  # conj[g, k] = g^-1 s_k g
+        out[rows] &= masks[rows[:, None], conj.T]
+    return out
+
+
 def _partner_reps(G: Group, H: SubgroupRecord, inv, cyc_of, cyc_gens) -> np.ndarray:
     """Positions of the first cyclic in each N_G(H)-orbit of the cyclics.
 
-    g normalizes H when g^-1 s g lies in H for each generator s of H.
     For n in N_G(H), <H, c^n> = <H, c>^n, so joining H with one cyclic
     per orbit finds a conjugate of every join.
     """
     t = G.table
-    inside = np.zeros(G.order, dtype=bool)
-    inside[H.member_indices()] = True
-    everything = np.arange(G.order)
-    normalizes = np.ones(G.order, dtype=bool)
-    for s in H.gens:
-        normalizes &= inside[t[t[inv, s], everything]]
-    N = np.flatnonzero(normalizes)
+    inside = np.zeros((1, G.order), dtype=bool)
+    inside[0, H.member_indices()] = True
+    N = np.flatnonzero(_normalizers(G, inside, [H.gens])[0])
     images = cyc_of[t[t[inv[N][:, None], cyc_gens], N[:, None]]]
     first = images.min(axis=0)
     return np.flatnonzero(first == np.arange(len(cyc_gens)))
@@ -511,18 +525,19 @@ def quotient_with_map(G: Group, N: SubgroupRecord) -> QuotientMap:
 
 
 # ---------------------------------------------------------------------------
-# maximal subgroups through an abelian minimal normal subgroup
+# maximal subgroups through a minimal normal subgroup
 
 
-def _abelian_minimal_normal(G: Group) -> np.ndarray | None:
-    """Members of one abelian minimal normal subgroup of G, or None when
-    every minimal normal subgroup is nonabelian.
+def _minimal_normal(G: Group) -> tuple[np.ndarray, bool]:
+    """Members of one minimal normal subgroup of the nontrivial group G,
+    abelian when G has an abelian one, and whether it is abelian.
 
     The normal closure of a prime-order element is replaced by a smaller
     closure of a prime-order class inside it while there is one; what is
     left is minimal normal.  A nonabelian one is set aside with every
     class inside it, since it meets an abelian minimal normal subgroup
-    trivially.
+    trivially; the first one set aside is returned when no abelian one
+    turns up.
     """
     prime = _prime_order_classes(G)
     closures = {}
@@ -534,6 +549,7 @@ def _abelian_minimal_normal(G: Group) -> np.ndarray | None:
 
     t = G.table
     rejected = 0
+    first = None
     for c in prime:
         if c.members & rejected:
             continue
@@ -549,9 +565,11 @@ def _abelian_minimal_normal(G: Group) -> np.ndarray | None:
                     break
         block = t[np.ix_(members, members)]
         if (block == block.T).all():
-            return members
+            return members, True
+        if first is None:
+            first = members
         rejected |= indices_to_bits(members, G.order)
-    return None
+    return first, False
 
 
 def _row_bits(masks: np.ndarray) -> list[int]:
@@ -629,13 +647,44 @@ def _complement_orbits(G: Group, qm: QuotientMap) -> list[np.ndarray]:
     return _conjugacy_orbits(G, np.array(found)) if found else []
 
 
+def _normalizer_orbits(G: Group, members: np.ndarray) -> list[np.ndarray]:
+    """Conjugacy classes of the normalizers N_G(K), one row per conjugate
+    of K, for the subgroups 1 < K < N of the normal subgroup N with the
+    given members whose G-class holds |N : K| subgroups.
+
+    The subgroups of N come from the lattice of N, built as its own
+    group on G's points; N normal makes the set of them closed under
+    conjugation by G.  A maximal M = N_G(K) not containing N has MN = G,
+    so |G : M| = |N : M ∩ N|, which is |N : K| only for K = M ∩ N: M
+    comes from one class of K, with distinct rows.  Any other normalizer
+    may repeat a row or a class, and is left to the maximality filter.
+    """
+    N = Group(
+        [G.element(i) for i in small_generating_set(G, members)],
+        name=f"{G.name}:N{len(members)}", degree=G.degree, caps=G.caps,
+    )
+    to_g = G._lookup(N._E)  # element i of N is element to_g[i] of G
+    subgroups = subgroup_lattice(N)[1:-1]  # all but 1 and N
+    masks = np.zeros((len(subgroups), G.order), dtype=bool)
+    for row, K in zip(masks, subgroups):
+        row[to_g[K.member_indices()]] = True
+    record = dict(zip(_row_bits(masks), subgroups))
+    out = []
+    for orbit in _conjugacy_orbits(G, masks):
+        if len(orbit) * int(orbit[0].sum()) == N.order:
+            gens = [to_g[list(record[bits].gens)] for bits in _row_bits(orbit)]
+            out.append(_normalizers(G, orbit, gens))
+    return out
+
+
 def _maximal_orbits(G: Group) -> list[np.ndarray]:
     """Conjugacy classes of maximal subgroups, one membership row per
     conjugate, in no particular order."""
     if G.order == 1:
         return []
-    members = _abelian_minimal_normal(G)
-    if members is None:
+    members, abelian = _minimal_normal(G)
+    simple = not abelian and len(members) == G.order
+    if simple:
         out = []
         for rep, orbit in _lattice(G).classes:
             if rep.is_maximal:
@@ -646,21 +695,41 @@ def _maximal_orbits(G: Group) -> list[np.ndarray]:
         return out
     qm = quotient_with_map(G, _record(G, members, small_generating_set(G, members)))
     above = [masks[:, qm.index_map] for masks in _maximal_orbits(qm.group)]
-    return above + _complement_orbits(G, qm)
+    if abelian:
+        return above + _complement_orbits(G, qm)
+    # a candidate is maximal when no candidate row strictly contains it;
+    # each maximal class is one candidate, and the rest are dropped
+    candidates = above + _complement_orbits(G, qm) + _normalizer_orbits(G, members)
+    rows = np.concatenate(candidates)
+    sizes = rows.sum(axis=1)
+    return [
+        masks for masks in candidates
+        if not (rows[sizes > masks[0].sum()] >= masks[0]).all(axis=1).any()
+    ]
 
 
 def maximal_classes(G: Group) -> list[np.ndarray]:
-    """Conjugacy classes of maximal subgroups of G, without the lattice
-    when G has an abelian minimal normal subgroup N.
+    """Conjugacy classes of maximal subgroups of G, through a minimal
+    normal subgroup N of G, taken abelian when G has an abelian one; only
+    a nonabelian simple G reads them off its own lattice.
 
     A maximal subgroup M either contains N, and is then the preimage of
-    a maximal subgroup of G/N, or meets N trivially, and is then a
-    complement of N: M ∩ N is normalized by M and by the abelian N, so
-    it is 1 or N.  Conversely every complement of an abelian minimal
-    normal N is maximal.  The preimages come from the same recursion on
-    G/N, with conjugacy classes and their sizes unchanged; a group whose
-    minimal normal subgroups are all nonabelian takes its maximal
-    classes from the lattice.
+    a maximal subgroup of G/N, found by the same recursion on G/N with
+    conjugacy classes and their sizes unchanged, or it does not, and
+    then MN = G and K = M ∩ N is normal in M, as N is normal in G.
+
+    - Abelian N: K is also normalized by the abelian N, so by MN = G;
+      it is 1 or N, hence 1, and M is a complement of N.  Conversely
+      every complement of an abelian minimal normal N is maximal, so
+      these are the candidates.
+    - Nonabelian N < G: if K ≠ 1, K is not normal in G, since N is
+      minimal normal and K ≠ N, so M ≤ N_G(K) < G and M = N_G(K);
+      if K = 1, M is a complement of N.  So every maximal subgroup is a
+      preimage, a complement, or the normalizer of a subgroup 1 < K < N,
+      read off the lattice of N; as |G : M| = |N : K|, only the K whose
+      G-class holds |N : K| subgroups are normalized.  Each candidate is
+      proper, so the maximal ones are the candidates no other candidate
+      strictly contains.
 
     Each class is a boolean array with one membership row per conjugate.
     Rows ascend by bitset and classes by (order, least bitset), the key

@@ -138,3 +138,32 @@ def test_only_group_normalises_perms():
     calls = {p.name: n for p in _modules() if (n := _perm_isinstance_calls(p))}
     assert set(calls) <= {"group.py", "perm.py"}, calls
     assert calls.get("perm.py") == 1
+
+
+def _lattice_calls(tree: ast.Module):
+    """(enclosing function, tests of the ifs whose body holds the call)
+    for each call of _lattice."""
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and "_lattice" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        ):
+            branches, child, up = [], node, parent[node]
+            while not isinstance(up, (ast.FunctionDef, ast.Module)):
+                if isinstance(up, ast.If) and child in up.body:
+                    branches.append(ast.unparse(up.test))
+                child, up = up, parent[up]
+            yield getattr(up, "name", "<module>"), branches
+
+
+def test_only_lattice_questions_build_the_lattice():
+    # subgroup_lattice and maximal_subgroups_up_to_conjugacy ask for the
+    # lattice itself; _maximal_orbits reads it only for a simple group
+    calls = {p.name: sorted(c) for p in _modules() if (c := list(_lattice_calls(_tree(p))))}
+    assert calls == {
+        "subgroups.py": [
+            ("_maximal_orbits", ["simple"]),
+            ("maximal_subgroups_up_to_conjugacy", []),
+            ("subgroup_lattice", []),
+        ]
+    }, calls

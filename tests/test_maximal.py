@@ -1,5 +1,5 @@
-"""Maximal-subgroup classes through an abelian minimal normal subgroup,
-against the subgroup lattice and against closed forms."""
+"""Maximal-subgroup classes through a minimal normal subgroup, against
+the subgroup lattice and against closed forms."""
 
 import random
 
@@ -19,8 +19,9 @@ from invgen.coverage import coverage_table
 from invgen.crowns import abelian_crown_power_with_embedding, chief_series, corona_decomposition
 from invgen.modlin import ModuleAction
 from invgen.subgroups import (
-    _abelian_minimal_normal,
     _lattice,
+    _minimal_normal,
+    _normalizer_orbits,
     closure_indices,
     frattini,
     maximal_classes,
@@ -187,11 +188,81 @@ def test_complement_search_extends_only_joins_that_avoid_n(monkeypatch):
     assert [name for name, avoids in extended if not avoids] == []
 
 
-def test_nonabelian_socle_takes_the_lattice():
-    for desc in ({"family": "sym", "n": 5}, {"family": "alt", "n": 6}):
+def _lattice_builds(monkeypatch) -> list:
+    """The groups whose lattice the package builds from here on."""
+    import invgen.subgroups as sg
+
+    built = []
+    real = sg._lattice
+    monkeypatch.setattr(sg, "_lattice", lambda H: built.append(H) or real(H))
+    return built
+
+
+def test_simple_groups_take_the_lattice(monkeypatch):
+    for desc in ({"family": "alt", "n": 5}, {"family": "alt", "n": 6}):
         G = load_group(desc)
-        assert _abelian_minimal_normal(G) is None
-        assert new_route(G) == lattice_route(load_group(desc))
+        members, abelian = _minimal_normal(G)
+        assert not abelian and len(members) == G.order
+        built = _lattice_builds(monkeypatch)
+        route = new_route(G)
+        assert [H for H in built if H is G] == [G]
+        assert route == lattice_route(load_group(desc))
+
+
+def test_proper_nonabelian_socle_takes_the_lattice_of_the_socle(monkeypatch):
+    for desc in ({"family": "sym", "n": 5}, {"family": "sym", "n": 6}):
+        G = load_group(desc)
+        members, abelian = _minimal_normal(G)
+        assert not abelian and 2 * len(members) == G.order
+        built = _lattice_builds(monkeypatch)
+        route = new_route(G)
+        assert [H.order for H in built] == [G.order // 2]  # the socle's own group
+        assert route == lattice_route(load_group(desc))
+
+
+def _pgl27() -> Group:
+    """PGL(2, 7) on GF(7) and infinity (point 7): x + 1, 3x and -1/x."""
+    inf = 7
+    images = [
+        [(x + 1) % 7 for x in range(7)] + [inf],
+        [3 * x % 7 for x in range(7)] + [inf],
+        [inf] + [-pow(x, -1, 7) % 7 for x in range(1, 7)] + [0],
+    ]
+    return Group([Perm(i) for i in images], name="PGL(2,7)", degree=8)
+
+
+def test_pgl27_matches_the_lattice():
+    # socle PSL(2, 7); its two classes of S4 are self-normalizing in G, so
+    # their normalizers are candidates of order 24 that lie in PSL(2, 7)
+    G = _pgl27()
+    assert G.order == 336
+    members, abelian = _minimal_normal(G)
+    assert not abelian and len(members) == 168
+    assert 24 in {len(np.flatnonzero(masks[0])) for masks in _normalizer_orbits(G, members)}
+    orders, counts, covers = new_route(G)
+    assert (orders, counts) == ((12, 16, 42, 168), (28, 21, 8, 1))
+    assert (orders, counts, covers) == lattice_route(_pgl27())
+
+
+@pytest.mark.parametrize(
+    "make, simple",
+    [
+        (lambda: load_group({"family": "sym", "n": 5}), False),
+        (lambda: load_group({"family": "sym", "n": 6}), False),
+        (_pgl27, False),
+        (lambda: load_group({"family": "alt", "n": 5}), True),
+        (lambda: load_group({"family": "alt", "n": 6}), True),
+    ],
+    ids=["S5", "S6", "PGL(2,7)", "A5", "A6"],
+)
+def test_only_a_simple_group_builds_its_own_lattice(monkeypatch, make, simple):
+    G = make()
+    built = _lattice_builds(monkeypatch)
+    coverage_table(G, use_cache=False)
+    assert frattini(G).order == 1
+    chief_series(G)
+    assert corona_decomposition(G).U is not None
+    assert any(H is G for H in built) == simple
 
 
 def test_abelian_minimal_normal_over_a_nonabelian_socle():
@@ -199,11 +270,13 @@ def test_abelian_minimal_normal_over_a_nonabelian_socle():
     # minimal normal subgroup, and the quotient SL(2,4) = A5 is simple
     desc = next(d for d in read_corpus(shipped_corpus_path()) if d.get("name") == "mod_sl24_nat")
     G = realize_descriptor(desc)[0]
-    members = _abelian_minimal_normal(G)
-    assert len(members) == 16
+    members, abelian = _minimal_normal(G)
+    assert abelian and len(members) == 16
     (N,) = minimal_normal_subgroups(G)
     assert N.order == 16
-    assert _abelian_minimal_normal(quotient_with_map(G, N).group) is None
+    Q = quotient_with_map(G, N).group
+    members, abelian = _minimal_normal(Q)
+    assert not abelian and len(members) == Q.order == 60
     assert new_route(G) == lattice_route(realize_descriptor(desc)[0])
 
 
