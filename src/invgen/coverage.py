@@ -10,8 +10,9 @@ class of maximal subgroups, the set of element classes covered.
 The maximal classes come without the lattice of G through a minimal
 normal subgroup N.  A maximal subgroup either contains N, and is the
 preimage of a maximal subgroup of G/N, found by the same recursion on
-G/N, or it is a complement of N, or (N nonabelian only) the normalizer
-of a subgroup of N, read off the lattice of N alone.  Only a
+G/N, or it is a complement of N, found by lifting generators of G/N
+with joins that stop as soon as they meet N, or (N nonabelian only) the
+normalizer of a subgroup of N, read off the lattice of N alone.  Only a
 nonabelian simple group reads its maximal classes off its own lattice.
 
 The covers are the rows of one boolean (maximal classes x element
@@ -174,7 +175,8 @@ def _compute_table(G: Group) -> ClassCoverageTable:
     They are found through a minimal normal subgroup N
     (``subgroups.maximal_classes``): the preimages of the maximal
     subgroups of G/N, from the same recursion on G/N, the complements of
-    N, found by lifting generators of G/N one coset of N at a time, and,
+    N, found by lifting generators of G/N one at a time, each join grown
+    from the last and dropped once it meets N, and,
     when N is nonabelian, the normalizers of subgroups of N, from the
     lattice of N.  Only a nonabelian simple group takes them from its
     own lattice.

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coverage import invariably_generates
-from .errors import InputError, PreconditionError
+from .errors import InputError, InvgenError, PreconditionError
 from .gf import RowSpace, row_space_basis
 from .modlin import ModuleAction, f_closed_add, module_from_descriptor
 from .subgroups import closure_indices
@@ -243,7 +243,8 @@ def max_lift_rank(act: ModuleAction, hs, mode: str) -> MaxLiftRank:
     if mode == MODE_GENERATE:
         u_max = dw.n * (d - 1) - dw.m
         base = dw.D
-        assert dw.n * d - dw.dim_d_f == u_max  # codim view of the same number
+        if dw.n * d - dw.dim_d_f != u_max:  # codim view of the same number
+            raise InvgenError(f"n(d-1) - m = {u_max} but nd - dim D = {dw.n * d - dw.dim_d_f}")
     else:
         u_max = dw.n * d - dw.dim_dw_f
         base = dw.sum

@@ -111,6 +111,30 @@ def bits_to_indices(bits: int, n: int) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
+def _index_orbits(maps, n: int) -> list[list[int]]:
+    """Orbits on 0..n-1 of the group generated by the index maps (lists,
+    map[i] the image of i).
+
+    Starts are scanned in ascending order, so each orbit's start is its
+    least point; an orbit lists its points in breadth-first order.
+    """
+    assigned = [False] * n
+    orbits = []
+    for start in range(n):
+        if assigned[start]:
+            continue
+        assigned[start] = True
+        orbit = [start]
+        for x in orbit:  # the list grows while it is read
+            for m in maps:
+                y = m[x]
+                if not assigned[y]:
+                    assigned[y] = True
+                    orbit.append(y)
+        orbits.append(orbit)
+    return orbits
+
+
 # ---------------------------------------------------------------------------
 # image rows
 
@@ -346,26 +370,12 @@ class Group:
     def conjugacy_classes(self):
         """Classes sorted by (size, representative index); identity first.
 
-        A class is an orbit of the conjugation maps.  Starts are scanned in
-        ascending order, so each orbit's start is its smallest member.
+        A class is an orbit of the conjugation maps, listed from its
+        smallest member.
         """
         if self._classes is None:
             n = self.order
-            maps = [m.tolist() for m in self.conj_maps()]
-            assigned = [False] * n
-            orbits = []
-            for start in range(n):
-                if assigned[start]:
-                    continue
-                assigned[start] = True
-                orbit = [start]
-                for x in orbit:  # the list grows while it is read
-                    for m in maps:
-                        y = m[x]
-                        if not assigned[y]:
-                            assigned[y] = True
-                            orbit.append(y)
-                orbits.append(orbit)
+            orbits = _index_orbits([m.tolist() for m in self.conj_maps()], n)
             orbits.sort(key=lambda o: (len(o), o[0]))
             classes = []
             class_of = np.empty(n, dtype=np.int32)

@@ -20,11 +20,12 @@ conjugate of every subgroup.  Most of those joins are redundant: for n
 in the normalizer N_G(H), <H, c^n> = <H, c>^n, so H is joined with only
 one cyclic from each N_G(H)-orbit and the closure stays complete.
 
-A join <H, c> is grown as whole right cosets Hx of H, starting from H's
-known members (Dimino's algorithm; Butler, *Fundamental Algorithms for
-Permutation Groups*, 1991): only coset representatives times generators
-are tested, and the growth stops once more than |G|/2 elements are
-found, since then the join is G.
+Every closure in the package is ``closure_indices``, a breadth-first
+search over the multiplication table.  A join <H, c> starts from H's
+known members rather than from the identity, so only the elements
+outside H are searched for, and it stops once more than |G|/2 elements
+are found, since then the join is G.  The complement search passes the
+same closure a mask to avoid, and drops a join as soon as it meets N.
 """
 
 from __future__ import annotations
@@ -34,22 +35,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PreconditionError
-from .group import Group, bits_to_indices, is_prime, prime_power
+from .errors import InvgenError, PreconditionError
+from .group import Group, _index_orbits, bits_to_indices, is_prime, prime_power
 from .perm import Perm
 
 # ---------------------------------------------------------------------------
 # bitset helpers
 
 
-def mask_to_bits(mask: np.ndarray) -> int:
-    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
-
-
 def indices_to_bits(indices, n: int) -> int:
     mask = np.zeros(n, dtype=bool)
     mask[np.asarray(indices, dtype=np.int64)] = True
-    return mask_to_bits(mask)
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
 # ---------------------------------------------------------------------------
@@ -94,33 +91,40 @@ def _record(G: Group, member_idx, gens) -> SubgroupRecord:
 # closures over the index table
 
 
-def closure_indices(G: Group, gen_idxs) -> np.ndarray:
-    """Member indices of <gens>, ascending, by breadth-first search.
+def closure_indices(G: Group, gen_idxs, start=None, avoid=None) -> np.ndarray | None:
+    """Member indices of <H, gens>, ascending, by breadth-first search from
+    start, the members of a subgroup H (by default the identity alone),
+    where gens includes generators of H.
 
     Each level is the frontier times every generator, gathered from the
     n x d column block table[:, gens] rather than from whole table rows;
     the level's new elements are the bits the gather set in ``seen``.
     A partial count above |G|/2 forces the whole group (Lagrange), so
-    the scan stops there.
+    the scan stops there and returns G.  With avoid, a boolean mask over
+    G, the result is None once a level meets the mask, or once the count
+    passes |G|/2, since the closure is then G.
     """
     n = G.order
     gen_idxs = [int(g) for g in gen_idxs if g != 0]
+    frontier = np.zeros(1, dtype=np.int64) if start is None else np.asarray(start, dtype=np.int64)
     if not gen_idxs:
-        return np.array([0], dtype=np.int64)
+        return np.sort(frontier)
     right = G.table[:, gen_idxs]
     seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    count = 1
-    frontier = np.array([0], dtype=np.int64)
+    seen[frontier] = True
+    count = len(frontier)
     while True:
         before = seen.copy()
-        seen[right[frontier]] = True
-        new = np.flatnonzero(seen ^ before)
+        seen.put(right[frontier], True)
+        before ^= seen
+        new = before.nonzero()[0]
         if new.size == 0:
             break
+        if avoid is not None and avoid[new].any():
+            return None
         count += new.size
         if 2 * count > n:
-            return np.arange(n, dtype=np.int64)
+            return np.arange(n, dtype=np.int64) if avoid is None else None
         frontier = new
     return np.flatnonzero(seen).astype(np.int64)
 
@@ -133,40 +137,26 @@ def generated_subgroup(G: Group, elems) -> SubgroupRecord:
 
 
 def small_generating_set(G: Group, member_idx) -> tuple:
-    """Greedy generating set for the subgroup with the given members."""
+    """Greedy generating set for the subgroup with the given members: each
+    member outside the closure so far joins the generators, and the
+    closure grows from the one before."""
     members = np.sort(np.asarray(member_idx, dtype=np.int64))
-    target = len(members)
-    if target == 1:
-        return ()
     gens: list[int] = []
-    current = {0}
+    current = np.zeros(1, dtype=np.int64)
+    inside = np.zeros(G.order, dtype=bool)
+    inside[0] = True
     for i in members:
-        i = int(i)
-        if i in current:
-            continue
-        gens.append(i)
-        current = set(closure_indices(G, gens).tolist())
-        if len(current) == target:
+        if len(current) == len(members):
             break
+        if not inside[i]:
+            gens.append(int(i))
+            current = closure_indices(G, gens, start=current)
+            inside[current] = True
     return tuple(gens)
 
 
 # ---------------------------------------------------------------------------
 # subgroup lattice
-
-
-class SubgroupLattice:
-    def __init__(self, G: Group, classes):
-        self.group = G
-        # classes: list of (rep SubgroupRecord, [conjugate SubgroupRecords])
-        self.classes = classes
-
-    def all_subgroups(self):
-        out = []
-        for rep, orbit in self.classes:
-            out.extend(orbit)
-        out.sort(key=lambda r: (r.order, r.bits))
-        return out
 
 
 def _conjugate_orbit(G: Group, rec: SubgroupRecord, conj_maps):
@@ -254,54 +244,24 @@ def _partner_reps(G: Group, H: SubgroupRecord, inv, cyc_of, cyc_gens) -> np.ndar
     return np.flatnonzero(first == np.arange(len(cyc_gens)))
 
 
-def _coset_closure(G: Group, h_members: np.ndarray, gens, avoid=None) -> np.ndarray | None:
-    """Membership mask of <H, gens> grown as right cosets Hx of H (Dimino),
-    where gens includes generators of H; None once more than |G|/2
-    elements are found, since then the closure is G, or once a new coset
-    meets the optional boolean mask avoid.
-
-    (Hr)s = H(rs), so a union of right cosets of H is closed under the
-    generators once every coset representative times every generator
-    lies in it: only those products are tested.
-    """
-    t = G.table
-    n = G.order
-    seen = np.zeros(n, dtype=bool)
-    seen[h_members] = True
-    count = len(h_members)
-    reps = [0]
-    k = 0
-    while k < len(reps):
-        r = reps[k]
-        k += 1
-        for s in gens:
-            x = int(t[r, s])
-            if not seen[x]:
-                coset = t[h_members, x]
-                if avoid is not None and avoid[coset].any():
-                    return None
-                seen[coset] = True
-                count += len(h_members)
-                if 2 * count > n:
-                    return None
-                reps.append(x)
-    return seen
-
-
 def subgroup_lattice(G: Group) -> list[SubgroupRecord]:
     """Every subgroup of G, each exactly once, sorted by (order, bitset)."""
-    return _lattice(G).all_subgroups()
+    out = [r for _, orbit in _lattice(G) for r in orbit]
+    out.sort(key=lambda r: (r.order, r.bits))
+    return out
 
 
-def _lattice(G: Group) -> SubgroupLattice:
+def _lattice(G: Group) -> list[tuple[SubgroupRecord, list[SubgroupRecord]]]:
+    """The conjugacy classes of subgroups of G, each a pair (representative,
+    every conjugate), sorted by the representative's (order, bitset);
+    built once per group and cached on it."""
     if G._lattice is not None:
         return G._lattice
     n = G.order
     trivial = _record(G, [0], ())
     if n == 1:
-        lat = SubgroupLattice(G, [(trivial, [trivial])])
-        G._lattice = lat
-        return lat
+        G._lattice = [(trivial, [trivial])]
+        return G._lattice
     conj_maps = G.conj_maps()
     cyclics = _cyclic_subgroups_prime_power(G)
     whole = _record(G, np.arange(n), tuple(G.gen_indices))
@@ -340,11 +300,11 @@ def _lattice(G: Group) -> SubgroupLattice:
             bound = H.order * c.order // inter
             if 2 * bound > n:
                 continue  # join is G, already admitted
-            mask = _coset_closure(G, H.member_indices(), H.gens + c.gens)
-            if mask is None:
-                continue
-            if mask_to_bits(mask) not in seen_bits:  # a record only for a new subgroup
-                admit(_record(G, np.flatnonzero(mask), H.gens + c.gens))
+            members = closure_indices(G, H.gens + c.gens, start=H.member_indices())
+            if len(members) == n:
+                continue  # join is G, already admitted
+            if indices_to_bits(members, n) not in seen_bits:  # a record only for a new subgroup
+                admit(_record(G, members, H.gens + c.gens))
 
     # maximality flags
     classes.sort(key=lambda pair: (pair[0].order, pair[0].bits))
@@ -365,23 +325,19 @@ def _lattice(G: Group) -> SubgroupLattice:
                     break
         for r in orbit:
             r.is_maximal = maximal
-    lat = SubgroupLattice(G, classes)
-    G._lattice = lat
-    return lat
+    G._lattice = classes
+    return classes
 
 
 def maximal_subgroups_up_to_conjugacy(G: Group) -> list[SubgroupRecord]:
-    """One representative per conjugacy class of maximal subgroups."""
-    lat = _lattice(G)
-    reps = [rep for rep, _ in lat.classes if rep.is_maximal]
-    reps.sort(key=lambda r: (r.order, r.bits))
-    return reps
+    """One representative per conjugacy class of maximal subgroups, sorted
+    by (order, bitset)."""
+    return [rep for rep, _ in _lattice(G) if rep.is_maximal]
 
 
 def subgroup_conjugates(G: Group, rec: SubgroupRecord) -> list[SubgroupRecord]:
-    lat = G._lattice
-    if lat is not None:
-        for rep, orbit in lat.classes:
+    if G._lattice is not None:
+        for _, orbit in G._lattice:
             if any(r.bits == rec.bits for r in orbit):
                 return orbit
     return _conjugate_orbit(G, rec, G.conj_maps())
@@ -465,33 +421,17 @@ def minimal_normal_subgroups(G: Group) -> list[SubgroupRecord]:
 # quotients
 
 
-class QuotientMap:
-    """Surjection G -> Q = G/N.
-
-    index_map sends G element indices to Q element indices.  Q's
-    generators are the images of G's, less those inside N (Group drops
-    identity generators), in G's order.
-    """
-
-    def __init__(self, G: Group, N: SubgroupRecord, Q: Group, index_map: np.ndarray):
-        self.source = G
-        self.kernel = N
-        self.group = Q
-        self.index_map = index_map
-
-    def apply_index(self, i: int) -> int:
-        return int(self.index_map[int(i)])
-
-
 def _is_normal_bits(G: Group, members, bits) -> bool:
     return all(
         indices_to_bits(cm[members], G.order) == bits for cm in G.conj_maps()
     )
 
 
-def quotient_with_map(G: Group, N: SubgroupRecord) -> QuotientMap:
+def quotient_with_map(G: Group, N: SubgroupRecord) -> tuple[Group, np.ndarray]:
     """Quotient by a normal subgroup N in its regular realization: G
     acting on the right cosets of N, so Q has degree and order |G|/|N|.
+    Returns Q and the index map sending G's element indices to Q's.  Q's
+    generators are the images of G's, less those inside N, in G's order.
 
     N = 1 returns G itself, with its tables and lattice already built.
     N normal makes Nr x = N r r_x for the representative r_x of Nx, so
@@ -502,10 +442,10 @@ def quotient_with_map(G: Group, N: SubgroupRecord) -> QuotientMap:
         raise PreconditionError("quotient by a non-normal subgroup")
     n = G.order
     if N.order == 1:
-        return QuotientMap(G, N, G, np.arange(n, dtype=np.int64))
+        return G, np.arange(n, dtype=np.int64)
     if N.order == n:
         Q = Group([], name=f"{G.name}/{G.name}", degree=1, caps=G.caps)
-        return QuotientMap(G, N, Q, np.zeros(n, dtype=np.int64))
+        return Q, np.zeros(n, dtype=np.int64)
     t = G.table
     Nidx = N.member_indices()
     cos_id = np.full(n, -1, dtype=np.int64)
@@ -520,8 +460,9 @@ def quotient_with_map(G: Group, N: SubgroupRecord) -> QuotientMap:
     rows = cos_id[t[np.ix_(rep_arr, rep_arr)]].T
     gen_imgs = [Perm(rows[cos_id[g]].tolist()) for g in G.gen_indices]
     Q = Group(gen_imgs, name=f"{G.name}/N{N.order}", degree=q, caps=G.caps)
-    assert Q.order == q, "regular realization has wrong order"
-    return QuotientMap(G, N, Q, Q._lookup(rows)[cos_id])
+    if Q.order != q:
+        raise InvgenError(f"the regular realization of {G.name}/N has order {Q.order}, not {q}")
+    return Q, Q._lookup(rows)[cos_id]
 
 
 # ---------------------------------------------------------------------------
@@ -589,38 +530,24 @@ def _conjugacy_orbits(G: Group, masks: np.ndarray) -> list[np.ndarray]:
     images = [
         [where[b] for b in _row_bits(masks[:, np.argsort(cm)])] for cm in G.conj_maps()
     ]
-    assigned = [False] * len(masks)
-    orbits = []
-    for start in range(len(masks)):
-        if assigned[start]:
-            continue
-        assigned[start] = True
-        orbit = [start]
-        for i in orbit:  # the list grows while it is read
-            for image in images:
-                j = image[i]
-                if not assigned[j]:
-                    assigned[j] = True
-                    orbit.append(j)
-        orbits.append(masks[orbit])
-    return orbits
+    return [masks[orbit] for orbit in _index_orbits(images, len(masks))]
 
 
-def _complement_orbits(G: Group, qm: QuotientMap) -> list[np.ndarray]:
-    """Conjugacy classes of complements of the kernel N of qm: G -> Q.
+def _complement_orbits(G: Group, members, Q: Group, index_map) -> list[np.ndarray]:
+    """Conjugacy classes of complements of the normal subgroup N with the
+    given members, for the quotient map index_map: G -> Q = G/N.
 
     A complement meets each coset of N in exactly one element, so it is
     generated by one lift of each generator of Q, and each complement
     arises from exactly one tuple of lifts.  The lifts are chosen depth
-    first, each join grown as cosets of the last; a branch ends once its
-    join meets N in more than the identity.  A full tuple whose join
-    avoids N has order |Q|, so it spans a complement.
+    first, each join grown from the members of the last; a branch ends
+    once its join meets N in more than the identity.  A full tuple whose
+    join avoids N has order |Q|, so it spans a complement.
     """
-    Q = qm.group
     avoid = np.zeros(G.order, dtype=bool)
-    avoid[qm.kernel.member_indices()] = True
+    avoid[members] = True
     avoid[0] = False
-    fibres = np.argsort(qm.index_map, kind="stable").reshape(Q.order, -1)
+    fibres = np.argsort(index_map, kind="stable").reshape(Q.order, -1)
     qgens = []  # Q's generators, less any inside the span of earlier ones
     span = np.zeros(Q.order, dtype=bool)
     span[0] = True
@@ -630,21 +557,21 @@ def _complement_orbits(G: Group, qm: QuotientMap) -> list[np.ndarray]:
             span[closure_indices(Q, qgens)] = True
     found = []
 
-    def extend(mask, gens):
+    def extend(joined, gens):
         if len(gens) == len(qgens):
-            found.append(mask)
+            found.append(joined)
             return
-        members = np.flatnonzero(mask)
         for x in fibres[qgens[len(gens)]]:
             lifts = gens + (int(x),)
-            grown = _coset_closure(G, members, lifts, avoid)
+            grown = closure_indices(G, lifts, start=joined, avoid=avoid)
             if grown is not None:
                 extend(grown, lifts)
 
-    trivial = np.zeros(G.order, dtype=bool)
-    trivial[0] = True
-    extend(trivial, ())
-    return _conjugacy_orbits(G, np.array(found)) if found else []
+    extend(np.zeros(1, dtype=np.int64), ())
+    masks = np.zeros((len(found), G.order), dtype=bool)
+    for row, joined in zip(masks, found):
+        row[joined] = True
+    return _conjugacy_orbits(G, masks)
 
 
 def _normalizer_orbits(G: Group, members: np.ndarray) -> list[np.ndarray]:
@@ -686,20 +613,21 @@ def _maximal_orbits(G: Group) -> list[np.ndarray]:
     simple = not abelian and len(members) == G.order
     if simple:
         out = []
-        for rep, orbit in _lattice(G).classes:
+        for rep, orbit in _lattice(G):
             if rep.is_maximal:
                 masks = np.zeros((len(orbit), G.order), dtype=bool)
                 for row, r in zip(masks, orbit):
                     row[r.member_indices()] = True
                 out.append(masks)
         return out
-    qm = quotient_with_map(G, _record(G, members, small_generating_set(G, members)))
-    above = [masks[:, qm.index_map] for masks in _maximal_orbits(qm.group)]
+    Q, index_map = quotient_with_map(G, _record(G, members, small_generating_set(G, members)))
+    above = [masks[:, index_map] for masks in _maximal_orbits(Q)]
+    complements = _complement_orbits(G, members, Q, index_map)
     if abelian:
-        return above + _complement_orbits(G, qm)
+        return above + complements
     # a candidate is maximal when no candidate row strictly contains it;
     # each maximal class is one candidate, and the rest are dropped
-    candidates = above + _complement_orbits(G, qm) + _normalizer_orbits(G, members)
+    candidates = above + complements + _normalizer_orbits(G, members)
     rows = np.concatenate(candidates)
     sizes = rows.sum(axis=1)
     return [

@@ -130,7 +130,7 @@ def _crown_by_definition(G, A) -> int:
     monolithic (one minimal normal subgroup strictly above N), primitive
     (some maximal subgroup has core N) and has socle equivalent to A.
     """
-    classes = _lattice(G).classes
+    classes = _lattice(G)
     normals = [rep for rep, orbit in classes if len(orbit) == 1]
     cores = []
     for rep, orbit in classes:
@@ -347,10 +347,10 @@ def test_frattini_flags_match_the_quotient_lattice():
         for reverse in (False, True):
             for A in chief_series(G, reverse_ties=reverse):
                 if A.lower.bits not in quotients:
-                    qm = quotient_with_map(G, A.lower)
-                    quotients[A.lower.bits] = (qm, _lattice_frattini_bits(qm.group))
-                qm, phi = quotients[A.lower.bits]
-                image = {int(i) for i in qm.index_map[A.upper.member_indices()]}
+                    Q, index_map = quotient_with_map(G, A.lower)
+                    quotients[A.lower.bits] = (index_map, _lattice_frattini_bits(Q))
+                index_map, phi = quotients[A.lower.bits]
+                image = {int(i) for i in index_map[A.upper.member_indices()]}
                 assert A.is_frattini == all(phi >> i & 1 for i in image), (G.name, A)
                 checked += 1
     assert checked >= 200

@@ -167,3 +167,14 @@ def test_only_lattice_questions_build_the_lattice():
             ("subgroup_lattice", []),
         ]
     }, calls
+
+
+def test_no_assert_in_package_modules():
+    # python -O strips assert statements; a package module raises
+    # InvgenError for an internal defect instead
+    asserts = {
+        p.name: lines
+        for p in PACKAGE.glob("*.py")
+        if (lines := [n.lineno for n in ast.walk(_tree(p)) if isinstance(n, ast.Assert)])
+    }
+    assert asserts == {}

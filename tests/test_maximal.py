@@ -39,7 +39,7 @@ def _covers(G, reps):
 
 def lattice_route(G):
     """(maximal_orders, maximal_counts, covers) from the whole lattice."""
-    maximal = [(rep, len(orbit)) for rep, orbit in _lattice(G).classes if rep.is_maximal]
+    maximal = [(rep, len(orbit)) for rep, orbit in _lattice(G) if rep.is_maximal]
     maximal.sort(key=lambda pair: (pair[0].order, pair[0].bits))
     return (
         tuple(rep.order for rep, _ in maximal),
@@ -162,26 +162,19 @@ def test_elementary_abelian_closed_form(p, k):
 def test_complement_search_extends_only_joins_that_avoid_n(monkeypatch):
     # A join that meets N in more than the identity spans no complement;
     # the search must drop it, not extend it (Q8: the lift i of a
-    # generator of Q8/Z spans <i>, which holds -1).
+    # generator of Q8/Z spans <i>, which holds -1).  The search avoids N
+    # less the identity, so every join it extends must miss that mask.
     import invgen.subgroups as sg
 
-    kernels = {}
-    real_quotient, real_closure = sg.quotient_with_map, sg._coset_closure
-
-    def quotient(G, N):
-        kernels[id(G)] = (G, N.bits)
-        return real_quotient(G, N)
-
+    real = sg.closure_indices
     extended = []
 
-    def closure(G, h_members, gens, avoid=None):
-        if id(G) in kernels:
-            h_bits = sum(1 << int(i) for i in h_members)
-            extended.append((G.name, kernels[id(G)][1] & h_bits == 1))
-        return real_closure(G, h_members, gens, avoid)
+    def closure(G, gens, start=None, avoid=None):
+        if avoid is not None:
+            extended.append((G.name, not avoid[start].any()))
+        return real(G, gens, start=start, avoid=avoid)
 
-    monkeypatch.setattr(sg, "quotient_with_map", quotient)
-    monkeypatch.setattr(sg, "_coset_closure", closure)
+    monkeypatch.setattr(sg, "closure_indices", closure)
     for desc in read_corpus(shipped_corpus_path()):
         maximal_classes(realize_descriptor(desc)[0])
     assert len(extended) > 1000
@@ -274,7 +267,7 @@ def test_abelian_minimal_normal_over_a_nonabelian_socle():
     assert abelian and len(members) == 16
     (N,) = minimal_normal_subgroups(G)
     assert N.order == 16
-    Q = quotient_with_map(G, N).group
+    Q, _ = quotient_with_map(G, N)
     members, abelian = _minimal_normal(Q)
     assert not abelian and len(members) == Q.order == 60
     assert new_route(G) == lattice_route(realize_descriptor(desc)[0])

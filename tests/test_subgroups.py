@@ -6,17 +6,20 @@ import pytest
 from invgen import load_group, read_corpus, realize_descriptor, shipped_corpus_path
 from invgen.coverage import coverage_table
 from invgen.subgroups import (
+    _cyclic_subgroups_prime_power,
     _lattice,
     closure_indices,
     minimal_normal_subgroups,
     normal_subgroups,
     quotient_with_map,
+    small_generating_set,
+    subgroup_lattice,
 )
 
 
 def lattice_counts(G):
-    lat = _lattice(G)
-    return sum(len(orbit) for _, orbit in lat.classes), len(lat.classes)
+    classes = _lattice(G)
+    return sum(len(orbit) for _, orbit in classes), len(classes)
 
 
 @pytest.mark.parametrize(
@@ -99,7 +102,7 @@ def test_lattice_equals_brute_force_on_small_corpus_groups():
         G, _, _ = realize_descriptor(desc)
         if G.order > 32:
             continue
-        lattice = {frozenset(int(i) for i in r.member_indices()) for r in _lattice(G).all_subgroups()}
+        lattice = {frozenset(int(i) for i in r.member_indices()) for r in subgroup_lattice(G)}
         assert lattice == _brute_force_subgroups(G), G.name
         checked.append(G.name)
     assert len(checked) >= 40
@@ -134,7 +137,7 @@ def _small_corpus_groups(max_order):
 def test_normal_subgroups_match_the_lattice():
     checked = 0
     for G in _small_corpus_groups(120):
-        want = sorted((rep.order, rep.bits) for rep, orbit in _lattice(G).classes if len(orbit) == 1)
+        want = sorted((rep.order, rep.bits) for rep, orbit in _lattice(G) if len(orbit) == 1)
         assert [(r.order, r.bits) for r in normal_subgroups(G)] == want, G.name
         checked += 1
     assert checked == 51
@@ -144,8 +147,7 @@ def test_quotients_are_regular_with_kernel_n():
     checked = 0
     for G in _small_corpus_groups(200):
         for N in normal_subgroups(G):
-            qm = quotient_with_map(G, N)
-            Q, phi = qm.group, qm.index_map
+            Q, phi = quotient_with_map(G, N)
             if N.order == 1:
                 assert Q is G
             else:
@@ -162,13 +164,13 @@ def test_quotient_tables_reach_the_disk_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("INVGEN_CACHE_DIR", str(tmp_path))
     s4 = load_group({"family": "sym", "n": 4})
     (v4,) = minimal_normal_subgroups(s4)
-    Q = quotient_with_map(s4, v4).group
+    Q, _ = quotient_with_map(s4, v4)
     assert coverage_table(Q) == coverage_table(load_group({"family": "sym", "n": 3}), use_cache=False)
     # quotients keep the regular realization, whatever their order
     desc = next(d for d in read_corpus(shipped_corpus_path()) if d.get("name") == "mod_sl24_nat")
     G = realize_descriptor(desc)[0]
     (V,) = minimal_normal_subgroups(G)
-    A5 = quotient_with_map(G, V).group
+    A5, _ = quotient_with_map(G, V)
     assert A5.degree == A5.order == 60
     assert coverage_table(A5).maximal_orders == (6, 10, 12)  # S3, D10, A4
     assert all(type(x) is int for H in (Q, A5) for g in H.generators for x in g.images)
@@ -226,3 +228,59 @@ def test_closure_matches_the_unique_bfs_on_lift_ambients(lift_ambients):
         for k in (1, 2, 3):
             for _ in range(40):
                 _assert_closure_matches(G, rng.integers(0, G.order, size=k).tolist())
+
+
+def test_closure_from_a_subgroup_matches_the_closure_from_the_identity():
+    # for each partner c of a lattice representative H, the join <H, c>
+    # grown from H's members equals <H, c> grown from the identity;
+    # with a mask to avoid, None exactly when that closure meets the mask
+    # or is G.  The masks miss H, whose members the search does not test.
+    rng = np.random.default_rng(20261019)
+    checked = met = whole = 0
+    for G in _small_corpus_groups(120):
+        n = G.order
+        cyclics = _cyclic_subgroups_prime_power(G)
+        for H, _ in _lattice(G):
+            inside = np.zeros(n, dtype=bool)
+            inside[H.member_indices()] = True
+            for c in cyclics:
+                if (H.bits & c.bits) == c.bits:
+                    continue  # not a partner: the join is H
+                gens = H.gens + c.gens
+                want = closure_indices(G, gens)
+                got = closure_indices(G, gens, start=H.member_indices())
+                assert np.array_equal(got, want), (G.name, H, c)
+                avoid = (rng.random(n) < 4 / n) & ~inside
+                hits = bool(avoid[want].any())
+                got = closure_indices(G, gens, start=H.member_indices(), avoid=avoid)
+                assert (got is None) == (hits or len(want) == n), (G.name, H, c)
+                if got is not None:
+                    assert np.array_equal(got, want), (G.name, H, c)
+                checked += 1
+                met += hits
+                whole += len(want) == n
+    assert checked > 10_000 and met > 1000 and whole > 1000, (checked, met, whole)
+
+
+def _greedy_generators(G, members) -> tuple:
+    """Each member outside the closure of the generators so far joins
+    them, every closure taken from the identity."""
+    gens, current = [], {0}
+    for i in sorted(int(i) for i in members):
+        if len(current) == len(members):
+            break
+        if i not in current:
+            gens.append(i)
+            current = set(_closure_by_unique(G, gens).tolist())
+    return tuple(gens)
+
+
+def test_small_generating_sets_match_the_greedy_reference():
+    checked = 0
+    for desc in read_corpus(shipped_corpus_path()):
+        G = realize_descriptor(desc)[0]
+        for N in normal_subgroups(G):
+            members = N.member_indices()
+            assert small_generating_set(G, members) == _greedy_generators(G, members), (G.name, N)
+            checked += 1
+    assert checked > 700
