@@ -36,13 +36,11 @@ from .coverage import (
 from .crowns import (
     ChiefFactor,
     CrownData,
-    abelian_crown,
     abelian_crown_power_with_embedding,
     build_crown_power_general,
     chief_series,
     corona_decomposition,
     crown_of_factor,
-    crown_power_from_descriptor,
     factors_equivalent,
     modules_isomorphic,
     verify_sotto,
@@ -125,7 +123,6 @@ __all__ = [
     "PropertyReport",
     "SubgroupRecord",
     "SurveyRow",
-    "abelian_crown",
     "abelian_crown_power_with_embedding",
     "agl_trend",
     "binomial_check",
@@ -140,7 +137,6 @@ __all__ = [
     "coverage_table",
     "coverage_to_csv",
     "crown_of_factor",
-    "crown_power_from_descriptor",
     "dimen_bound_check",
     "factors_equivalent",
     "fpf_proportion",

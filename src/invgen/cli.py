@@ -215,24 +215,23 @@ def _cmd_crowns(args) -> int:
 
 def _cmd_lift(args) -> int:
     desc = _load_descriptor(args.descriptor)
-    act = module_from_descriptor(desc["module"]) if "module" in desc else None
-    if act is None:
+    if "module" not in desc:
         raise InputError('lift descriptor needs a "module" field')
-    row: dict = {"name": act.name}
     if "ws" in desc:
         problem = lift_problem_from_descriptor(desc)
-        act = problem.act
-        row["u"] = problem.u
-        row["generates"] = gen_criterion(problem)
+        act, hs = problem.act, list(problem.hs)
+        row: dict = {"name": act.name, "u": problem.u, "generates": gen_criterion(problem)}
         try:
             row["invariably_generates"] = invgen_criterion(problem)
         except PreconditionError:
             row["invariably_generates"] = None
-        hs = list(problem.hs)
     else:
-        hs = [resolve_word(act, w) for w in desc.get("hs", [])]
-        if not hs:
+        act = module_from_descriptor(desc["module"])
+        row = {"name": act.name}
+        words = desc.get("hs", [])
+        if not isinstance(words, list) or not words:
             raise InputError('lift descriptor needs "hs" (and optionally "u"/"ws")')
+        hs = [resolve_word(act, w) for w in words]
     gen_rank = max_lift_rank(act, hs, MODE_GENERATE)
     row["u_max_generate"] = gen_rank.u_max
     try:

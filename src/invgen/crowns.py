@@ -30,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded, InputError, InvgenError, PreconditionError
-from .group import Group, _int_param, _row_dtype, bits_to_indices, load_group, prime_power
+from .group import Group, _row_dtype, bits_to_indices, prime_power
 from .gf import rank
-from .modlin import ModuleAction, intertwiners, module_from_descriptor
+from .modlin import ModuleAction, intertwiners
 from .perm import Perm
 from .subgroups import (
     SubgroupRecord,
@@ -64,8 +64,6 @@ class ChiefFactor:
     is_frattini: bool
     centralizer: SubgroupRecord
     module: ModuleAction | None  # conjugation action, abelian factors only
-    p: int | None
-    f: int | None
 
     def __repr__(self):
         kind = "abelian" if self.is_abelian else "nonabelian"
@@ -124,8 +122,8 @@ def _coords_of_section(G: Group, upper: SubgroupRecord, lower: SubgroupRecord, p
     return basis, coords, f
 
 
-def _section_module(G: Group, upper: SubgroupRecord, lower: SubgroupRecord):
-    """(p, f, ModuleAction) for an abelian chief factor."""
+def _section_module(G: Group, upper: SubgroupRecord, lower: SubgroupRecord) -> ModuleAction:
+    """The conjugation module of an abelian chief factor."""
     size = upper.order // lower.order
     pf = prime_power(size)
     if pf is None:
@@ -143,8 +141,7 @@ def _section_module(G: Group, upper: SubgroupRecord, lower: SubgroupRecord):
             conj = int(t[int(t[ginv, b]), gi])
             M[bi] = coords[conj]
         mats.append(M)
-    module = ModuleAction(G, p, mats, name=f"section({upper.order}/{lower.order} of {G.name})")
-    return p, f, module
+    return ModuleAction(G, p, mats, name=f"section({upper.order}/{lower.order} of {G.name})")
 
 
 def _section_is_abelian(G: Group, upper: SubgroupRecord, lower: SubgroupRecord) -> bool:
@@ -166,10 +163,10 @@ def _make_factor(G: Group, upper: SubgroupRecord, lower: SubgroupRecord) -> Chie
     order = upper.order // lower.order
     abelian = _section_is_abelian(G, upper, lower)
     cent = section_centralizer(G, upper, lower)
-    module = p = f = None
+    module = None
     frattini_flag = False
     if abelian:
-        p, f, module = _section_module(G, upper, lower)
+        module = _section_module(G, upper, lower)
         # the maximal subgroups of G/lower are those of G over lower, so
         # upper/lower is Frattini when each of them contains upper
         frattini_flag = all(
@@ -178,7 +175,7 @@ def _make_factor(G: Group, upper: SubgroupRecord, lower: SubgroupRecord) -> Chie
         )
     return ChiefFactor(
         group=G, upper=upper, lower=lower, order=order, is_abelian=abelian,
-        is_frattini=frattini_flag, centralizer=cent, module=module, p=p, f=f,
+        is_frattini=frattini_flag, centralizer=cent, module=module,
     )
 
 
@@ -320,13 +317,6 @@ def _crown_candidates(G: Group, A: ChiefFactor) -> list[SubgroupRecord]:
     return out
 
 
-def abelian_crown(G: Group, A: ChiefFactor) -> CrownData:
-    """R_G(A), I_G(A) and delta for a non-Frattini abelian chief factor."""
-    if not A.is_abelian:
-        raise PreconditionError("factor is nonabelian; use the corona path")
-    return crown_of_factor(G, A)
-
-
 def crown_of_factor(G: Group, A: ChiefFactor) -> CrownData:
     """R_G(A), I_G(A) and delta for a non-Frattini chief factor."""
     if A.is_frattini:
@@ -456,18 +446,20 @@ def _affine_image_rows(act: ModuleAction, u: int):
 def abelian_crown_power_with_embedding(act: ModuleAction, u: int):
     """V^u x| H as a permutation group on the points of V^u, plus an embed map.
 
-    embed(v, h) is the permutation x -> x @ diag-block(M_h) + v; the
-    group multiplication realized is (v1, h1)(v2, h2) =
-    (v1 M_{h2} + v2, h1 h2), matching left-to-right composition.
+    embed(v, h) is the element index of the permutation
+    x -> x @ diag-block(M_h) + v; the group multiplication realized is
+    (v1, h1)(v2, h2) = (v1 M_{h2} + v2, h1 h2), matching left-to-right
+    composition.  The generators are H's generators with v = 0, then
+    the unit translations.
     """
     if u < 0:
         raise InputError(f"u must be nonnegative, got {u}")
     H = act.group
     if u == 0:
-        def embed0(v, h):
+        def embed0(v, h) -> int:
             if np.asarray(v).size:
                 raise InputError("u = 0 admits no vector part")
-            return H.element(H.element_index(h))
+            return H.element_index(h)
         return H, embed0
     K = act.dim * u
     npoints = act.p**K
@@ -476,38 +468,31 @@ def abelian_crown_power_with_embedding(act: ModuleAction, u: int):
             f"order {npoints * H.order} exceeds cap {H.caps.order} (order)"
         )
     image_rows = _affine_image_rows(act, u)
-
-    def embed(v, h) -> Perm:
-        return Perm(image_rows(v, [H.element_index(h)])[0].tolist())
-
-    gens = []
-    zero = np.zeros(K, dtype=np.int64)
-    for gi in H.gen_indices:
-        gens.append(embed(zero, int(gi)))
-    for tcoord in range(K):
-        e_t = np.zeros(K, dtype=np.int64)
-        e_t[tcoord] = 1
-        gens.append(embed(e_t, 0))
+    hs = list(H.gen_indices)
+    vs = np.vstack([np.zeros((len(hs), K), dtype=np.int64), np.eye(K, dtype=np.int64)])
+    gens = [Perm(row) for row in image_rows(vs, hs + [0] * K).tolist()]
     name = f"crownpower({act.name}, u={u})"
     G = Group(gens, name=name, degree=npoints, caps=H.caps)
     if G.order != npoints * H.order:
         raise PreconditionError(
             f"crown power closed to order {G.order}, wanted {npoints * H.order}"
         )
+
+    def embed(v, h) -> int:
+        return int(G._lookup(image_rows(v, [H.element_index(h)]))[0])
+
     return G, embed
 
 
-def build_crown_power_abelian(act: ModuleAction, u: int) -> Group:
-    return abelian_crown_power_with_embedding(act, u)[0]
-
-
-def build_crown_power_general(L: Group, A: SubgroupRecord, k: int) -> Group:
-    """Tuples in L^k congruent modulo A, on k disjoint copies of L's domain."""
+def build_crown_power_general(L: Group, k: int) -> Group:
+    """Tuples in L^k congruent modulo the unique minimal normal subgroup A
+    of L, on k disjoint copies of L's domain."""
+    mins = minimal_normal_subgroups(L)
+    if len(mins) != 1:
+        raise InputError("group has no unique minimal normal subgroup")
+    (A,) = mins
     if k < 1:
         raise InputError(f"k must be at least 1, got {k}")
-    mins = minimal_normal_subgroups(L)
-    if len(mins) != 1 or mins[0].bits != A.bits:
-        raise InputError("A is not the unique minimal normal subgroup of L")
     if _section_is_abelian(L, A, _record(L, [0], ())):
         if (frattini(L).bits & A.bits) != 1:
             raise InputError("socle is Frattini; L is not monolithic primitive")
@@ -535,32 +520,3 @@ def build_crown_power_general(L: Group, A: SubgroupRecord, k: int) -> Group:
             f"congruence power closed to order {G.order}, wanted {target}"
         )
     return G
-
-
-def crown_power_from_descriptor(desc: dict) -> Group:
-    """Build from {"crownpower": {...}} / {"crownpower_general": {...}}."""
-    if "crownpower" in desc:
-        module, u = _crown_fields(desc["crownpower"], "module", "u")
-        return build_crown_power_abelian(module_from_descriptor(module), u)
-    if "crownpower_general" in desc:
-        inner = desc["crownpower_general"]
-        group, k = _crown_fields(inner, "group", "k")
-        L = load_group(group)
-        socle = inner.get("socle", "auto")
-        if socle != "auto":
-            raise InputError("only socle='auto' is supported")
-        mins = minimal_normal_subgroups(L)
-        if len(mins) != 1:
-            raise InputError("group has no unique minimal normal subgroup")
-        return build_crown_power_general(L, mins[0], k)
-    raise InputError("descriptor has no crownpower key")
-
-
-def _crown_fields(inner, spec: str, count: str):
-    """(inner[spec], inner[count] as an int), or InputError naming what is wrong."""
-    try:
-        return inner[spec], _int_param(inner, count)
-    except (KeyError, TypeError) as exc:
-        raise InputError(
-            f"crown power descriptor needs {spec!r} and an integer {count!r}: {exc!r}"
-        ) from None

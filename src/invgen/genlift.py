@@ -23,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coverage import invariably_generates
-from .errors import InputError, InvgenError, PreconditionError
+from .errors import InputError, PreconditionError
 from .gf import RowSpace, row_space_basis
+from .group import _int_param
 from .modlin import ModuleAction, f_closed_add, module_from_descriptor
 from .subgroups import closure_indices
 
@@ -243,8 +244,6 @@ def max_lift_rank(act: ModuleAction, hs, mode: str) -> MaxLiftRank:
     if mode == MODE_GENERATE:
         u_max = dw.n * (d - 1) - dw.m
         base = dw.D
-        if dw.n * d - dw.dim_d_f != u_max:  # codim view of the same number
-            raise InvgenError(f"n(d-1) - m = {u_max} but nd - dim D = {dw.n * d - dw.dim_d_f}")
     else:
         u_max = dw.n * d - dw.dim_dw_f
         base = dw.sum
@@ -289,11 +288,13 @@ def resolve_word(act: ModuleAction, word) -> int:
     Positive entries are 1-based generator numbers, negative their
     inverses; the empty word is the identity.
     """
+    if not isinstance(word, (list, tuple)):
+        raise InputError(f"a word must be a list of generator numbers, got {word!r}")
     G = act.group
     k = len(G.gen_indices)
     idx = 0
-    for s in word:
-        s = int(s)
+    for i in range(len(word)):
+        s = _int_param(word, i)
         if s == 0 or abs(s) > k:
             raise InputError(f"word letter {s} out of range 1..{k}")
         gi = G.gen_indices[abs(s) - 1]
@@ -307,12 +308,22 @@ def lift_problem_from_descriptor(desc: dict) -> LiftProblem:
     """Parse {"module": ..., "u": int, "hs": [words], "ws": nested ints}."""
     try:
         act = module_from_descriptor(desc["module"])
-        u = int(desc["u"])
+        u = _int_param(desc, "u")
         hs_words = desc["hs"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"lift descriptor missing field: {exc}") from exc
+    if not isinstance(hs_words, list):
+        raise InputError(f'"hs" must be a list of words, got {hs_words!r}')
     hs = [resolve_word(act, w) for w in hs_words]
     ws = desc.get("ws")
     if ws is None:
-        ws = np.zeros((len(hs), u, act.dim), dtype=np.int64)
-    return LiftProblem(act=act, u=u, hs=tuple(hs), ws=np.asarray(ws, dtype=np.int64))
+        # LiftProblem rejects u < 0 before it reads ws
+        ws = np.zeros((len(hs), max(u, 0), act.dim), dtype=np.int64)
+    try:
+        given = np.asarray(ws)
+        ws = given.astype(np.int64)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"ws must be nested integers: {exc}") from None
+    if given.dtype.kind == "f" and not np.array_equal(given, ws):
+        raise InputError(f"ws must be nested integers, got {desc['ws']!r}")
+    return LiftProblem(act=act, u=u, hs=tuple(hs), ws=ws)

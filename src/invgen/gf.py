@@ -68,18 +68,6 @@ def left_kernel(A, p: int) -> np.ndarray:
     return nullspace_right(as_mat(A, p).T, p)
 
 
-def inverse(M, p: int) -> np.ndarray:
-    M = as_mat(M, p)
-    n = M.shape[0]
-    if M.shape[1] != n:
-        raise InputError(f"matrix is {M.shape[0]}x{M.shape[1]}, not square")
-    aug = np.hstack([M, np.eye(n, dtype=np.int64)])
-    R, pivots = rref(aug, p)
-    if pivots[:n] != list(range(n)):
-        raise InputError("matrix is singular mod %d" % p)
-    return R[:, n:]
-
-
 def row_space_basis(A, p: int) -> np.ndarray:
     R, pivots = rref(A, p)
     return R[: len(pivots)]

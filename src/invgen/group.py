@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, InputError
+from .errors import CapExceeded, InputError, InvgenError
 from .perm import Perm
 
 # ---------------------------------------------------------------------------
@@ -427,13 +427,6 @@ class Group:
 
     # -- serialization ---------------------------------------------------------
 
-    def descriptor(self) -> dict:
-        return {
-            "name": self.name,
-            "degree": self.degree,
-            "generators": [g.one_based() for g in self.generators],
-        }
-
     def canonical_key(self) -> str:
         """Bit-exact serialization: degree plus sorted 1-based image lists."""
         gens = sorted(g.one_based() for g in self.generators)
@@ -577,7 +570,7 @@ def _agl1_group(q, caps):
             # bijection first: Perm.cycles does not end on any other map
             if len(set(images)) == q and Perm(images).order() == q - 1:
                 return Group([trans, Perm(images)], name=f"agl1({q})", degree=q, caps=caps)
-    raise AssertionError(f"no primitive element found for GF({q})")
+    raise InvgenError(f"no primitive element found for GF({q})")
 
 
 def load_group(desc: dict, caps=None) -> Group:

@@ -29,9 +29,9 @@ from importlib.resources import files as _pkg_files
 
 from .cheb import chebotarev_exact, chebotarev_montecarlo, min_k_for_probability
 from .coverage import coverage_table
-from .crowns import _crown_fields, build_crown_power_abelian, crown_power_from_descriptor
+from . import crowns
 from .errors import InputError, InvgenError
-from .group import Group, load_group
+from .group import Group, _int_param, load_group
 from .modlin import ModuleAction, module_from_descriptor
 from .rng import stream_state
 
@@ -115,7 +115,13 @@ def read_corpus(path: str) -> list[dict]:
 
 
 def realize_descriptor(desc: dict) -> tuple[Group, str, ModuleAction | None]:
-    """(group, family tag, attached module if any) for one corpus line."""
+    """(group, family tag, attached module if any) for one corpus line.
+
+    The only reader of crown-power descriptors: {"crownpower": {"module",
+    "u"}} and {"crownpower_general": {"group", "k", "socle": "auto"}}.
+    Both constructors are called through the crowns module, so a wrapper
+    set on it sees every crown power built here.
+    """
     if "module" in desc or "crownpower" in desc:
         # a module row is the crown power V^1 x| H; either way the module
         # is built once, so the attached module's group is the H inside G
@@ -125,15 +131,30 @@ def realize_descriptor(desc: dict) -> tuple[Group, str, ModuleAction | None]:
             family = "crownpower"
             module, u = _crown_fields(desc["crownpower"], "module", "u")
         act = module_from_descriptor(module)
-        G = build_crown_power_abelian(act, u)
+        G = crowns.abelian_crown_power_with_embedding(act, u)[0]
     elif "crownpower_general" in desc:
         family, act = "crownpower_general", None
-        G = crown_power_from_descriptor(desc)
+        inner = desc["crownpower_general"]
+        group, k = _crown_fields(inner, "group", "k")
+        L = load_group(group)
+        if inner.get("socle", "auto") != "auto":
+            raise InputError("only socle='auto' is supported")
+        G = crowns.build_crown_power_general(L, k)
     else:
         return load_group(desc), desc.get("family", "explicit"), None
     if "name" in desc:
         G.name = desc["name"]
     return G, family, act
+
+
+def _crown_fields(inner, spec: str, count: str):
+    """(inner[spec], inner[count] as an int), or InputError naming what is wrong."""
+    try:
+        return inner[spec], _int_param(inner, count)
+    except (KeyError, TypeError) as exc:
+        raise InputError(
+            f"crown power descriptor needs {spec!r} and an integer {count!r}: {exc!r}"
+        ) from None
 
 
 def _module_diagnostics(act: ModuleAction) -> tuple[int, int, int]:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import CapExceeded, InputError, PreconditionError
 from .gf import RowSpace, left_kernel, nullspace_right, rank, row_space_basis
-from .group import Group, is_prime, load_group, perms_from_images
+from .group import Group, _int_param, is_prime, load_group, perms_from_images
 
 IRREDUCIBLE_ENUM_CAP = 4096  # vectors tried by the exhaustive spin test
 FIELD_ENUM_CAP = 4096  # elements enumerated when verifying E is a field
@@ -379,7 +379,7 @@ def module_from_descriptor(desc: dict) -> ModuleAction:
     their matrices, which must be identity matrices.
     """
     try:
-        p = int(desc["p"])
+        p = _int_param(desc, "p")
         mats = [np.asarray(m, dtype=np.int64) for m in desc["matrices"]]
         gspec = dict(desc["group"])
     except (KeyError, TypeError, ValueError) as exc:

@@ -106,6 +106,60 @@ def test_lift_verdicts(capsys):
     assert row["u_max_invariable"] == 1
 
 
+LIFT = {
+    "module": {
+        "group": {"family": "sym", "n": 3},
+        "p": 2,
+        "matrices": [[[1, 0], [1, 1]], [[0, 1], [1, 1]]],
+    },
+    "u": 1,
+    "hs": [[1], [2]],
+    "ws": [[[1, 0]], [[0, 0]]],
+}
+MALFORMED_LIFT = {
+    "non_integer_u": {"u": "x"},
+    "fractional_u": {"u": 1.5},  # 1 would be valid
+    "word_letter_not_a_number": {"hs": [["a"], [2]]},
+    "word_not_a_list": {"hs": [1]},
+    "ws_entry_not_a_number": {"ws": [[["z", 0]], [[0, 0]]]},
+    "fractional_ws_entry": {"ws": [[[0.5, 0]], [[0, 0]]]},
+    "hs_not_a_list_without_ws": {"hs": 5, "ws": None},
+    "word_not_a_list_without_ws": {"hs": [1], "ws": None},
+}
+
+
+@pytest.mark.parametrize("change", MALFORMED_LIFT.values(), ids=MALFORMED_LIFT)
+def test_lift_rejects_malformed_descriptor(capsys, change):
+    desc = {k: v for k, v in {**LIFT, **change}.items() if v is not None}
+    code, out, err = run(capsys, "lift", json.dumps(desc))
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: ") and "Traceback" not in err
+
+
+def test_lift_rejects_fractional_module_prime(capsys):
+    module = dict(LIFT["module"], p=2.5)  # 2 would be valid
+    for desc in (dict(LIFT, module=module), {"module": module, "hs": [[1]]}):
+        code, _, err = run(capsys, "lift", json.dumps(desc))
+        assert code == 2 and err.startswith("input error: "), desc
+
+
+def test_lift_builds_the_module_once(capsys, monkeypatch):
+    import invgen.cli as cli
+    import invgen.genlift as genlift
+
+    built = []
+    for owner in (cli, genlift):
+        build = owner.module_from_descriptor
+        monkeypatch.setattr(
+            owner, "module_from_descriptor", lambda d, b=build: built.append(d) or b(d)
+        )
+    for desc in (LIFT, {k: v for k, v in LIFT.items() if k != "ws"}):
+        built.clear()
+        (row,) = out_json(capsys, "lift", json.dumps(desc))
+        assert row["u_max_generate"] == 2
+        assert len(built) == 1
+
+
 def test_descriptor_from_file(capsys, tmp_path):
     path = tmp_path / "g.json"
     path.write_text(S3)

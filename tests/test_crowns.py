@@ -9,13 +9,11 @@ from invgen import (
     InputError,
     Perm,
     PreconditionError,
-    abelian_crown,
     abelian_crown_power_with_embedding,
     build_crown_power_general,
     chief_series,
     corona_decomposition,
     crown_of_factor,
-    crown_power_from_descriptor,
     factors_equivalent,
     load_group,
     module_from_descriptor,
@@ -79,7 +77,7 @@ def test_s4_crowns(s4):
 def test_c6_crowns():
     c6 = load_group({"family": "cyclic", "n": 6})
     for f in chief_series(c6):
-        cr = abelian_crown(c6, f)
+        cr = crown_of_factor(c6, f)
         assert cr.delta == 1
         assert cr.I.order == 6
         assert cr.R.order == 6 // f.order
@@ -89,7 +87,7 @@ def test_elementary_abelian_crown_counts_all_factors():
     e16 = load_group({"family": "elemab", "p": 2, "k": 4})
     series = chief_series(e16)
     assert len(series) == 4
-    cr = abelian_crown(e16, series[0])
+    cr = crown_of_factor(e16, series[0])
     assert cr.delta == 4
     assert cr.R.order == 1
     assert cr.I.order == 16
@@ -106,9 +104,7 @@ def test_factors_inequivalent_across_orders(s4):
 def test_nonabelian_factor_crown():
     a5 = load_group({"family": "alt", "n": 5})
     (f,) = chief_series(a5)
-    assert not f.is_abelian
-    with pytest.raises(PreconditionError):
-        abelian_crown(a5, f)
+    assert not f.is_abelian and f.module is None
     cr = crown_of_factor(a5, f)
     assert cr.delta == 1
     assert cr.R.order == 1
@@ -120,7 +116,7 @@ def test_frattini_factor_has_no_crown():
     bottom = chief_series(c4)[0]
     assert bottom.is_frattini
     with pytest.raises(PreconditionError):
-        abelian_crown(c4, bottom)
+        crown_of_factor(c4, bottom)
 
 
 def _crown_by_definition(G, A) -> int:
@@ -213,7 +209,7 @@ def test_sotto_needs_a_complement(s4):
 def test_crown_power_order_law_s3(k):
     s3 = load_group({"family": "sym", "n": 3})
     (a3,) = minimal_normal_subgroups(s3)
-    Lk = build_crown_power_general(s3, a3, k)
+    Lk = build_crown_power_general(s3, k)
     assert Lk.order == a3.order ** (k - 1) * s3.order
     if k == 1:
         assert Lk is s3
@@ -224,7 +220,7 @@ def test_crown_power_coordinate_copies_not_alone():
     # subgroups but never the only ones: diagonals join them
     s4 = load_group({"family": "sym", "n": 4})
     (v4,) = minimal_normal_subgroups(s4)
-    L2 = build_crown_power_general(s4, v4, 2)
+    L2 = build_crown_power_general(s4, 2)
     assert L2.order == 96
     mins = minimal_normal_subgroups(L2)
     assert sorted(m.order for m in mins) == [4, 4, 4]
@@ -234,25 +230,51 @@ def test_crown_power_rejects_bad_socle():
     c6 = load_group({"family": "cyclic", "n": 6})
     mins = minimal_normal_subgroups(c6)
     assert len(mins) == 2  # C2 and C3: not monolithic
-    with pytest.raises(InputError):
-        build_crown_power_general(c6, mins[0], 2)
-    s3 = load_group({"family": "sym", "n": 3})
-    (a3,) = minimal_normal_subgroups(s3)
-    with pytest.raises(InputError):
-        build_crown_power_general(s3, a3, 0)
+    with pytest.raises(InputError, match="no unique minimal normal subgroup"):
+        build_crown_power_general(c6, 2)
+    with pytest.raises(InputError, match="socle is Frattini"):
+        build_crown_power_general(load_group({"family": "cyclic", "n": 4}), 2)
+    with pytest.raises(InputError, match="k must be at least 1"):
+        build_crown_power_general(load_group({"family": "sym", "n": 3}), 0)
 
 
 def test_crown_power_descriptors():
-    g = crown_power_from_descriptor(
-        {"crownpower": {"module": S3_GL22, "u": 2}}
-    )
-    assert g.order == 4**2 * 6
-    h = crown_power_from_descriptor(
+    g, family, act = realize_descriptor({"crownpower": {"module": S3_GL22, "u": 2}})
+    assert (g.order, family, act.group.order) == (4**2 * 6, "crownpower", 6)
+    h, family, act = realize_descriptor(
         {"crownpower_general": {"group": {"family": "sym", "n": 3}, "k": 2}}
     )
-    assert h.order == 18
-    with pytest.raises(InputError):
-        crown_power_from_descriptor({"something_else": {}})
+    assert (h.order, family, act) == (18, "crownpower_general", None)
+    for bad in (
+        {"something_else": {}},
+        {"crownpower_general": {"group": {"family": "sym", "n": 3}, "k": 2, "socle": [1]}},
+        {"crownpower_general": {"group": {"family": "cyclic", "n": 6}, "k": 2}},
+        {"crownpower_general": {"group": {"family": "sym", "n": 3}}},
+    ):
+        with pytest.raises(InputError):
+            realize_descriptor(bad)
+
+
+@pytest.mark.parametrize(
+    "desc, attr",
+    [
+        ({"crownpower": {"module": S3_GL22, "u": 2}}, "abelian_crown_power_with_embedding"),
+        ({"module": S3_GL22}, "abelian_crown_power_with_embedding"),
+        ({"crownpower_general": {"group": {"family": "sym", "n": 3}, "k": 2}},
+         "build_crown_power_general"),
+    ],
+    ids=["crownpower", "module", "crownpower_general"],
+)
+def test_realize_descriptor_calls_the_crowns_module(monkeypatch, desc, attr):
+    # a wrapper set on the crowns module (as a tracer sets one) sees every
+    # crown power that realize_descriptor builds
+    import invgen.crowns as crowns
+
+    calls = []
+    build = getattr(crowns, attr)
+    monkeypatch.setattr(crowns, attr, lambda *a: calls.append(a) or build(*a))
+    realize_descriptor(desc)
+    assert len(calls) == 1
 
 
 def test_embedding_is_a_homomorphism():
@@ -267,9 +289,10 @@ def test_embedding_is_a_homomorphism():
         h1 = int(rng.integers(0, H.order))
         h2 = int(rng.integers(0, H.order))
         m2 = np.kron(np.eye(2, dtype=np.int64), act.matrix(h2))
-        lhs = emb(v1, h1) * emb(v2, h2)
-        rhs = emb((v1 @ m2 + v2) % 2, int(H.table[h1, h2]))
-        assert lhs == rhs
+        lhs = GA.mult_index(emb(v1, h1), emb(v2, h2))
+        rhs = emb((v1 @ m2 + v2) % 2, H.mult_index(h1, h2))
+        assert isinstance(lhs, int) and lhs == rhs
+        assert GA.element(lhs) == GA.element(emb(v1, h1)) * GA.element(emb(v2, h2))
 
 
 @pytest.mark.parametrize("name, u", [("mod_s3_gl22", 2), ("mod_d4_gf3", 1), ("mod_c2_gf3", 6)])
@@ -287,8 +310,9 @@ def test_embed_matches_the_affine_map(name, u):
         v = rng.integers(0, p, size=K)
         B = np.kron(np.eye(u, dtype=np.int64), act.matrices[h])
         want = tuple((((allpts @ B + v) % p) @ powers).tolist())
-        assert emb(v, h).images == want
-        assert emb(v, H.element(h)).images == want
+        i = emb(v, h)
+        assert isinstance(i, int) and GA.element(i).images == want
+        assert emb(v, H.element(h)) == i
         rows = image_rows(v, [h])  # in the ambient's row dtype, ready for _lookup
         assert rows.dtype == GA._E.dtype and tuple(rows[0].tolist()) == want
 

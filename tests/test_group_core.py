@@ -618,7 +618,8 @@ def test_table_dtype_does_not_change_results(desc):
 
     def series(X):
         return [
-            (f.upper.bits, f.lower.bits, f.centralizer.bits, f.is_abelian, f.is_frattini, f.p, f.f)
+            (f.upper.bits, f.lower.bits, f.centralizer.bits, f.is_abelian, f.is_frattini,
+             None if f.module is None else [M.tolist() for M in f.module.gen_matrices])
             for f in chief_series(X)
         ]
 

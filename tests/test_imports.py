@@ -169,12 +169,21 @@ def test_only_lattice_questions_build_the_lattice():
     }, calls
 
 
+def _asserts(tree: ast.Module) -> list[int]:
+    """Lines of assert statements and of raise AssertionError(...)."""
+    lines = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Assert):
+            lines.append(n.lineno)
+        elif isinstance(n, ast.Raise) and n.exc is not None:
+            exc = n.exc.func if isinstance(n.exc, ast.Call) else n.exc
+            if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                lines.append(n.lineno)
+    return lines
+
+
 def test_no_assert_in_package_modules():
     # python -O strips assert statements; a package module raises
-    # InvgenError for an internal defect instead
-    asserts = {
-        p.name: lines
-        for p in PACKAGE.glob("*.py")
-        if (lines := [n.lineno for n in ast.walk(_tree(p)) if isinstance(n, ast.Assert)])
-    }
+    # InvgenError for an internal defect instead, never AssertionError
+    asserts = {p.name: lines for p in PACKAGE.glob("*.py") if (lines := _asserts(_tree(p)))}
     assert asserts == {}
