@@ -14,19 +14,30 @@ where D is the image of the derivation space under evaluation at hs
 and W is the block product of the commutator images [h_i, V].  The
 ambient group never gets built here; tests construct it elsewhere and
 cross-validate by brute force.
+
+Both tests run through one residue map per (module, hs) and base
+space.  The base's basis is in reduced echelon form, so a row r of V^d
+has residue coordinates (r[free] - r[pivots] @ block) mod p on the q
+non-pivot columns, and r lies in the base exactly when they vanish.
+Folding the e basis elements of F into that map gives the coordinates
+of the whole F-line of r in one product; the u rows are F-independent
+modulo the base exactly when their u*e residues have GF(p)-rank u*e.
+criterion_verdicts judges a block of many ws that way at once, and
+gen_criterion and invgen_criterion are blocks of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .coverage import invariably_generates
 from .errors import InputError, PreconditionError
 from .gf import RowSpace, row_space_basis
-from .group import _int_param
-from .modlin import ModuleAction, f_closed_add, module_from_descriptor
+from .group import _int_array, _int_param
+from .modlin import ModuleAction, module_from_descriptor
 from .subgroups import closure_indices
 
 MODE_GENERATE = "generate"
@@ -63,9 +74,46 @@ class LiftProblem:
         self.ws = ws % self.act.p
 
 
+@dataclass(frozen=True, eq=False)
+class ResidueMap:
+    """Coordinates of V^d modulo an F-closed space in reduced echelon form.
+
+    A row r has residue coordinates (r[free] - r[pivots] @ block) mod p,
+    block being the basis restricted to the q free (non-pivot) columns;
+    r lies in the space iff they all vanish.  f_rows[t] holds, k-major,
+    the coordinates of e_t times each of the e basis elements of F, so
+    rows @ f_rows gives the residues of their F-lines in one product.
+    """
+
+    pivots: np.ndarray  # (k,)
+    free: np.ndarray  # (q,)
+    block: np.ndarray  # (k, q)
+    f_rows: np.ndarray  # (d*dim, e*q)
+
+    @property
+    def q(self) -> int:
+        return self.free.size
+
+
+def _residue_map(space: RowSpace, end_basis: np.ndarray, d: int) -> ResidueMap:
+    p, ambient = space.p, space.ambient
+    basis = space.basis_matrix()
+    pivots = np.argmax(basis != 0, axis=1)
+    free = np.setdiff1d(np.arange(ambient), pivots)
+    block = basis[:, free]
+    # residue of every row r is r @ to_res
+    to_res = np.zeros((ambient, free.size), dtype=np.int64)
+    to_res[free, np.arange(free.size)] = 1
+    to_res[pivots] = -block % p
+    eye_d = np.eye(d, dtype=np.int64)
+    f_rows = np.hstack([np.kron(eye_d, eb) @ to_res % p for eb in end_basis])
+    return ResidueMap(pivots=pivots, free=free, block=block, f_rows=f_rows)
+
+
 @dataclass(frozen=True)
 class DWSpaces:
-    """D, W and their sum for a fixed generating tuple, with F-dimensions.
+    """D, W and their sum for a fixed generating tuple, with F-dimensions
+    and the residue maps modulo D and modulo D + W.
 
     build_dw hands out one shared instance per (module, hs); copy a
     RowSpace before adding to it.
@@ -82,6 +130,8 @@ class DWSpaces:
     dim_d_f: int
     dim_w_f: int
     dim_dw_f: int
+    D_map: ResidueMap
+    sum_map: ResidueMap
 
     @property
     def d(self) -> int:
@@ -90,6 +140,25 @@ class DWSpaces:
     @property
     def ambient(self) -> int:
         return self.d * self.act.dim
+
+    @cached_property
+    def invariable(self) -> bool:
+        """Whether hs invariably generate H, decided on first use."""
+        return invariably_generates(self.act.group, list(self.hs))
+
+    def base_map(self, mode: str) -> ResidueMap:
+        """The residue map of D (generate) or D + W (invariably_generate).
+
+        Raises PreconditionError in invariable mode unless hs invariably
+        generate H.
+        """
+        if mode == MODE_GENERATE:
+            return self.D_map
+        if mode != MODE_INVARIABLE:
+            raise InputError(f"unknown mode {mode!r}")
+        if not self.invariable:
+            raise PreconditionError("hs do not invariably generate H")
+        return self.sum_map
 
 
 def _f_dim(space: RowSpace, e: int, what: str) -> int:
@@ -128,7 +197,8 @@ def _build_dw(act: ModuleAction, hs: tuple) -> DWSpaces:
         raise PreconditionError("module action is trivial; criteria do not apply")
     if not act.is_irreducible():
         raise PreconditionError("module is not irreducible")
-    e = act.end_field().degree
+    end = act.end_field()
+    e = end.degree
     if act.dim % e:
         raise PreconditionError("module dimension not divisible by e")
     n = act.dim // e
@@ -172,51 +242,64 @@ def _build_dw(act: ModuleAction, hs: tuple) -> DWSpaces:
     return DWSpaces(
         act=act, hs=hs, n=n, m=m, e=e, D=D, W=W, sum=total,
         dim_d_f=dim_d_f, dim_w_f=dim_w_f, dim_dw_f=dim_dw_f,
+        D_map=_residue_map(D, end.basis, d), sum_map=_residue_map(total, end.basis, d),
     )
 
 
-def _rows_of(problem: LiftProblem) -> np.ndarray:
-    """The u vectors r_j in V^d, one per copy coordinate."""
-    d, u, dim = problem.ws.shape
-    return problem.ws.transpose(1, 0, 2).reshape(u, d * dim)
+def _extend(basis: list, rows, p: int) -> bool:
+    """Reduce each row against the echelon basis and append it; False at
+    the first row that reduces to zero, which is not appended.
 
-
-def _independent_mod(problem: LiftProblem, base: RowSpace) -> bool:
-    """True iff the u >= 1 rows r_j are F-independent modulo base.
-
-    Each row but the last is tested, then its F-line is added to a copy
-    of base, made at the first add; the last row needs only the test.
-    base is one of build_dw's shared spaces and is never added to.
+    basis holds (pivot, row) pairs of Python ints with row[pivot] == 1,
+    each row zero at the pivots before it.
     """
-    end = problem.act.end_field()
-    *head, last = _rows_of(problem)
-    space = base
-    for r in head:
-        if space.contains(r):
+    for w in rows:
+        for c, b in basis:
+            f = w[c]
+            if f:
+                w = [(x - f * y) % p for x, y in zip(w, b)]
+        c = next((i for i, x in enumerate(w) if x), None)
+        if c is None:
             return False
-        if space is base:
-            space = base.copy()
-        f_closed_add(space, r, end)
-    return not space.contains(last)
+        inv = pow(w[c], p - 2, p)
+        basis.append((c, [x * inv % p for x in w]))
+    return True
+
+
+def criterion_verdicts(act: ModuleAction, hs, ws: np.ndarray, mode: str) -> np.ndarray:
+    """Criterion verdicts, one bool per ws of a block of shape (B, d, u, dim).
+
+    mode is MODE_GENERATE or MODE_INVARIABLE; the invariable mode raises
+    PreconditionError unless hs invariably generate H.  The residues of
+    the u F-lines of every ws come from one product with the base's
+    residue map; u*e rows beyond its q coordinates are always dependent,
+    a single row is independent when nonzero, and any other block of
+    rows is eliminated mod p per ws.
+    """
+    dw = build_dw(act, hs)
+    rmap = dw.base_map(mode)
+    B, d, u, dim = ws.shape
+    if (d, dim) != (dw.d, act.dim):
+        raise InputError(f"ws block shape {ws.shape} does not fit d={dw.d}, dim={act.dim}")
+    rows = u * dw.e
+    if rows > rmap.q:
+        return np.zeros(B, dtype=bool)
+    p = act.p
+    res = ws.transpose(0, 2, 1, 3).reshape(B, u, d * dim) @ rmap.f_rows % p
+    if rows == 1:
+        return res.reshape(B, rmap.q).any(axis=1)
+    res = res.reshape(B, rows, rmap.q).tolist()
+    return np.fromiter((_extend([], m, p) for m in res), dtype=bool, count=B)
 
 
 def gen_criterion(problem: LiftProblem) -> bool:
     """True iff the lifted tuple generates V^u x| H."""
-    dw = build_dw(problem.act, problem.hs)
-    if problem.u == 0:
-        return True
-    return _independent_mod(problem, dw.D)
+    return bool(criterion_verdicts(problem.act, problem.hs, problem.ws[None], MODE_GENERATE)[0])
 
 
 def invgen_criterion(problem: LiftProblem) -> bool:
     """True iff the lifted tuple invariably generates V^u x| H."""
-    act = problem.act
-    if not invariably_generates(act.group, list(problem.hs)):
-        raise PreconditionError("hs do not invariably generate H")
-    dw = build_dw(act, problem.hs)
-    if problem.u == 0:
-        return True
-    return _independent_mod(problem, dw.sum)
+    return bool(criterion_verdicts(problem.act, problem.hs, problem.ws[None], MODE_INVARIABLE)[0])
 
 
 @dataclass(frozen=True)
@@ -233,40 +316,33 @@ def max_lift_rank(act: ModuleAction, hs, mode: str) -> MaxLiftRank:
     generate mode: u_max = n(d-1) - m.  invariably_generate mode:
     u_max = nd - dim_F(D+W).  Negative values clip to 0 (no u >= 1
     works).  The witness extends a basis modulo D (resp. D+W) greedily
-    over the standard basis of V^d, so reruns give identical output.
+    over the standard basis e_t of V^d, in residue coordinates: e_t is
+    taken when the residues of its F-line are independent of those
+    taken before, so reruns give identical output.
     """
-    if mode not in (MODE_GENERATE, MODE_INVARIABLE):
-        raise InputError(f"unknown mode {mode!r}")
     dw = build_dw(act, hs)
-    if mode == MODE_INVARIABLE and not invariably_generates(act.group, list(dw.hs)):
-        raise PreconditionError("hs do not invariably generate H")
+    rmap = dw.base_map(mode)
     d = dw.d
     if mode == MODE_GENERATE:
         u_max = dw.n * (d - 1) - dw.m
-        base = dw.D
     else:
         u_max = dw.n * d - dw.dim_dw_f
-        base = dw.sum
     u_max = max(0, u_max)
-    end = act.end_field()
-    space = base.copy()
-    rows = []
-    ambient = dw.ambient
-    for t in range(ambient):
-        if len(rows) == u_max:
+    lines = rmap.f_rows.reshape(dw.ambient, dw.e, rmap.q).tolist()
+    basis: list = []
+    picked = []
+    for t, line in enumerate(lines):
+        if len(picked) == u_max:
             break
-        e_t = np.zeros(ambient, dtype=np.int64)
-        e_t[t] = 1
-        if not space.contains(e_t):
-            rows.append(e_t)
-            f_closed_add(space, e_t, end)
-    if len(rows) != u_max:
+        # basis spans an F-closed space, so the F-line of e_t is either
+        # independent of it or lies in it, and then so does its first row
+        if _extend(basis, line, act.p):
+            picked.append(t)
+    if len(picked) != u_max:
         raise PreconditionError("witness completion failed; rank bookkeeping is off")
-    if rows:
-        r = np.vstack(rows)  # (u_max, d*dim)
-        ws = r.reshape(u_max, d, act.dim).transpose(1, 0, 2)
-    else:
-        ws = np.zeros((d, 0, act.dim), dtype=np.int64)
+    r = np.zeros((u_max, dw.ambient), dtype=np.int64)
+    r[np.arange(u_max), picked] = 1
+    ws = r.reshape(u_max, d, act.dim).transpose(1, 0, 2)
     return MaxLiftRank(mode=mode, u_max=u_max, ws=ws, spaces=dw)
 
 
@@ -319,11 +395,4 @@ def lift_problem_from_descriptor(desc: dict) -> LiftProblem:
     if ws is None:
         # LiftProblem rejects u < 0 before it reads ws
         ws = np.zeros((len(hs), max(u, 0), act.dim), dtype=np.int64)
-    try:
-        given = np.asarray(ws)
-        ws = given.astype(np.int64)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"ws must be nested integers: {exc}") from None
-    if given.dtype.kind == "f" and not np.array_equal(given, ws):
-        raise InputError(f"ws must be nested integers, got {desc['ws']!r}")
-    return LiftProblem(act=act, u=u, hs=tuple(hs), ws=ws)
+    return LiftProblem(act=act, u=u, hs=tuple(hs), ws=_int_array(ws, "ws"))

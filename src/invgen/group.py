@@ -458,6 +458,21 @@ def _int_param(desc, key) -> int:
     raise InputError(f"parameter {key!r} must be an integer, got {desc[key]!r}")
 
 
+def _int_array(val, what: str) -> np.ndarray:
+    """Nested numbers as an int64 array, under the rules of _int_param:
+    integers, integral floats and integer strings are read; booleans and
+    fractional or non-finite entries are rejected, not truncated."""
+    try:
+        given = np.asarray(val)
+        with np.errstate(invalid="ignore"):
+            out = given.astype(np.int64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{what} must be nested integers: {exc}") from None
+    if given.dtype.kind == "b" or (given.dtype.kind == "f" and not np.array_equal(given, out)):
+        raise InputError(f"{what} must be nested integers, got {val!r}")
+    return out
+
+
 def perms_from_images(images, degree=None) -> list[Perm]:
     """Perms from a descriptor's "generators", a list of 1-based image lists."""
     if not isinstance(images, list):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import CapExceeded, InputError, PreconditionError
 from .gf import RowSpace, left_kernel, nullspace_right, rank, row_space_basis
-from .group import Group, _int_param, is_prime, load_group, perms_from_images
+from .group import Group, _int_array, _int_param, is_prime, load_group, perms_from_images
 
 IRREDUCIBLE_ENUM_CAP = 4096  # vectors tried by the exhaustive spin test
 FIELD_ENUM_CAP = 4096  # elements enumerated when verifying E is a field
@@ -84,6 +84,8 @@ class ModuleAction:
         if not mats:
             # trivial group: the module is a bare vector space; dim unknown
             raise InputError("module needs at least one generator matrix")
+        if any(m.ndim != 2 for m in mats):
+            raise InputError("each module matrix must be a list of rows")
         dim = mats[0].shape[0]
         for m in mats:
             if m.shape != (dim, dim):
@@ -349,27 +351,6 @@ def _compute_derivations(act: ModuleAction) -> DerivationSpace:
     return der
 
 
-def f_closed_add(space: RowSpace, v, end: EndField) -> bool:
-    """Add the full F-line through v to an F-closed row space.
-
-    Over the endomorphism field a vector is F-independent of an
-    F-subspace exactly when it lies outside it as a GF(p) space, so
-    keeping spaces F-closed lets greedy independence loops run on plain
-    row spaces.  v may live in a direct sum of copies of the module;
-    scalars act blockwise.  Returns True when the space grew.
-    """
-    vec = np.asarray(v, dtype=np.int64)
-    dim = end.dim
-    if vec.shape[-1] % dim:
-        raise InputError(f"vector length {vec.shape[-1]} is not a multiple of {dim}")
-    blocks = vec.reshape(-1, dim)
-    grew = False
-    for eb in end.basis:
-        if space.add(((blocks @ eb) % end.p).reshape(-1)):
-            grew = True
-    return grew
-
-
 def module_from_descriptor(desc: dict) -> ModuleAction:
     """Build a ModuleAction from a JSON-style descriptor.
 
@@ -380,7 +361,7 @@ def module_from_descriptor(desc: dict) -> ModuleAction:
     """
     try:
         p = _int_param(desc, "p")
-        mats = [np.asarray(m, dtype=np.int64) for m in desc["matrices"]]
+        mats = [_int_array(m, "module matrices") for m in desc["matrices"]]
         gspec = dict(desc["group"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"module descriptor missing or malformed field: {exc}") from exc

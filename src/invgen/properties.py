@@ -46,8 +46,8 @@ from .genlift import (
     MODE_INVARIABLE,
     LiftProblem,
     build_dw,
+    criterion_verdicts,
     dimen_bound_check,
-    gen_criterion,
     invgen_criterion,
     max_lift_rank,
 )
@@ -529,11 +529,12 @@ def _lift_instances(corpus: _Corpus):
     return out
 
 
-_WS_BLOCK = 4096  # indices decoded per step by _ws_samples
+_WS_BLOCK = 4096  # most ws in one block of _ws_samples
 
 
 def _ws_samples(p: int, d: int, u: int, dim: int, st: Stream | None, count: int | None = None):
-    """Translation parts ws of shape (d, u, dim) over GF(p), one at a time.
+    """Blocks of translation parts ws over GF(p), each of shape
+    (B, d, u, dim) with B <= _WS_BLOCK.
 
     With no count, all p^(d*u*dim) of them in index order: the idx-th
     holds the base-p digits of idx, least significant first, decoded a
@@ -542,14 +543,16 @@ def _ws_samples(p: int, d: int, u: int, dim: int, st: Stream | None, count: int 
     """
     n = d * u * dim
     if count is not None:
-        for _ in range(count):
-            yield np.array([st.randbelow(p) for _ in range(n)], dtype=np.int64).reshape(d, u, dim)
+        for s in range(0, count, _WS_BLOCK):
+            b = min(_WS_BLOCK, count - s)
+            draws = [st.randbelow(p) for _ in range(b * n)]
+            yield np.array(draws, dtype=np.int64).reshape(b, d, u, dim)
         return
     powers = p ** np.arange(n, dtype=np.int64)
     total = p**n
     for s in range(0, total, _WS_BLOCK):
         idx = np.arange(s, min(s + _WS_BLOCK, total), dtype=np.int64)[:, None]
-        yield from (idx // powers % p).reshape(len(idx), d, u, dim)
+        yield (idx // powers % p).reshape(len(idx), d, u, dim)
 
 
 def _check_criterion_soundness(corpus: _Corpus, st: Stream):
@@ -562,6 +565,7 @@ def _check_criterion_soundness(corpus: _Corpus, st: Stream):
     minimal normal subgroup, so no ambient builds its own lattice (only
     a simple quotient does, such as A5 under mod_sl24_nat's ambient);
     the |V|^u <= 128 gate on that half is a cost bound, not a need.
+    The criteria judge each block of ws in one call.
     """
     checked = 0
     bad = []
@@ -579,22 +583,29 @@ def _check_criterion_soundness(corpus: _Corpus, st: Stream):
             image_rows = _affine_image_rows(act, u)  # the rows behind embed's indices
             brute_invgen = can_invgen and npts <= 128
             exhaustive = npts <= 256
-            for ws in _ws_samples(p, d, u, dim, st, None if exhaustive else 500):
-                prob = LiftProblem(act, u, hs, ws)
-                idxs = GA._lookup(image_rows(ws, hs)).tolist()
-                if gen_criterion(prob) != (len(closure_indices(GA, idxs)) == GA.order):
-                    bad.append(
-                        f"{act.name} u={u}: gen criterion disagrees at {ws.tolist()}"
-                    )
-                if brute_invgen and invgen_criterion(prob) != invariably_generates(GA, idxs):
-                    bad.append(
-                        f"{act.name} u={u}: invgen criterion disagrees at {ws.tolist()}"
-                    )
-                checked += 1
+            for block in _ws_samples(p, d, u, dim, st, None if exhaustive else 500):
+                gen = criterion_verdicts(act, hs, block, MODE_GENERATE)
+                inv = criterion_verdicts(act, hs, block, MODE_INVARIABLE) if brute_invgen else None
+                for b, ws in enumerate(block):
+                    idxs = GA._lookup(image_rows(ws, hs)).tolist()
+                    if gen[b] != (len(closure_indices(GA, idxs)) == GA.order):
+                        bad.append(
+                            f"{act.name} u={u}: gen criterion disagrees at {ws.tolist()}"
+                        )
+                    if brute_invgen and inv[b] != invariably_generates(GA, idxs):
+                        bad.append(
+                            f"{act.name} u={u}: invgen criterion disagrees at {ws.tolist()}"
+                        )
+                    checked += 1
     return checked, bad
 
 
 def _check_rank_formula(corpus: _Corpus, st: Stream):
+    """The witness at u_max passes its criterion, and no ws at u_max + 1
+    does: all of them when there are at most 2^16, else 1000 random.
+
+    Counts the ws checked before the first violation of each mode.
+    """
     checked = 0
     bad = []
     for act, hs in _lift_instances(corpus):
@@ -604,18 +615,24 @@ def _check_rank_formula(corpus: _Corpus, st: Stream):
         if invariably_generates(act.group, hs):
             modes.append(MODE_INVARIABLE)
         for mode in modes:
-            crit = gen_criterion if mode == MODE_GENERATE else invgen_criterion
             r = max_lift_rank(act, hs, mode)
-            if r.u_max > 0 and not crit(LiftProblem(act, r.u_max, hs, r.ws)):
+            if r.u_max > 0 and not criterion_verdicts(act, hs, r.ws[None], mode)[0]:
                 bad.append(f"{act.name} {mode}: witness at u_max = {r.u_max} fails")
             u_over = r.u_max + 1
             n_assign = p ** (dim * d * u_over)
             exhaustive = n_assign <= 2**16
-            for ws_over in _ws_samples(p, d, u_over, dim, st, None if exhaustive else 1000):
-                if crit(LiftProblem(act, u_over, hs, ws_over)):
+            for block in _ws_samples(p, d, u_over, dim, st, None if exhaustive else 1000):
+                hits = criterion_verdicts(act, hs, block, mode)
+                if hits.any():
+                    k = int(hits.argmax())
+                    checked += k
                     bad.append(f"{act.name} {mode}: witness exists past u_max at u = {u_over}")
+                    if not exhaustive:
+                        # give back the draws of the samples after the hit,
+                        # which a loop stopping there would not have made
+                        st.j -= (len(block) - k - 1) * d * u_over * dim
                     break
-                checked += 1
+                checked += len(block)
     return checked, bad
 
 

@@ -143,6 +143,31 @@ def test_lift_rejects_fractional_module_prime(capsys):
         assert code == 2 and err.startswith("input error: "), desc
 
 
+@pytest.mark.parametrize("entry", [2.7, 1.5])
+def test_fractional_module_matrix_entries_exit_2(capsys, entry):
+    # 2 and 1 would be valid: the entries are rejected, not truncated
+    c2 = {"group": {"family": "cyclic", "n": 2}, "p": 3, "matrices": [[[entry]]]}
+    s3 = json.loads(json.dumps(LIFT["module"]))
+    s3["matrices"][0][1][0] = entry
+    for cmd, desc in (
+        ("h1", c2),
+        ("h1", s3),
+        ("lift", dict(LIFT, module=s3)),
+        ("lift", {"module": s3, "hs": [[1], [2]]}),
+    ):
+        code, out, err = run(capsys, cmd, json.dumps(desc))
+        assert (code, out) == (2, ""), (cmd, desc)
+        assert err.startswith("input error: ") and "Traceback" not in err
+
+
+def test_module_matrices_that_are_not_matrices_exit_2(capsys):
+    for mats in ([5], [[1, 0]], [[[True]]]):
+        desc = {"group": {"family": "cyclic", "n": 2}, "p": 3, "matrices": mats}
+        code, out, err = run(capsys, "h1", json.dumps(desc))
+        assert (code, out) == (2, ""), mats
+        assert err.startswith("input error: ")
+
+
 def test_lift_builds_the_module_once(capsys, monkeypatch):
     import invgen.cli as cli
     import invgen.genlift as genlift

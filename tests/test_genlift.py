@@ -1,6 +1,7 @@
 """Linear criteria for generation of V^u semidirect H by lifted tuples."""
 
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -21,10 +22,10 @@ from invgen import (
     module_from_descriptor,
     resolve_word,
 )
+from invgen import genlift
 from invgen.coverage import invariably_generates
-from invgen.genlift import _build_dw, _rows_of
+from invgen.genlift import ResidueMap, _build_dw, criterion_verdicts
 from invgen.harness import read_corpus, shipped_corpus_path
-from invgen.modlin import f_closed_add
 
 S3_GL22 = {
     "group": {"family": "sym", "n": 3},
@@ -196,6 +197,9 @@ def test_build_dw_is_cached_per_tuple():
         a, b = getattr(dw, f.name), getattr(fresh, f.name)
         if hasattr(a, "basis_matrix"):
             assert np.array_equal(a.basis_matrix(), b.basis_matrix()), f.name
+        elif isinstance(a, ResidueMap):
+            for g in dataclasses.fields(a):
+                assert np.array_equal(getattr(a, g.name), getattr(b, g.name)), (f.name, g.name)
         else:
             assert a == b, f.name
 
@@ -203,9 +207,13 @@ def test_build_dw_is_cached_per_tuple():
 def test_build_dw_failure_is_not_cached():
     act = module_from_descriptor(S3_GL22)
     invol = next(i for i in _gen_indices(act) if act.group.element(i).order() == 2)
+    prob = LiftProblem(act, 1, [invol], np.zeros((1, 1, act.dim), dtype=np.int64))
     for _ in range(2):
         with pytest.raises(PreconditionError, match="do not generate"):
             build_dw(act, [invol])
+        for crit in (gen_criterion, invgen_criterion):
+            with pytest.raises(PreconditionError, match="do not generate"):
+                crit(prob)
     assert (invol,) not in act._dw
 
 
@@ -231,15 +239,51 @@ def test_shared_dw_spaces_are_not_mutated_by_callers():
     assert gen_criterion(prob) == before
 
 
-def _independent_mod_copying(problem, base):
-    """Reference kernel: copy base, then test and add every row."""
-    end = problem.act.end_field()
+def _f_closed_add(space, v, end):
+    """Add the F-line through v to an F-closed row space: v times each
+    basis element of F, applied blockwise to the copies of the module."""
+    blocks = np.asarray(v, dtype=np.int64).reshape(-1, end.dim)
+    for eb in end.basis:
+        space.add(((blocks @ eb) % end.p).reshape(-1))
+
+
+def _rows_of(ws):
+    """The u vectors r_j in V^d of ws (d, u, dim), one per copy coordinate."""
+    d, u, dim = ws.shape
+    return ws.transpose(1, 0, 2).reshape(u, d * dim)
+
+
+def _twin_independent(act, ws, base):
+    """Scalar twin of the criteria: copy base, then test each row for
+    membership and add its F-line, one RowSpace step at a time."""
+    end = act.end_field()
     space = base.copy()
-    for r in _rows_of(problem):
+    for r in _rows_of(ws):
         if space.contains(r):
             return False
-        f_closed_add(space, r, end)
+        _f_closed_add(space, r, end)
     return True
+
+
+def _twin_witness(act, hs, mode):
+    """Scalar twin of max_lift_rank's witness: greedy over the standard
+    basis of V^d, modulo D or D + W grown by F-lines."""
+    dw = build_dw(act, hs)
+    if mode == MODE_GENERATE:
+        u_max, space = dw.n * (dw.d - 1) - dw.m, dw.D.copy()
+    else:
+        u_max, space = dw.n * dw.d - dw.dim_dw_f, dw.sum.copy()
+    rows = []
+    for t in range(dw.ambient):
+        if len(rows) == max(0, u_max):
+            break
+        e_t = np.zeros(dw.ambient, dtype=np.int64)
+        e_t[t] = 1
+        if not space.contains(e_t):
+            rows.append(e_t)
+            _f_closed_add(space, e_t, act.end_field())
+    r = np.array(rows, dtype=np.int64).reshape(len(rows), dw.ambient)
+    return r.reshape(len(rows), dw.d, act.dim).transpose(1, 0, 2)
 
 
 def _criterion_problems(act, hs, rng):
@@ -275,11 +319,11 @@ def test_criteria_match_the_copying_kernel():
             before = dw.D.basis_matrix(), dw.sum.basis_matrix()
             inv = invariably_generates(act.group, hs)
             for prob in _criterion_problems(act, hs, rng):
-                want = _independent_mod_copying(prob, dw.D)
+                want = _twin_independent(act, prob.ws, dw.D)
                 assert gen_criterion(prob) == want, (desc["name"], prob.ws.tolist())
                 verdicts[want] += 1
                 if inv:
-                    want = _independent_mod_copying(prob, dw.sum)
+                    want = _twin_independent(act, prob.ws, dw.sum)
                     assert invgen_criterion(prob) == want, (desc["name"], prob.ws.tolist())
                     verdicts[want] += 1
             after = build_dw(act, hs)
@@ -287,3 +331,101 @@ def test_criteria_match_the_copying_kernel():
             assert np.array_equal(after.D.basis_matrix(), before[0]), desc["name"]
             assert np.array_equal(after.sum.basis_matrix(), before[1]), desc["name"]
     assert verdicts == {True: 700, False: 3669}
+
+
+def _lift_cases():
+    """The lift benchmark's (module, u) cases: every corpus module with
+    its stored generators, at every u with |V|^u |H| <= 2000."""
+    for desc in read_corpus(shipped_corpus_path()):
+        if "module" not in desc:
+            continue
+        act = module_from_descriptor(desc["module"])
+        u = 1
+        while act.p ** (act.dim * u) * act.group.order <= 2000:
+            yield desc["name"], act, _gen_indices(act), u
+            u += 1
+
+
+def test_block_verdicts_match_one_at_a_time_and_the_twin_on_every_ws():
+    cases = exhaustive = 0
+    for name, act, hs, u in _lift_cases():
+        cases += 1
+        d, p, dim = len(hs), act.p, act.dim
+        if p ** (d * u * dim) > 2**16:
+            continue
+        exhaustive += 1
+        block = np.array(list(itertools.product(range(p), repeat=d * u * dim)))
+        block = block.reshape(-1, d, u, dim)
+        dw = build_dw(act, hs)
+        modes = [(MODE_GENERATE, gen_criterion, dw.D)]
+        if invariably_generates(act.group, hs):
+            modes.append((MODE_INVARIABLE, invgen_criterion, dw.sum))
+        for mode, crit, base in modes:
+            got = criterion_verdicts(act, hs, block, mode).tolist()
+            one = [crit(LiftProblem(act, u, hs, ws)) for ws in block]
+            twin = [_twin_independent(act, ws, base) for ws in block]
+            assert got == one == twin, (name, u, mode)
+    assert (cases, exhaustive) == (21, 21)
+
+
+def test_residue_map_matches_row_space_residues():
+    rng = np.random.default_rng(7)
+    for desc in read_corpus(shipped_corpus_path()):
+        if "module" not in desc:
+            continue
+        act = module_from_descriptor(desc["module"])
+        dw = build_dw(act, _gen_indices(act))
+        for space, rmap in ((dw.D, dw.D_map), (dw.sum, dw.sum_map)):
+            assert rmap.pivots.size + rmap.q == dw.ambient == rmap.f_rows.shape[0]
+            for r in rng.integers(0, act.p, size=(40, dw.ambient)):
+                res = space.residue(r)
+                assert not res[rmap.pivots].any()
+                want = (r[rmap.free] - r[rmap.pivots] @ rmap.block) % act.p
+                assert np.array_equal(res[rmap.free], want), desc["name"]
+
+
+def test_witnesses_match_the_twin_greedy():
+    for desc in read_corpus(shipped_corpus_path()):
+        if "module" not in desc:
+            continue
+        act = module_from_descriptor(desc["module"])
+        gens = _gen_indices(act)
+        for hs in (gens, gens + gens[:1], gens + gens):
+            modes = [MODE_GENERATE]
+            if invariably_generates(act.group, hs):
+                modes.append(MODE_INVARIABLE)
+            for mode in modes:
+                ws = max_lift_rank(act, hs, mode).ws
+                want = _twin_witness(act, hs, mode)
+                assert ws.shape == want.shape and np.array_equal(ws, want), (desc["name"], mode)
+
+
+def test_invariable_precondition_is_decided_once_and_raised_every_call(monkeypatch):
+    act = _act("mod_sl24_nat")
+    hs = _gen_indices(act)  # generate A5, but not invariably (orders 2 and 5)
+    decided = []
+    real = genlift.invariably_generates
+    monkeypatch.setattr(
+        genlift, "invariably_generates", lambda G, xs: decided.append(xs) or real(G, xs)
+    )
+    prob = LiftProblem(act, 1, hs, np.zeros((len(hs), 1, act.dim), dtype=np.int64))
+    block = np.zeros((5, len(hs), 1, act.dim), dtype=np.int64)
+    for _ in range(3):
+        with pytest.raises(PreconditionError, match="invariably"):
+            invgen_criterion(prob)
+        with pytest.raises(PreconditionError, match="invariably"):
+            criterion_verdicts(act, hs, block, MODE_INVARIABLE)
+        with pytest.raises(PreconditionError, match="invariably"):
+            max_lift_rank(act, hs, MODE_INVARIABLE)
+    assert not gen_criterion(prob)
+    assert criterion_verdicts(act, hs, block, MODE_GENERATE).tolist() == [False] * 5
+    assert len(decided) == 1
+
+
+def test_criterion_verdicts_rejects_bad_blocks():
+    act = module_from_descriptor(S3_GL22)
+    hs = _gen_indices(act)
+    with pytest.raises(InputError):
+        criterion_verdicts(act, hs, np.zeros((3, 1, 1, act.dim), dtype=np.int64), MODE_GENERATE)
+    with pytest.raises(InputError):
+        criterion_verdicts(act, hs, np.zeros((3, 2, 1, act.dim), dtype=np.int64), "bogus")

@@ -187,3 +187,41 @@ def test_no_assert_in_package_modules():
     # InvgenError for an internal defect instead, never AssertionError
     asserts = {p.name: lines for p in PACKAGE.glob("*.py") if (lines := _asserts(_tree(p)))}
     assert asserts == {}
+
+
+def _calls_by_function(tree: ast.Module, names) -> set[tuple[str, str]]:
+    """(enclosing top-level function, called name) for each call of a
+    function or method in names."""
+    found = set()
+    for node in tree.body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call):
+                called = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                if called in names:
+                    found.add((node.name, called))
+    return found
+
+
+def test_criteria_run_through_the_block_primitive():
+    # criterion_verdicts is the one criterion kernel: the per-problem
+    # criteria are blocks of one, and the battery passes whole blocks
+    calls = {
+        p.name: sorted(c) for p in _modules()
+        if (c := _calls_by_function(_tree(p), {"criterion_verdicts"}))
+    }
+    assert calls == {
+        "genlift.py": [
+            ("gen_criterion", "criterion_verdicts"),
+            ("invgen_criterion", "criterion_verdicts"),
+        ],
+        "properties.py": [
+            ("_check_criterion_soundness", "criterion_verdicts"),
+            ("_check_rank_formula", "criterion_verdicts"),
+        ],
+    }, calls
+    # RowSpace steps in genlift only build D and W, so no scalar second
+    # path through membership tests can come back
+    scalar = _calls_by_function(_tree(PACKAGE / "genlift.py"), {"contains", "residue", "add", "copy"})
+    assert {fn for fn, _ in scalar} == {"_build_dw"}, scalar

@@ -4,10 +4,22 @@ The battery itself runs once per session (see the prop_report fixture);
 each test here reads off one outcome so failures name the exact check.
 """
 
+import json
+
 import numpy as np
 import pytest
 
-from invgen.properties import PROPERTY_CHECKS, _ws_samples
+from invgen import MODE_GENERATE, MODE_INVARIABLE, max_lift_rank, read_corpus, shipped_corpus_path
+from invgen import properties
+from invgen.properties import (
+    _WS_BLOCK,
+    PROPERTY_CHECKS,
+    _check_criterion_soundness,
+    _check_rank_formula,
+    _Corpus,
+    _lift_instances,
+    _ws_samples,
+)
 from invgen.rng import Stream
 
 ALL_CHECKS = [(suite, name) for suite, name, _fn in PROPERTY_CHECKS]
@@ -37,8 +49,6 @@ def test_property(prop_report, suite, name):
 
 
 def test_report_is_serializable(prop_report):
-    import json
-
     data = json.loads(prop_report.to_json())
     assert data["passed"] is True
     assert len(data["checks"]) == len(PROPERTY_CHECKS)
@@ -56,7 +66,9 @@ def _decode_ws_by_digits(idx, p, d, u, dim):
 @pytest.mark.parametrize("p,d,u,dim", [(2, 2, 1, 1), (3, 2, 1, 2), (5, 2, 1, 1), (2, 2, 2, 2), (2, 1, 13, 1)])
 def test_exhaustive_ws_match_the_digit_loop(p, d, u, dim):
     # (2, 1, 13, 1) has 8192 ws, so the decoding crosses a block boundary
-    got = list(_ws_samples(p, d, u, dim, st=None))
+    blocks = list(_ws_samples(p, d, u, dim, st=None))
+    assert all(1 <= len(b) <= _WS_BLOCK and b.shape[1:] == (d, u, dim) for b in blocks)
+    got = np.concatenate(blocks)
     assert len(got) == p ** (d * u * dim)
     for idx, ws in enumerate(got):
         want = _decode_ws_by_digits(idx, p, d, u, dim)
@@ -65,7 +77,72 @@ def test_exhaustive_ws_match_the_digit_loop(p, d, u, dim):
 
 
 def test_sampled_ws_draw_from_the_stream_in_order():
-    got = list(_ws_samples(3, 2, 2, 1, Stream(5, 1), count=4))
+    (got,) = _ws_samples(3, 2, 2, 1, Stream(5, 1), count=4)
     st = Stream(5, 1)
     want = [np.array([st.randbelow(3) for _ in range(4)]).reshape(2, 2, 1) for _ in range(4)]
     assert all((a == b).all() for a, b in zip(got, want)) and len(got) == 4
+
+
+def test_battery_counts_stop_at_the_same_ws(prop_report):
+    counts = {(o.suite, o.name): o.checked for o in prop_report.outcomes}
+    assert counts["genlift", "criterion_soundness"] == 151_483
+    assert counts["genlift", "rank_formula"] == 83_841
+
+
+@pytest.fixture(scope="module")
+def s3_gf7_corpus(tmp_path_factory):
+    """mod_s3_gf7 alone: 2401 ws checked by brute force, and 1000 sampled
+    ws past u_max in each mode."""
+    row = next(d for d in read_corpus(shipped_corpus_path()) if d.get("name") == "mod_s3_gf7")
+    path = tmp_path_factory.mktemp("corpus") / "s3_gf7.jsonl"
+    path.write_text(json.dumps(row) + "\n")
+    return _Corpus(str(path))
+
+
+def _patch_verdicts(monkeypatch, change):
+    real = properties.criterion_verdicts
+
+    def patched(act, hs, ws, mode):
+        return change(real(act, hs, ws, mode).copy())
+
+    monkeypatch.setattr(properties, "criterion_verdicts", patched)
+
+
+@pytest.mark.parametrize("check", [_check_criterion_soundness, _check_rank_formula])
+def test_genlift_checks_catch_wrong_verdicts(monkeypatch, s3_gf7_corpus, check):
+    checked, bad = check(s3_gf7_corpus, Stream(1, 0))
+    assert checked > 0 and bad == []
+    flipped = []
+
+    def flip_first(v):
+        if not flipped:
+            flipped.append(True)
+            v[0] = not v[0]
+        return v
+
+    for change in (flip_first, lambda v: np.ones_like(v)):
+        _patch_verdicts(monkeypatch, change)
+        assert check(s3_gf7_corpus, Stream(1, 0))[1], change
+
+
+def test_rank_formula_stops_at_the_first_hit_and_gives_back_later_draws(monkeypatch, s3_gf7_corpus):
+    # every mode samples 1000 ws past u_max, n draws each; a hit at the
+    # sixth ws of each block must count five and leave st after six
+    st = Stream(1, 0)
+    checked, bad = _check_rank_formula(s3_gf7_corpus, st)
+    ((act, hs),) = _lift_instances(s3_gf7_corpus)
+    draws = [
+        len(hs) * (max_lift_rank(act, hs, mode).u_max + 1) * act.dim
+        for mode in (MODE_GENERATE, MODE_INVARIABLE)
+    ]
+    assert (checked, bad, st.j) == (2000, [], 1000 * sum(draws))
+
+    def hit_sixth(v):
+        if len(v) > 1:
+            v[5] = True
+        return v
+
+    _patch_verdicts(monkeypatch, hit_sixth)
+    st = Stream(1, 0)
+    checked, bad = _check_rank_formula(s3_gf7_corpus, st)
+    assert (checked, len(bad), st.j) == (10, 2, 6 * sum(draws))
