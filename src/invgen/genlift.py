@@ -85,14 +85,8 @@ class ResidueMap:
     rows @ f_rows gives the residues of their F-lines in one product.
     """
 
-    pivots: np.ndarray  # (k,)
-    free: np.ndarray  # (q,)
-    block: np.ndarray  # (k, q)
     f_rows: np.ndarray  # (d*dim, e*q)
-
-    @property
-    def q(self) -> int:
-        return self.free.size
+    q: int
 
 
 def _residue_map(space: RowSpace, end_basis: np.ndarray, d: int) -> ResidueMap:
@@ -100,14 +94,13 @@ def _residue_map(space: RowSpace, end_basis: np.ndarray, d: int) -> ResidueMap:
     basis = space.basis_matrix()
     pivots = np.argmax(basis != 0, axis=1)
     free = np.setdiff1d(np.arange(ambient), pivots)
-    block = basis[:, free]
     # residue of every row r is r @ to_res
     to_res = np.zeros((ambient, free.size), dtype=np.int64)
     to_res[free, np.arange(free.size)] = 1
-    to_res[pivots] = -block % p
+    to_res[pivots] = -basis[:, free] % p
     eye_d = np.eye(d, dtype=np.int64)
     f_rows = np.hstack([np.kron(eye_d, eb) @ to_res % p for eb in end_basis])
-    return ResidueMap(pivots=pivots, free=free, block=block, f_rows=f_rows)
+    return ResidueMap(f_rows=f_rows, q=free.size)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,24 @@ F = GF(p^e); derivations (maps d: H -> V with d(ab) = d(a) M(b) + d(b))
 modulo the inner ones d_v(h) = v (M(h) - 1) give the first cohomology,
 whose F-dimension is the quantity m that the lifting and crown
 machinery consume.
+
+Both facts are decided by ranks over GF(p), not by enumerating vectors
+or field elements.  The one bound on a module is p < 2^16, which keeps
+int64 arithmetic mod p exact.  Let b_1..b_e span the commutant E over
+GF(p).
+
+- E is a field exactly when it is a commutative algebra in which the
+  rows vec(b_i^p) have rank e and the rows vec(b_i^p - b_i) have rank
+  e - 1.  The Frobenius map x -> x^p is GF(p)-linear on a commutative
+  E; it is injective exactly when E has no nilpotents, that is when E
+  is a product of finite fields, and then its fixed space has one
+  dimension per factor.
+- V is irreducible exactly when E is a field and the matrices of all
+  of H span a GF(p)-space of dimension dim^2 / e.  If V is irreducible,
+  the density theorem makes that span all of End_E(V), whose dimension
+  this is.  Conversely the span lies in End_E(V), so it is all of it,
+  and End_E(V) moves any nonzero vector onto any other.  When E is not
+  a field, V is reducible by Schur's lemma.
 """
 
 from __future__ import annotations
@@ -22,12 +40,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, InputError, PreconditionError
+from .errors import InputError, InvgenError, PreconditionError
 from .gf import RowSpace, left_kernel, nullspace_right, rank, row_space_basis
 from .group import Group, _int_array, _int_param, is_prime, load_group, perms_from_images
 
-IRREDUCIBLE_ENUM_CAP = 4096  # vectors tried by the exhaustive spin test
-FIELD_ENUM_CAP = 4096  # elements enumerated when verifying E is a field
+
+def _matrix_power_mod(M: np.ndarray, k: int, p: int) -> np.ndarray:
+    """M^k mod p by square-and-multiply, reducing after every product."""
+    result = np.eye(M.shape[0], dtype=np.int64)
+    while k:
+        if k & 1:
+            result = result @ M % p
+        M = M @ M % p
+        k >>= 1
+    return result
 
 
 def intertwiners(mats_a, mats_b, p: int) -> np.ndarray:
@@ -73,6 +99,9 @@ class ModuleAction:
     def __init__(self, group: Group, p: int, gen_matrices, name: str | None = None):
         if not is_prime(p):
             raise InputError(f"module characteristic {p} is not prime")
+        if p >= 2**16:
+            # (p-1)^2 < 2^32 keeps every int64 matrix product mod p exact
+            raise InputError(f"module characteristic {p} is not below 2^16")
         self.group = group
         self.p = p
         self.name = name or f"module(p={p}, over {group.name})"
@@ -137,83 +166,54 @@ class ModuleAction:
         keys = {m.tobytes() for m in self.matrices}
         return len(keys) == self.group.order
 
-    # -- submodule structure --------------------------------------------------
-
-    def spin(self, v) -> RowSpace:
-        """Smallest submodule containing v, as a row space."""
-        space = RowSpace(self.p, self.dim)
-        queue = []
-        w = np.asarray(v, dtype=np.int64) % self.p
-        if space.add(w):
-            queue.append(w)
-        while queue:
-            w = queue.pop()
-            for M in self.gen_matrices:
-                u = (w @ M) % self.p
-                if space.add(u):
-                    queue.append(u)
-        return space
+    # -- irreducibility and the endomorphism field ----------------------------
 
     def is_irreducible(self) -> bool:
-        """Exhaustive test: every nonzero vector must spin to the whole space."""
+        """E is a field of degree e and H's matrices span dim^2 / e dimensions."""
         if self._irr is None:
-            total = self.p**self.dim
-            if total > IRREDUCIBLE_ENUM_CAP:
-                raise CapExceeded(
-                    f"{total} vectors exceed the spin-test cap"
-                    f" {IRREDUCIBLE_ENUM_CAP} (spin)"
-                )
-            irr = True
-            for v in itertools.product(range(self.p), repeat=self.dim):
-                if not any(v):
-                    continue
-                if self.spin(v).dim < self.dim:
-                    irr = False
-                    break
-            self._irr = irr
+            try:
+                e = self.end_field().degree
+            except PreconditionError:
+                self._irr = False  # E is not a field (Schur's lemma)
+            else:
+                flat = self.matrices.reshape(-1, self.dim**2)
+                self._irr = rank(flat, self.p) * e == self.dim**2
         return self._irr
-
-    # -- endomorphism field ---------------------------------------------------
 
     def commutant_basis(self) -> np.ndarray:
         """Matrices commuting with the action, as (e, dim, dim)."""
         return intertwiners(self.gen_matrices, self.gen_matrices, self.p)
 
     def end_field(self) -> EndField:
-        """Commutant verified to be a field by brute enumeration."""
+        """Commutant verified to be a field by the Frobenius rank test."""
         if self._end is not None:
             return self._end
         p, d = self.p, self.dim
         basis = self.commutant_basis()
         e = basis.shape[0]
-        if p**e > FIELD_ENUM_CAP:
-            raise CapExceeded(
-                f"{p**e} commutant elements exceed the field check cap"
-                f" {FIELD_ENUM_CAP} (field)"
-            )
         span = RowSpace(p, d * d)
         for b in basis:
             span.add(b.reshape(-1))
         if not span.contains(np.eye(d, dtype=np.int64).reshape(-1)):
-            raise PreconditionError("commutant does not contain the identity")
+            raise InvgenError("commutant does not contain the identity")
         for a, b in itertools.combinations_with_replacement(range(e), 2):
             ab = (basis[a] @ basis[b]) % p
             ba = (basis[b] @ basis[a]) % p
             if not np.array_equal(ab, ba):
-                raise PreconditionError("commutant is not commutative")
+                raise PreconditionError("commutant is not commutative; not a field")
             if not span.contains(ab.reshape(-1)):
-                raise PreconditionError("commutant is not closed under products")
-        for coeffs in itertools.product(range(p), repeat=e):
-            if not any(coeffs):
-                continue
-            X = np.zeros((d, d), dtype=np.int64)
-            for c, b in zip(coeffs, basis):
-                X = (X + c * b) % p
-            if rank(X, p) != d:
-                raise PreconditionError(
-                    "commutant has a singular nonzero element; not a field"
-                    " (module is reducible?)"
-                )
+                raise InvgenError("commutant is not closed under products")
+        frob = np.array([_matrix_power_mod(b, p, p).reshape(-1) for b in basis])
+        if rank(frob, p) != e:
+            raise PreconditionError(
+                "commutant has a nonzero nilpotent element; not a field"
+                " (module is reducible?)"
+            )
+        if rank(frob - basis.reshape(e, -1), p) != e - 1:
+            raise PreconditionError(
+                "commutant is a product of several fields; not a field"
+                " (module is reducible?)"
+            )
         self._end = EndField(p=p, degree=e, basis=basis)
         return self._end
 

@@ -79,6 +79,52 @@ def test_h1_report(capsys):
     assert row["faithful"] is True
 
 
+def test_h1_on_a_module_with_more_than_4096_vectors(capsys):
+    # A5 on the sum-zero vectors of GF(11)^5, in the basis e_i - e_5: row i
+    # of a generator g is e_g(i) - e_g(5) cut to its first four entries
+    mats = []
+    for g in ([2, 3, 1, 4, 5], [2, 3, 4, 5, 1]):  # (1 2 3) and (1 2 3 4 5)
+        mats.append([
+            [(int(g[i] == j + 1) - int(g[4] == j + 1)) % 11 for j in range(4)]
+            for i in range(4)
+        ])
+    desc = {"group": {"family": "alt", "n": 5}, "p": 11, "matrices": mats}
+    (row,) = out_json(capsys, "h1", json.dumps(desc))
+    assert (row["group_order"], row["dim_p"]) == (60, 4)  # 11^4 = 14641 vectors
+    assert row["irreducible"] is True and row["absolutely_irreducible"] is True
+    assert (row["e"], row["m"]) == (1, 0)  # 60 is prime to 11
+
+
+def test_h1_on_a_module_whose_commutant_is_not_a_field_exits_2(capsys):
+    # elemab(2,2) = <(1 2), (3 4)> permuting 4 points over GF(5): the trivial
+    # summand occurs twice, so the commutant holds a 2 x 2 matrix ring
+    swap = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    swap2 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+    desc = {"group": {"family": "elemab", "p": 2, "k": 2}, "p": 5, "matrices": [swap, swap2]}
+    code, out, err = run(capsys, "h1", json.dumps(desc))
+    assert (code, out) == (2, "")
+    assert err.startswith("precondition violated: ") and "not a field" in err
+
+
+def test_h1_refuses_a_prime_too_large_for_int64_arithmetic(capsys):
+    # C2 by the swap over GF(4294967311): (p-1)^2 wraps int64, so the rref
+    # pivot scaling would turn 1 into p - 224 and the answer into garbage
+    desc = {
+        "group": {"family": "cyclic", "n": 2},
+        "p": 4294967311,
+        "matrices": [[[0, 1], [1, 0]]],
+    }
+    code, out, err = run(capsys, "h1", json.dumps(desc))
+    assert (code, out) == (2, "")
+    assert err == "input error: module characteristic 4294967311 is not below 2^16\n"
+    desc.update(p=65537, matrices=[[[65536]]])
+    assert run(capsys, "h1", json.dumps(desc))[0] == 2
+    # the largest prime below the bound is answered: C2 by -1 over GF(65521)
+    desc.update(p=65521, matrices=[[[65520]]])
+    (row,) = out_json(capsys, "h1", json.dumps(desc))
+    assert row["irreducible"] is True and (row["e"], row["m"]) == (1, 0)
+
+
 def test_crowns_corona(capsys):
     (row,) = out_json(capsys, "crowns", '{"family": "sym", "n": 4}')
     assert row["factor_order"] == 4

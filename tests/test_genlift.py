@@ -376,12 +376,23 @@ def test_residue_map_matches_row_space_residues():
         act = module_from_descriptor(desc["module"])
         dw = build_dw(act, _gen_indices(act))
         for space, rmap in ((dw.D, dw.D_map), (dw.sum, dw.sum_map)):
-            assert rmap.pivots.size + rmap.q == dw.ambient == rmap.f_rows.shape[0]
+            basis = space.basis_matrix()
+            pivots = np.argmax(basis != 0, axis=1)
+            free = np.setdiff1d(np.arange(dw.ambient), pivots)
+            block = basis[:, free]
+            assert pivots.size + rmap.q == dw.ambient == rmap.f_rows.shape[0]
+            assert free.size == rmap.q
             for r in rng.integers(0, act.p, size=(40, dw.ambient)):
                 res = space.residue(r)
-                assert not res[rmap.pivots].any()
-                want = (r[rmap.free] - r[rmap.pivots] @ rmap.block) % act.p
-                assert np.array_equal(res[rmap.free], want), desc["name"]
+                assert not res[pivots].any()
+                want = (r[free] - r[pivots] @ block) % act.p
+                assert np.array_equal(res[free], want), desc["name"]
+                # the k-th block of r @ f_rows is the residue of r times
+                # the k-th basis element of F, applied to each copy of V
+                got = (r @ rmap.f_rows % act.p).reshape(dw.e, rmap.q)
+                for k, eb in enumerate(act.end_field().basis):
+                    line = (r.reshape(dw.d, act.dim) @ eb % act.p).reshape(-1)
+                    assert np.array_equal(got[k], space.residue(line)[free]), desc["name"]
 
 
 def test_witnesses_match_the_twin_greedy():

@@ -225,3 +225,31 @@ def test_criteria_run_through_the_block_primitive():
     # path through membership tests can come back
     scalar = _calls_by_function(_tree(PACKAGE / "genlift.py"), {"contains", "residue", "add", "copy"})
     assert {fn for fn, _ in scalar} == {"_build_dw"}, scalar
+
+
+def _cap_raises(tree: ast.Module) -> list[str]:
+    """Enclosing function of each raise CapExceeded(...), one per raise."""
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    sites = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", None) == "CapExceeded":
+                up = parent[node]
+                while not isinstance(up, (ast.FunctionDef, ast.Module)):
+                    up = parent[up]
+                sites.append(getattr(up, "name", "<module>"))
+    return sorted(sites)
+
+
+def test_every_cap_is_a_known_one():
+    # the group order and degree, the crown-power order pre-checks, the
+    # Monte Carlo and min_k draw caps and the exhaustive reference mode of
+    # coverage; an enumeration with a cap of its own has no place here
+    sites = {p.name: s for p in _modules() if (s := _cap_raises(_tree(p)))}
+    assert sites == {
+        "cheb.py": ["chebotarev_montecarlo", "min_k_for_probability"],
+        "coverage.py": ["_invariably_generates_exhaustive"],
+        "crowns.py": ["abelian_crown_power_with_embedding", "build_crown_power_general"],
+        "group.py": ["_check_degree", "_enumerate_rows"],
+    }, sites

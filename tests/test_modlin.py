@@ -1,5 +1,6 @@
 """Module actions, endomorphism fields, derivations, first cohomology."""
 
+import itertools
 import json
 
 import numpy as np
@@ -7,11 +8,14 @@ import pytest
 
 from invgen import (
     InputError,
+    InvgenError,
     ModuleAction,
+    PreconditionError,
     load_group,
     module_from_descriptor,
     modules_isomorphic,
 )
+from invgen.gf import RowSpace, rank
 from invgen.harness import shipped_corpus_path
 
 # (corpus name, p, dim over GF(p), e, n, m, absolutely irreducible)
@@ -164,3 +168,142 @@ def test_non_homomorphic_matrices_rejected():
                 "matrices": [[[2]]],
             }
         )
+
+
+# -- the brute-force twin of the irreducibility and field tests ----------------
+
+
+def _twin_spin_dim(act, v) -> int:
+    """Dimension of the smallest submodule containing v."""
+    space = RowSpace(act.p, act.dim)
+    queue = [w for w in [np.asarray(v, dtype=np.int64) % act.p] if space.add(w)]
+    while queue:
+        w = queue.pop()
+        for M in act.gen_matrices:
+            u = (w @ M) % act.p
+            if space.add(u):
+                queue.append(u)
+    return space.dim
+
+
+def _twin_is_irreducible(act) -> bool:
+    """Every nonzero vector spins to the whole space."""
+    return all(
+        _twin_spin_dim(act, v) == act.dim
+        for v in itertools.product(range(act.p), repeat=act.dim)
+        if any(v)
+    )
+
+
+def _twin_is_field(act) -> bool:
+    """The commutant is a commutative algebra whose nonzero elements are
+    all invertible, checked element by element."""
+    p, d = act.p, act.dim
+    basis = act.commutant_basis()
+    span = RowSpace(p, d * d, basis.reshape(len(basis), -1))
+    if not span.contains(np.eye(d, dtype=np.int64).reshape(-1)):
+        return False
+    for a, b in itertools.combinations_with_replacement(basis, 2):
+        ab = (a @ b) % p
+        if not np.array_equal(ab, (b @ a) % p) or not span.contains(ab.reshape(-1)):
+            return False
+    for coeffs in itertools.product(range(p), repeat=len(basis)):
+        if any(coeffs):
+            X = np.tensordot(np.array(coeffs), basis, axes=1) % p
+            if rank(X, p) != d:
+                return False
+    return True
+
+
+def _perm_matrices(G):
+    """Generator matrices of the permutation module."""
+    return [np.eye(G.degree, dtype=np.int64)[list(g.images)] for g in G.generators]
+
+
+def _deleted_matrices(G, p):
+    """Generator matrices on the sum-zero vectors of GF(p)^n, in the basis
+    e_i - e_{n-1}: a sum-zero vector's coordinates are its first n - 1 entries."""
+    n = G.degree
+    mats = []
+    for g in G.generators:
+        rows = np.eye(n, dtype=np.int64)[list(g.images)]
+        mats.append((rows[:-1, :-1] - rows[-1, :-1]) % p)
+    return mats
+
+
+def _direct_sum(act):
+    return [np.kron(np.eye(2, dtype=np.int64), M) for M in act.gen_matrices]
+
+
+def _agreement_family():
+    corpus = dict(_corpus_modules())
+    yield from corpus.items()
+    s3 = load_group({"family": "sym", "n": 3})
+    a5 = load_group({"family": "alt", "n": 5})
+    # reducible with End = GF(3): only the span dimension test sees it
+    yield "s3_sum_zero_gf3", ModuleAction(s3, 3, _deleted_matrices(s3, 3))
+    yield "a5_deleted_gf7", ModuleAction(a5, 7, _deleted_matrices(a5, 7))
+    # Jordan blocks of C_p: the commutant GF(p)[x]/(x^k) has nilpotents
+    for p, k in ((2, 2), (3, 2), (3, 3), (5, 2), (5, 4)):
+        J = np.eye(k, dtype=np.int64) + np.eye(k, k=1, dtype=np.int64)
+        cp = load_group({"family": "cyclic", "n": p})
+        yield f"jordan_c{p}_{k}", ModuleAction(cp, p, [J])
+    # M + M: the commutant is a 2 x 2 matrix ring over End(M)
+    for name, act in corpus.items():
+        yield f"{name}+{name}", ModuleAction(act.group, act.p, _direct_sum(act))
+    # permutation and regular modules: products of fields when p is prime
+    # to the order, otherwise with nilpotents
+    for desc, p in (
+        ({"family": "sym", "n": 3}, 2),
+        ({"family": "sym", "n": 3}, 3),
+        ({"family": "sym", "n": 3}, 5),
+        ({"family": "cyclic", "n": 3}, 2),
+        ({"family": "cyclic", "n": 4}, 5),
+        ({"family": "cyclic", "n": 5}, 5),
+    ):
+        G = load_group(desc)
+        yield f"perm_{G.name}_gf{p}", ModuleAction(G, p, _perm_matrices(G))
+    # tensor squares
+    for name in ("mod_s3_gl22", "mod_c3_gf4", "mod_d4_gf3"):
+        act = corpus[name]
+        mats = [np.kron(M, M) % act.p for M in act.gen_matrices]
+        yield f"{name}^2", ModuleAction(act.group, act.p, mats)
+
+
+def test_rank_criteria_agree_with_the_brute_force_twin():
+    reasons = set()
+    cases = 0
+    for name, act in _agreement_family():
+        assert act.p**act.dim <= 4096, name  # within the twin's reach
+        try:
+            act.end_field()
+            is_field = True
+        except PreconditionError as exc:
+            is_field = False
+            reasons.add(str(exc).split(";")[0])
+        assert is_field == _twin_is_field(act), name
+        assert act.is_irreducible() == _twin_is_irreducible(act), name
+        if is_field and not act.is_irreducible():
+            reasons.add("reducible with a field commutant")
+        cases += 1
+    assert cases == 30
+    # every way of failing is exercised
+    assert reasons == {
+        "commutant is not commutative",
+        "commutant has a nonzero nilpotent element",
+        "commutant is a product of several fields",
+        "reducible with a field commutant",
+    }
+
+
+def test_commutant_consistency_breaches_are_not_read_as_reducible(monkeypatch):
+    # a commutant without the identity, or not closed under products, is an
+    # internal fault: is_irreducible raises it rather than answering False
+    eye = np.eye(3, dtype=np.int64)
+    A = np.diag([0, 1, 2])  # A^2 = diag(0, 1, 1) mod 3 is not in span(1, A)
+    for basis, msg in (([A], "identity"), ([eye, A], "closed under products")):
+        act = ModuleAction(load_group({"family": "cyclic", "n": 2}), 3, [eye])
+        monkeypatch.setattr(act, "commutant_basis", lambda b=basis: np.array(b))
+        with pytest.raises(InvgenError, match=msg) as info:
+            act.is_irreducible()
+        assert not isinstance(info.value, PreconditionError)
