@@ -38,10 +38,21 @@ held lock).  Within a part, the kernel keeps the reduced covers each
 trial has not yet ruled out as packed words, one bit per cover and
 ceil(r/64) little-endian uint64 words per trial.  Each element's words
 are gathered once per call, so a drawn element index picks its words
-directly.  Draws are made in place in two part-length buffers sliced to
-the live count, the first draw's words become the live words and later
-ones are ANDed into them, and the live arrays are compacted only at a
-step where some trial ended.
+directly.  A part draws in blocks: with m trials live at draw index j,
+it takes K = budget // m steps of every live trial at once, at least one
+and no more than the draws left before the limit, where the budget is
+MC_BLOCK_DRAWS times the number of parts.  So the steps with many trials
+live go one at a time, and the long tail of a slow group's waits costs
+a few numpy calls per block rather than about twenty per step.  The
+(K, m) draws are made in place in two buffers allocated once per part,
+their words are gathered into the second, the words carried from the
+earlier blocks are ANDed into the first step and, for K >= 2, the words
+are ANDed cumulatively along the steps.  A trial whose words reach zero
+stays ended, so its zero steps form a suffix of the block and its count
+is j + 1 plus its number of nonzero steps.  The survivors' last-step
+words are copied to a third buffer, which the part also allocates once,
+and the live arrays are compacted only after a block where some trial
+ended.  The counts are those of one step at a time for any budget.
 """
 
 from __future__ import annotations
@@ -57,15 +68,25 @@ import numpy as np
 from .coverage import coverage_table
 from .errors import CapExceeded, InputError
 from .group import Group
-from .rng import draws_vec, randbelow_vec, stream_states_vec
+from .rng import check_seed, draws_vec, randbelow_vec, stream_states_vec
 
 MAX_DRAWS_PER_TRIAL = 1_000_000
 # fewest trials a Monte Carlo part may hold: each part pays the per-step
 # numpy call overhead and the GIL hand-offs again.  Over the survey
 # corpus on 2 cores, with malloc's thresholds pinned so that page faults
-# do not count, two parts against one ran 12% slower at 32 768 trials a
-# part, 4% slower at 40 000, 4% faster at 50 000 and 40% faster at 131 072
+# do not count and the tail drawn in blocks, two parts against one ran
+# 17-18% slower at 32 768 trials a part, 4-6% slower at 40 000 and 5-9%
+# faster at 50 000
 MC_MIN_PART_TRIALS = 50_000
+# draws a Monte Carlo block may hold, per part of the call: the parts take
+# turns on the GIL for each step's numpy calls, while the draws a block
+# makes past a trial's end run in parallel.  Over the survey corpus on 2
+# cores, malloc pinned, one part of 65 536 trials took 0.137-0.148 s at
+# 2^12, 0.137-0.142 s at 2^13 and 0.141-0.147 s at 2^14 (one step at a
+# time: 0.143-0.154 s); the 100 000-trial survey calls, in two parts,
+# took 0.195-0.204 s at 2^12 per part, 0.186-0.192 s at 2^13, 0.184-0.187 s
+# at 2^14 and 0.217-0.222 s one step at a time
+MC_BLOCK_DRAWS = 1 << 12
 
 
 def _reduced_covers(covers) -> list[int]:
@@ -243,11 +264,12 @@ def _mc_draw_counts(
         return counts
     parts = max(1, min(_usable_cpus(), trials // MC_MIN_PART_TRIALS))
     cuts = [trials * i // parts for i in range(parts + 1)]
+    budget = MC_BLOCK_DRAWS * parts
     errors: list[BaseException] = []
 
     def run(i: int) -> None:
         try:
-            _mc_part(words, G.order, seed, limit, cuts[i], counts[cuts[i]:cuts[i + 1]])
+            _mc_part(words, G.order, seed, limit, budget, cuts[i], counts[cuts[i]:cuts[i + 1]])
         except BaseException as exc:  # re-raised by the caller once all parts end
             errors.append(exc)
 
@@ -255,7 +277,7 @@ def _mc_draw_counts(
     for w in workers:
         w.start()
     try:
-        _mc_part(words, G.order, seed, limit, 0, counts[:cuts[1]])
+        _mc_part(words, G.order, seed, limit, budget, 0, counts[:cuts[1]])
     finally:
         for w in workers:
             w.join()
@@ -265,36 +287,53 @@ def _mc_draw_counts(
 
 
 def _mc_part(
-    words: np.ndarray, n: int, seed: int, limit: int, first: int, out: np.ndarray
+    words: np.ndarray, n: int, seed: int, limit: int, budget: int, first: int, out: np.ndarray
 ) -> None:
     """Fill out[i] with the draw count of trial first + i.
 
     words holds each element's packed cover words; a trial is live while
-    some cover contains every element drawn so far.
+    some cover contains every element drawn so far.  A block draws the
+    next budget // live steps of every live trial, at least one.
     """
     W = words.shape[1]
     live = np.arange(out.size)
     states = stream_states_vec(seed, live + first)
-    draw, scratch = np.empty(live.size, np.uint64), np.empty(live.size, np.uint64)
-    alive = None
+    size = max(out.size, budget)
+    draw, scratch = np.empty(size, np.uint64), np.empty(size * W, np.uint64)
+    alive = np.empty((out.size, W), np.uint64)  # rows [:live.size] are carried
     j = 0
     while live.size and j < limit:
         m = live.size
-        u = draws_vec(states, j, out=draw[:m], scratch=scratch[:m])
-        # indices are < n, so an int64 view indexes without a cast copy
-        idx = randbelow_vec(u, n, out=u, scratch=scratch[:m]).view(np.int64)
-        if alive is None:  # the first draw's words; padding bits are clear
-            alive = np.take(words, idx, axis=0)  # take: far faster than words[idx] on 2-D
-        else:
-            alive &= np.take(words, idx, axis=0)
-        j += 1
-        keep = alive[:, 0] != 0
+        K = max(1, min(budget // m, limit - j))
+        # the next K draws of every live trial as one (K, m) block
+        u, tmp = draw[:K * m].reshape(K, m), scratch[:K * m].reshape(K, m)
+        draws_vec(states, np.arange(j, j + K), out=u, scratch=tmp)
+        randbelow_vec(u, n, out=u, scratch=tmp)
+        block = scratch[:K * m * W].reshape(K, m, W)
+        # indices are < n, so an int64 view indexes without a cast copy;
+        # take is far faster than words[idx] on 2-D, and mode "raise"
+        # would gather through a temporary
+        np.take(words, u.view(np.int64), axis=0, out=block, mode="clip")
+        if j:  # the words carried from the draws before j
+            block[0] &= alive[:m]
+        if K > 1:  # on one step it changes nothing yet costs 0.2 ms at 65 536 live
+            np.bitwise_and.accumulate(block, axis=0, out=block)
+        steps = block[..., 0] != 0
         for w in range(1, W):
-            keep |= alive[:, w] != 0
-        if not keep.all():
+            steps |= block[..., w] != 0
+        keep = steps[-1]
+        if keep.all():
+            alive[:m] = block[-1]  # the next block overwrites scratch
+        else:
+            # a trial's words stay zero once they are, so the steps where it
+            # is still live come first and their number gives its count; on
+            # one step that number is 0 for every trial that ended
+            nonzero = np.count_nonzero(steps, axis=0) if K > 1 else 0
+            out[live] = j + 1 + nonzero  # the survivors are overwritten
             rows = np.flatnonzero(keep)
-            out[live] = j  # the survivors are overwritten when they end
-            live, states, alive = live[rows], states[rows], np.take(alive, rows, axis=0)
+            live, states = live[rows], states[rows]
+            np.take(block[-1], rows, axis=0, out=alive[:rows.size], mode="clip")
+        j += K
     out[live] = limit + 1
 
 
@@ -302,6 +341,7 @@ def chebotarev_montecarlo(G: Group, trials: int, seed: int) -> MonteCarloReport:
     """Estimate C(G) by simulating the draw process to completion."""
     if trials < 1:
         raise InputError(f"need at least one trial, got {trials}")
+    check_seed(seed)
     counts = _mc_draw_counts(G, trials, seed)
     if counts.max() > MAX_DRAWS_PER_TRIAL:
         raise CapExceeded(f"a trial exceeded {MAX_DRAWS_PER_TRIAL} draws (draws)")
@@ -320,6 +360,7 @@ def p_invariable_montecarlo(
         raise InputError(f"need at least one trial, got {trials}")
     if k < 0:
         raise InputError(f"draw count must be >= 0, got {k}")
+    check_seed(seed)
     p_hat = float((_mc_draw_counts(G, trials, seed, limit=k) <= k).mean())
     stderr = (
         math.sqrt(p_hat * (1.0 - p_hat) / (trials - 1)) if trials > 1 else 0.0

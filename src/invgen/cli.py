@@ -330,7 +330,9 @@ def _add_common(sp, seed_default=None):
     sp.add_argument("--out", default=None, help="write results to this path")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     if seed_default is not None:
-        sp.add_argument("--seed", type=int, default=seed_default)
+        sp.add_argument(
+            "--seed", type=int, default=seed_default, help="an integer in [0, 2**64)"
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:

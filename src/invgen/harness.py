@@ -33,7 +33,7 @@ from . import crowns
 from .errors import InputError, InvgenError
 from .group import Group, _int_param, load_group
 from .modlin import ModuleAction, module_from_descriptor
-from .rng import stream_state
+from .rng import check_seed, stream_state
 
 INVK_THRESHOLD = Fraction(2, 9)
 
@@ -233,6 +233,7 @@ def run_survey(
         raise InputError(f"trials must be >= 1, got {trials}")
     if threads < 1:
         raise InputError(f"threads must be >= 1, got {threads}")
+    check_seed(seed)
     corpus = read_corpus(corpus_path)
     tasks = [
         (desc, trials, int(stream_state(seed, i)))

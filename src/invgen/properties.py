@@ -53,7 +53,7 @@ from .genlift import (
 )
 from .group import DEFAULT_CAPS, Group, bits_to_indices, load_group
 from .harness import agl_trend, read_corpus, realize_descriptor, run_survey, shipped_corpus_path
-from .rng import Stream
+from .rng import Stream, check_seed
 from .subgroups import (
     _record,
     closure_indices,
@@ -1015,6 +1015,7 @@ def verify_props(
     only, when given, restricts to (suite, name) pairs or suite names;
     a selector that names no check raises InputError listing the suites.
     """
+    check_seed(seed)
     if only is not None:
         _check_selectors(only)
     corpus = _Corpus(corpus_path)

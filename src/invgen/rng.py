@@ -18,10 +18,22 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InputError
+
 MASK64 = (1 << 64) - 1
 PHI64 = 0x9E3779B97F4A7C15
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
+
+
+def check_seed(seed: int) -> None:
+    """Raise InputError for a seed outside [0, 2**64).
+
+    Every stream reduces its seed mod 2**64, so two seeds that differ by
+    a multiple of 2**64 would alias and give the same draws.
+    """
+    if not 0 <= seed <= MASK64:
+        raise InputError(f"seed must lie in [0, 2**64), got {seed}")
 
 
 def mix64(z: int) -> int:
@@ -95,10 +107,17 @@ def stream_states_vec(seed: int, streams: np.ndarray) -> np.ndarray:
 
 
 def draws_vec(
-    states: np.ndarray, j: int, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+    states: np.ndarray,
+    js: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
-    # the Weyl step is reduced in Python first: numpy warns on scalar overflow
-    z = np.add(states, np.uint64((PHI64 * (j + 1)) & MASK64), out=out)
+    """Row k holds draw js[k] of each stream: shape (len(js), len(states))."""
+    # array products wrap mod 2**64; numpy would warn on a scalar product
+    step = js.astype(np.uint64)
+    step += np.uint64(1)
+    step *= _NP_PHI
+    z = np.add(step[:, None], states, out=out)
     return _mix64_inplace(z, scratch)
 
 

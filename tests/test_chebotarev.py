@@ -316,21 +316,28 @@ def mc_group(request, load):
     return load(MC_GROUPS[request.param])
 
 
-def test_mc_reference_twin_agrees(mc_group):
-    from invgen.cheb import _mc_draw_counts
+# block budgets for the kernel: 1 draws one step at a time, 64 switches a
+# 300-trial call to blocks of two or more steps once at most 32 trials are
+# live, and the default draws every step of a 300-trial call in such blocks
+BLOCK_BUDGETS = (1, 64, cheb.MC_BLOCK_DRAWS)
 
-    fast = _mc_draw_counts(mc_group, 300, seed=9)
+
+def test_mc_reference_twin_agrees(mc_group, monkeypatch):
     slow = chebotarev_montecarlo_reference(mc_group, 300, seed=9)
-    assert np.array_equal(fast, slow)
+    for budget in BLOCK_BUDGETS:
+        monkeypatch.setattr(cheb, "MC_BLOCK_DRAWS", budget)
+        fast = cheb._mc_draw_counts(mc_group, 300, seed=9)
+        assert np.array_equal(fast, slow), budget
 
 
-def test_mc_draw_limit_truncates_the_twin(mc_group):
-    from invgen.cheb import _mc_draw_counts
-
+def test_mc_draw_limit_truncates_the_twin(mc_group, monkeypatch):
+    # limits past 3 end inside the blocks of the smaller budgets
     slow = chebotarev_montecarlo_reference(mc_group, 300, seed=6)
-    for k in range(4):
-        fast = _mc_draw_counts(mc_group, 300, seed=6, limit=k)
-        assert np.array_equal(fast, np.minimum(slow, k + 1)), k
+    for budget in BLOCK_BUDGETS:
+        monkeypatch.setattr(cheb, "MC_BLOCK_DRAWS", budget)
+        for k in (0, 1, 2, 3, 7, 20):
+            fast = cheb._mc_draw_counts(mc_group, 300, seed=6, limit=k)
+            assert np.array_equal(fast, np.minimum(slow, k + 1)), (budget, k)
 
 
 def test_p_invariable_mc_is_the_draw_count_share(mc_group):
@@ -356,11 +363,11 @@ def _force_parts(monkeypatch, parts: int, fail: bool = False) -> list:
     real = cheb._mc_part
     caller = threading.current_thread()
 
-    def spy(words, n, seed, limit, first, out):
+    def spy(words, n, seed, limit, budget, first, out):
         ran.append((first, out.size, threading.current_thread() is caller))
         if fail and first:
             raise RuntimeError(f"part at trial {first} failed")
-        real(words, n, seed, limit, first, out)
+        real(words, n, seed, limit, budget, first, out)
 
     monkeypatch.setattr(cheb, "_usable_cpus", lambda: parts)
     monkeypatch.setattr(cheb, "_mc_part", spy)
@@ -449,6 +456,11 @@ def test_mc_input_validation(s3):
         p_invariable_montecarlo(s3, 2, trials=0, seed=1)
     with pytest.raises(InputError):
         p_invariable_montecarlo(s3, -1, trials=10, seed=1)
+    for seed in (-1, 2**64):
+        with pytest.raises(InputError, match="seed"):
+            chebotarev_montecarlo(s3, trials=10, seed=seed)
+        with pytest.raises(InputError, match="seed"):
+            p_invariable_montecarlo(s3, 2, trials=10, seed=seed)
 
 
 def test_p_invariable_mc_agrees(s3):

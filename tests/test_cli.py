@@ -357,6 +357,21 @@ def test_exit_code_input_error(capsys):
         assert "input error" in err
 
 
+def test_seed_outside_64_bits_exits_2(capsys, mini_corpus):
+    # seeds are reduced mod 2**64, so -1 or 2**64 would alias another seed
+    for seed in (-1, 2**64):
+        for argv in (
+            ("cheb", "mc", S3, "--trials", "100"),
+            ("survey", mini_corpus, "--trials", "100"),
+            ("verify", "--corpus", mini_corpus),
+        ):
+            code, _, err = run(capsys, *argv, "--seed", str(seed))
+            assert code == 2, (argv, seed)
+            assert "seed must lie in [0, 2**64)" in err
+    (row,) = out_json(capsys, "cheb", "mc", S3, "--trials", "100", "--seed", str(2**64 - 1))
+    assert row["seed"] == 2**64 - 1
+
+
 def test_survey_needs_a_worker(capsys, mini_corpus):
     for threads in ("0", "-3"):
         code, _, err = run(capsys, "survey", mini_corpus, "--threads", threads)
