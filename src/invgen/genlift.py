@@ -11,9 +11,12 @@ vectors r_j = (w_{1,j}, ..., w_{d,j}) in V^d:
     invariable generation <=> r_1..r_u F-independent modulo D + W
 
 where D is the image of the derivation space under evaluation at hs
-and W is the block product of the commutator images [h_i, V].  The
-ambient group never gets built here; tests construct it elsewhere and
-cross-validate by brute force.
+and W is the block product of the commutator images [h_i, V].  Each
+space is the reduced echelon basis of its stacked spanning rows
+(gf.row_space_basis), unique for the space: D of the values x @
+expr[h_i] over the derivation basis, W of the blocks M(h_i) - 1, and
+D + W of both.  The ambient group never gets built here; tests
+construct it elsewhere and cross-validate by brute force.
 
 Both tests run through one residue map per (module, hs) and base
 space.  The base's basis is in reduced echelon form, so a row r of V^d
@@ -35,7 +38,7 @@ import numpy as np
 
 from .coverage import invariably_generates
 from .errors import InputError, PreconditionError
-from .gf import RowSpace, row_space_basis
+from .gf import row_space_basis
 from .group import _int_array, _int_param
 from .modlin import ModuleAction, module_from_descriptor
 from .subgroups import closure_indices
@@ -89,9 +92,8 @@ class ResidueMap:
     q: int
 
 
-def _residue_map(space: RowSpace, end_basis: np.ndarray, d: int) -> ResidueMap:
-    p, ambient = space.p, space.ambient
-    basis = space.basis_matrix()
+def _residue_map(basis: np.ndarray, p: int, end_basis: np.ndarray, d: int) -> ResidueMap:
+    ambient = basis.shape[1]
     pivots = np.argmax(basis != 0, axis=1)
     free = np.setdiff1d(np.arange(ambient), pivots)
     # residue of every row r is r @ to_res
@@ -108,8 +110,9 @@ class DWSpaces:
     """D, W and their sum for a fixed generating tuple, with F-dimensions
     and the residue maps modulo D and modulo D + W.
 
-    build_dw hands out one shared instance per (module, hs); copy a
-    RowSpace before adding to it.
+    D, W and sum are reduced echelon bases, one row per GF(p) dimension.
+    build_dw hands out one shared instance per (module, hs), so they are
+    read-only arrays.
     """
 
     act: ModuleAction
@@ -117,9 +120,9 @@ class DWSpaces:
     n: int  # dim_F V
     m: int  # dim_F H^1
     e: int
-    D: RowSpace
-    W: RowSpace
-    sum: RowSpace
+    D: np.ndarray  # (dim_gf D, ambient)
+    W: np.ndarray
+    sum: np.ndarray
     dim_d_f: int
     dim_w_f: int
     dim_dw_f: int
@@ -154,10 +157,11 @@ class DWSpaces:
         return self.sum_map
 
 
-def _f_dim(space: RowSpace, e: int, what: str) -> int:
-    if space.dim % e:
-        raise PreconditionError(f"{what} has GF-dimension {space.dim} not divisible by e={e}")
-    return space.dim // e
+def _f_dim(basis: np.ndarray, e: int, what: str) -> int:
+    dim = basis.shape[0]
+    if dim % e:
+        raise PreconditionError(f"{what} has GF-dimension {dim} not divisible by e={e}")
+    return dim // e
 
 
 def build_dw(act: ModuleAction, hs) -> DWSpaces:
@@ -169,9 +173,9 @@ def build_dw(act: ModuleAction, hs) -> DWSpaces:
     hs injective, so dim_F D = n + m exactly.
 
     The result is cached on act per tuple of element indices, so every
-    caller with the same hs shares one DWSpaces: call .copy() on its
-    RowSpaces before adding to them.  Failures are not cached; a
-    PreconditionError is raised again on every call.
+    caller with the same hs shares one DWSpaces, whose bases are
+    read-only.  Failures are not cached; a PreconditionError is raised
+    again on every call.
     """
     hs = tuple(act.group.element_index(h) for h in hs)
     if hs not in act._dw:
@@ -201,19 +205,14 @@ def _build_dw(act: ModuleAction, hs: tuple) -> DWSpaces:
     p = act.p
 
     der = act.derivation_space()
-    D = RowSpace(p, ambient)
-    for x in der.x_basis:
-        D.add(der.values_at(x, hs))
-    W = RowSpace(p, ambient)
-    for i, h in enumerate(hs):
-        img = row_space_basis((act.matrices[h] - eye) % p, p)
-        for row in img:
-            vec = np.zeros(ambient, dtype=np.int64)
-            vec[i * act.dim : (i + 1) * act.dim] = row
-            W.add(vec)
-    total = D.copy()
-    for row in W.basis_matrix():
-        total.add(row)
+    # row x of x_basis @ [expr[h_1] | ... | expr[h_d]] is (d(h_1), ..., d(h_d))
+    D = row_space_basis(der.x_basis @ np.hstack(der.expr[list(hs)]) % p, p)
+    comm = np.zeros((d, act.dim, d, act.dim), dtype=np.int64)
+    comm[np.arange(d), :, np.arange(d)] = (act.matrices[list(hs)] - eye) % p
+    W = row_space_basis(comm.reshape(ambient, ambient), p)
+    total = row_space_basis(np.vstack([D, W]), p)
+    for basis in (D, W, total):
+        basis.setflags(write=False)
 
     dim_d_f = _f_dim(D, e, "D")
     dim_w_f = _f_dim(W, e, "W")
@@ -235,7 +234,7 @@ def _build_dw(act: ModuleAction, hs: tuple) -> DWSpaces:
     return DWSpaces(
         act=act, hs=hs, n=n, m=m, e=e, D=D, W=W, sum=total,
         dim_d_f=dim_d_f, dim_w_f=dim_w_f, dim_dw_f=dim_dw_f,
-        D_map=_residue_map(D, end.basis, d), sum_map=_residue_map(total, end.basis, d),
+        D_map=_residue_map(D, p, end.basis, d), sum_map=_residue_map(total, p, end.basis, d),
     )
 
 

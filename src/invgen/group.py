@@ -192,6 +192,33 @@ def _enumerate_rows(generators, degree: int, order_cap: int) -> np.ndarray:
     return rows[np.argsort(_void_view(rows), kind="stable")]
 
 
+def _cayley_steps(table, gen_indices):
+    """Breadth-first walk of the Cayley graph from the identity, index 0.
+
+    Yields (j, kids, parents) per level and generator g_j: kids =
+    parents * g_j are the elements not reached before, distinct since
+    right multiplication by g_j is injective.  Every element but the
+    identity is a kid exactly once, after its parent, so a map given on
+    the generators spreads over the group in one vectorised step per
+    yield.  The walk is lazy: it reads the table rows of a level only
+    after the steps that reached them were consumed, so Group.table can
+    fill those rows from the walk itself.
+    """
+    visited = np.zeros(table.shape[0], dtype=bool)
+    visited[0] = True
+    frontier = np.zeros(1, dtype=np.intp)
+    while frontier.size:
+        nxt = []
+        for j, gi in enumerate(gen_indices):
+            kids = table[frontier, gi]
+            fresh = ~visited[kids]
+            kids, parents = kids[fresh], frontier[fresh]
+            visited[kids] = True
+            yield j, kids, parents
+            nxt.append(kids)
+        frontier = np.concatenate(nxt) if nxt else frontier[:0]
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -307,11 +334,11 @@ class Group:
         The left-multiplication map of a generator g sends e to g * e,
         whose images are e(g(x)): the rows E[:, E[g]] of the sorted
         image-row array, looked up by ``searchsorted`` in chunks.  The
-        table is then filled one BFS level at a time: if e_c = e_a * g
+        table is then filled along ``_cayley_steps``: if e_c = e_a * g
         for a generator g, then row c is row a permuted by the left map
-        of g, so per generator a level's new rows are one gather of
-        their parents' rows, taken in chunks of about _TABLE_CHUNK
-        entries to keep the temporary small.
+        of g, so each step's new rows are one gather of their parents'
+        rows, taken in chunks of about _TABLE_CHUNK entries to keep the
+        temporary small.
         """
         if self._table is None:
             n = self.order
@@ -322,23 +349,11 @@ class Group:
             dtype = np.min_scalar_type(n - 1)
             table = np.empty((n, n), dtype=dtype)
             table[0] = np.arange(n, dtype=dtype)
-            visited = np.zeros(n, dtype=bool)
-            visited[0] = True
             step = max(1, _TABLE_CHUNK // n)
-            frontier = np.zeros(1, dtype=np.intp)
-            while frontier.size:
-                nxt = []
-                for gi, lmap in zip(self.gen_indices, left):
-                    # distinct, since right multiplication by g is injective
-                    kids = table[frontier, gi]
-                    fresh = ~visited[kids]
-                    kids, parents = kids[fresh], frontier[fresh]
-                    visited[kids] = True
-                    for s in range(0, kids.size, step):
-                        rows = parents[s : s + step, None]
-                        table[kids[s : s + step]] = table[rows, lmap]
-                    nxt.append(kids)
-                frontier = np.concatenate(nxt) if nxt else frontier[:0]
+            for j, kids, parents in _cayley_steps(table, self.gen_indices):
+                for s in range(0, kids.size, step):
+                    rows = parents[s : s + step, None]
+                    table[kids[s : s + step]] = table[rows, left[j]]
             self._table = table
         return self._table
 

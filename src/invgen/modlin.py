@@ -4,9 +4,11 @@ A ModuleAction pairs a permutation group H with one matrix over GF(p)
 per generator, acting on row vectors from the right, so that the map
 extends to a homomorphism H -> GL(dim, p) with M(ab) = M(a) M(b).  The
 constructor builds the matrix of every element along the Cayley graph
-and then checks every edge; consistency of all edges forces the
-homomorphism property for arbitrary products (induction on word
-length), so a bad assignment cannot slip through.
+(group._cayley_steps, one product per level and generator) and then
+checks every edge; consistency of all edges forces the homomorphism
+property for arbitrary products (induction on word length), so a bad
+assignment cannot slip through, and the matrices do not depend on the
+spanning tree that built them.
 
 For irreducible V the commutant E = End_H(V) is a finite field
 F = GF(p^e); derivations (maps d: H -> V with d(ab) = d(a) M(b) + d(b))
@@ -16,8 +18,9 @@ machinery consume.
 
 Both facts are decided by ranks over GF(p), not by enumerating vectors
 or field elements.  The one bound on a module is p < 2^16, which keeps
-int64 arithmetic mod p exact.  Let b_1..b_e span the commutant E over
-GF(p).
+int64 arithmetic mod p exact; it is checked before p is tested for
+primality, so a huge p is refused at once.  Let b_1..b_e span the
+commutant E over GF(p).
 
 - E is a field exactly when it is a commutative algebra in which the
   rows vec(b_i^p) have rank e and the rows vec(b_i^p - b_i) have rank
@@ -35,14 +38,15 @@ GF(p).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, InvgenError, PreconditionError
-from .gf import RowSpace, left_kernel, nullspace_right, rank, row_space_basis
-from .group import Group, _int_array, _int_param, is_prime, load_group, perms_from_images
+from .gf import left_kernel, nullspace_right, rank, row_space_basis
+from .group import (
+    Group, _cayley_steps, _int_array, _int_param, is_prime, load_group, perms_from_images,
+)
 
 
 def _matrix_power_mod(M: np.ndarray, k: int, p: int) -> np.ndarray:
@@ -97,15 +101,15 @@ class ModuleAction:
     """A finite group acting linearly on GF(p)^dim by row-vector matrices."""
 
     def __init__(self, group: Group, p: int, gen_matrices, name: str | None = None):
-        if not is_prime(p):
-            raise InputError(f"module characteristic {p} is not prime")
         if p >= 2**16:
             # (p-1)^2 < 2^32 keeps every int64 matrix product mod p exact
             raise InputError(f"module characteristic {p} is not below 2^16")
+        if not is_prime(p):
+            raise InputError(f"module characteristic {p} is not prime")
         self.group = group
         self.p = p
         self.name = name or f"module(p={p}, over {group.name})"
-        mats = [np.asarray(m, dtype=np.int64) % p for m in gen_matrices]
+        mats = [_int_array(m, "module matrices") % p for m in gen_matrices]
         if len(mats) != len(group.generators):
             raise InputError(
                 f"{len(mats)} matrices for {len(group.generators)} generators"
@@ -131,24 +135,12 @@ class ModuleAction:
 
     def _build_and_verify(self) -> np.ndarray:
         G = self.group
-        n = G.order
         p = self.p
         t = G.table
-        mats = np.zeros((n, self.dim, self.dim), dtype=np.int64)
+        mats = np.zeros((G.order, self.dim, self.dim), dtype=np.int64)
         mats[0] = np.eye(self.dim, dtype=np.int64)
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for gi, M in zip(G.gen_indices, self.gen_matrices):
-                    b = int(t[a, gi])
-                    if not seen[b]:
-                        seen[b] = True
-                        mats[b] = (mats[a] @ M) % p
-                        nxt.append(b)
-            frontier = nxt
+        for j, kids, parents in _cayley_steps(t, G.gen_indices):
+            mats[kids] = mats[parents] @ self.gen_matrices[j] % p
         # every Cayley edge must agree, which pins down all products
         for gi, M in zip(G.gen_indices, self.gen_matrices):
             lhs = mats[t[:, gi]]
@@ -185,24 +177,24 @@ class ModuleAction:
         return intertwiners(self.gen_matrices, self.gen_matrices, self.p)
 
     def end_field(self) -> EndField:
-        """Commutant verified to be a field by the Frobenius rank test."""
+        """Commutant verified to be a field by the Frobenius rank test.
+
+        The identity and the products b_a b_b lie in the span of the e
+        basis matrices exactly when stacking them under it keeps rank e.
+        """
         if self._end is not None:
             return self._end
         p, d = self.p, self.dim
         basis = self.commutant_basis()
         e = basis.shape[0]
-        span = RowSpace(p, d * d)
-        for b in basis:
-            span.add(b.reshape(-1))
-        if not span.contains(np.eye(d, dtype=np.int64).reshape(-1)):
+        flat = basis.reshape(e, d * d)
+        if rank(np.vstack([flat, np.eye(d, dtype=np.int64).reshape(1, -1)]), p) != e:
             raise InvgenError("commutant does not contain the identity")
-        for a, b in itertools.combinations_with_replacement(range(e), 2):
-            ab = (basis[a] @ basis[b]) % p
-            ba = (basis[b] @ basis[a]) % p
-            if not np.array_equal(ab, ba):
-                raise PreconditionError("commutant is not commutative; not a field")
-            if not span.contains(ab.reshape(-1)):
-                raise InvgenError("commutant is not closed under products")
+        prods = np.einsum("aij,bjk->abik", basis, basis) % p  # b_a b_b
+        if not np.array_equal(prods, prods.transpose(1, 0, 2, 3)):
+            raise PreconditionError("commutant is not commutative; not a field")
+        if rank(np.vstack([flat, prods.reshape(e * e, d * d)]), p) != e:
+            raise InvgenError("commutant is not closed under products")
         frob = np.array([_matrix_power_mod(b, p, p).reshape(-1) for b in basis])
         if rank(frob, p) != e:
             raise PreconditionError(
@@ -289,66 +281,40 @@ class DerivationSpace:
         """Value of the derivation with coordinates x at one element."""
         return (np.asarray(x, dtype=np.int64) @ self.expr[int(elem_idx)]) % self.action.p
 
-    def values_at(self, x, elem_idxs) -> np.ndarray:
-        """Concatenated values (d(h_1), ..., d(h_t)) as one row."""
-        return np.concatenate([self.evaluate(x, i) for i in elem_idxs])
-
 
 def _compute_derivations(act: ModuleAction) -> DerivationSpace:
+    """Derivations from the Cayley walk: expr[h] follows the spanning tree
+    of the walk, d(a g_j) = d(a) M_j + d(g_j), and every Cayley edge then
+    constrains x by its defect.  The legal x are the null space of all
+    defect columns stacked.  That space, and so its echelon basis
+    x_basis, does not depend on the tree; expr[h] may, but x @ expr[h]
+    does not for a legal x.
+    """
     G = act.group
     p, d = act.p, act.dim
     k = len(act.gen_matrices)
     K = k * d
-    n = G.order
     t = G.table
-    expr = np.zeros((n, K, d), dtype=np.int64)
-    unit = []
-    for j in range(k):
-        E = np.zeros((K, d), dtype=np.int64)
-        E[j * d : (j + 1) * d] = np.eye(d, dtype=np.int64)
-        unit.append(E)
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for j, gi in enumerate(G.gen_indices):
-                b = int(t[a, gi])
-                if not seen[b]:
-                    seen[b] = True
-                    expr[b] = (expr[a] @ act.gen_matrices[j] + unit[j]) % p
-                    nxt.append(b)
-        frontier = nxt
-    # every edge must be consistent; each defect column is a constraint on x
-    constraints = RowSpace(p, K)
-    for j, gi in enumerate(G.gen_indices):
-        want = expr[t[:, gi]]
-        got = (expr @ act.gen_matrices[j] + unit[j]) % p
-        defect = (got - want) % p
-        for col in defect.transpose(0, 2, 1).reshape(-1, K):
-            if col.any():
-                constraints.add(col)
-                if constraints.dim == K:
-                    break
-        if constraints.dim == K:
-            break
-    if constraints.dim:
-        x_basis = nullspace_right(constraints.basis_matrix(), p)
-    else:
-        x_basis = np.eye(K, dtype=np.int64)
+    expr = np.zeros((G.order, K, d), dtype=np.int64)
+    # unit[j] picks the j-th block d(g_j) out of x
+    unit = np.eye(K, dtype=np.int64).reshape(K, k, d).transpose(1, 0, 2)
+    for j, kids, parents in _cayley_steps(t, G.gen_indices):
+        expr[kids] = (expr[parents] @ act.gen_matrices[j] + unit[j]) % p
+    # each column of an edge's defect is one linear constraint on x
+    defects = [
+        ((expr @ M + unit[j] - expr[t[:, gi]]) % p).transpose(0, 2, 1).reshape(-1, K)
+        for j, (gi, M) in enumerate(zip(G.gen_indices, act.gen_matrices))
+    ]
+    x_basis = nullspace_right(np.vstack(defects), p)
     eye = np.eye(d, dtype=np.int64)
     inner_raw = np.hstack([(M - eye) % p for M in act.gen_matrices])
     inner_basis = row_space_basis(inner_raw, p)
-    der = DerivationSpace(
+    # inner derivations are derivations; catching drift here is cheap
+    if rank(np.vstack([x_basis, inner_basis]), p) != x_basis.shape[0]:
+        raise PreconditionError("inner derivation escaped the derivation space")
+    return DerivationSpace(
         action=act, x_basis=x_basis, inner_basis=inner_basis, expr=expr
     )
-    # inner derivations are derivations; catching drift here is cheap
-    check = RowSpace(p, K, x_basis)
-    for row in inner_basis:
-        if not check.contains(row):
-            raise PreconditionError("inner derivation escaped the derivation space")
-    return der
 
 
 def module_from_descriptor(desc: dict) -> ModuleAction:
@@ -361,7 +327,7 @@ def module_from_descriptor(desc: dict) -> ModuleAction:
     """
     try:
         p = _int_param(desc, "p")
-        mats = [_int_array(m, "module matrices") for m in desc["matrices"]]
+        mats = list(desc["matrices"])
         gspec = dict(desc["group"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"module descriptor missing or malformed field: {exc}") from exc
@@ -375,8 +341,8 @@ def module_from_descriptor(desc: dict) -> ModuleAction:
         keep_perms, keep_mats = [], []
         for perm, M in zip(perms, mats):
             if perm.is_identity():
-                d = M.shape[0]
-                if not np.array_equal(M % p, np.eye(d, dtype=np.int64)):
+                M = _int_array(M, "module matrices")
+                if M.ndim != 2 or not np.array_equal(M % p, np.eye(len(M), dtype=np.int64)):
                     raise InputError("identity generator paired with a non-identity matrix")
                 continue
             keep_perms.append(perm)

@@ -119,6 +119,12 @@ def test_h1_refuses_a_prime_too_large_for_int64_arithmetic(capsys):
     assert err == "input error: module characteristic 4294967311 is not below 2^16\n"
     desc.update(p=65537, matrices=[[[65536]]])
     assert run(capsys, "h1", json.dumps(desc))[0] == 2
+    # a Mersenne prime: the bound is checked before any primality test,
+    # whose trial division would not finish
+    desc.update(p=2**61 - 1, matrices=[[[1]]])
+    code, out, err = run(capsys, "h1", json.dumps(desc))
+    assert (code, out) == (2, "")
+    assert err == f"input error: module characteristic {2**61 - 1} is not below 2^16\n"
     # the largest prime below the bound is answered: C2 by -1 over GF(65521)
     desc.update(p=65521, matrices=[[[65520]]])
     (row,) = out_json(capsys, "h1", json.dumps(desc))
@@ -207,8 +213,14 @@ def test_fractional_module_matrix_entries_exit_2(capsys, entry):
 
 
 def test_module_matrices_that_are_not_matrices_exit_2(capsys):
-    for mats in ([5], [[1, 0]], [[[True]]]):
-        desc = {"group": {"family": "cyclic", "n": 2}, "p": 3, "matrices": mats}
+    c2 = {"family": "cyclic", "n": 2}
+    # the identity generator [1, 2] is dropped with its entry, 1, which is
+    # still read and checked first
+    with_identity = {"degree": 2, "generators": [[1, 2], [2, 1]]}
+    for group, p, mats in (
+        (c2, 3, [5]), (c2, 3, [[1, 0]]), (c2, 3, [[[True]]]), (with_identity, 2, [1, [[1]]]),
+    ):
+        desc = {"group": group, "p": p, "matrices": mats}
         code, out, err = run(capsys, "h1", json.dumps(desc))
         assert (code, out) == (2, ""), mats
         assert err.startswith("input error: ")

@@ -190,17 +190,25 @@ def test_no_assert_in_package_modules():
 
 
 def _calls_by_function(tree: ast.Module, names) -> set[tuple[str, str]]:
-    """(enclosing top-level function, called name) for each call of a
-    function or method in names."""
-    found = set()
+    """(enclosing function, called name) for each call of a function or
+    method in names; the enclosing function is a top-level function or a
+    method of a top-level class, named Class.method."""
+    scopes = []
     for node in tree.body:
-        if not isinstance(node, ast.FunctionDef):
-            continue
-        for call in ast.walk(node):
+        if isinstance(node, ast.FunctionDef):
+            scopes.append((node.name, node))
+        elif isinstance(node, ast.ClassDef):
+            scopes += [
+                (f"{node.name}.{item.name}", item)
+                for item in node.body if isinstance(item, ast.FunctionDef)
+            ]
+    found = set()
+    for name, scope in scopes:
+        for call in ast.walk(scope):
             if isinstance(call, ast.Call):
                 called = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
                 if called in names:
-                    found.add((node.name, called))
+                    found.add((name, called))
     return found
 
 
@@ -221,10 +229,29 @@ def test_criteria_run_through_the_block_primitive():
             ("_check_rank_formula", "criterion_verdicts"),
         ],
     }, calls
-    # RowSpace steps in genlift only build D and W, so no scalar second
-    # path through membership tests can come back
+    # gf.py defines functions only, so no incremental row space can come
+    # back, and genlift takes no scalar membership or copy-and-add steps
+    classes = [n.name for n in _tree(PACKAGE / "gf.py").body if isinstance(n, ast.ClassDef)]
+    assert classes == []
     scalar = _calls_by_function(_tree(PACKAGE / "genlift.py"), {"contains", "residue", "add", "copy"})
-    assert {fn for fn, _ in scalar} == {"_build_dw"}, scalar
+    assert scalar == set(), scalar
+
+
+def test_one_cayley_walk_under_the_table_and_the_modules():
+    # _cayley_steps is the one breadth-first walk of a Cayley graph: the
+    # multiplication table, the module matrices and the derivation
+    # expressions are all filled along it
+    calls = {
+        p.name: sorted(c) for p in _modules()
+        if (c := _calls_by_function(_tree(p), {"_cayley_steps"}))
+    }
+    assert calls == {
+        "group.py": [("Group.table", "_cayley_steps")],
+        "modlin.py": [
+            ("ModuleAction._build_and_verify", "_cayley_steps"),
+            ("_compute_derivations", "_cayley_steps"),
+        ],
+    }, calls
 
 
 def _cap_raises(tree: ast.Module) -> list[str]:

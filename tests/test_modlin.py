@@ -15,7 +15,7 @@ from invgen import (
     module_from_descriptor,
     modules_isomorphic,
 )
-from invgen.gf import RowSpace, rank
+from invgen.gf import rank, rref, row_space_basis
 from invgen.harness import shipped_corpus_path
 
 # (corpus name, p, dim over GF(p), e, n, m, absolutely irreducible)
@@ -69,6 +69,11 @@ def test_cohomology_vanishes_in_coprime_characteristic():
     assert act.h1_dim() == 0
     ds = act.derivation_space()
     assert ds.dim_gf == ds.dim_inner_gf == 2
+    # A5 is perfect, so on the trivial module over GF(2) (p divides 60)
+    # even Hom(A5, GF(2)) is 0: no derivations, inner or not, at all
+    a5 = load_group({"family": "alt", "n": 5})
+    ds = ModuleAction(a5, 2, [[[1]]] * len(a5.generators)).derivation_space()
+    assert ds.x_basis.shape == ds.inner_basis.shape == (0, len(a5.generators))
 
 
 def test_sl24_h1_is_one_dimensional_over_end_field():
@@ -126,6 +131,15 @@ def test_matrix_is_a_homomorphism():
         h = int(rng.integers(0, G.order))
         prod = (act.matrix(g) @ act.matrix(h)) % act.p
         assert np.array_equal(prod, act.matrix(int(G.table[g, h])))
+    # the permutation module of S6 over GF(3): the Cayley walk covers many
+    # levels and two generators, and every matrix is the permutation
+    # matrix of its element, read off the element's images alone
+    s6 = load_group({"family": "sym", "n": 6})
+    act = ModuleAction(s6, 3, _perm_matrices(s6))
+    assert act.matrices.shape == (720, 6, 6)
+    for i in range(s6.order):
+        want = np.eye(6, dtype=np.int64)[list(s6.element(i).images)]
+        assert np.array_equal(act.matrix(i), want), i
 
 
 def test_modules_isomorphic_reflexive_and_discriminating():
@@ -156,6 +170,12 @@ def test_module_descriptor_validation():
     bad_p = dict(base, p=6)
     with pytest.raises(InputError):
         module_from_descriptor(bad_p)
+    # the constructor reads its matrices like a descriptor: no truncation
+    c2 = load_group(base["group"])
+    for mats in ([[[2.7]]], [[[True]]], [5]):
+        with pytest.raises(InputError):
+            ModuleAction(c2, 3, mats)
+    assert ModuleAction(c2, 3, [[[2.0]]]).gen_matrices[0].tolist() == [[2]]
 
 
 def test_non_homomorphic_matrices_rejected():
@@ -174,16 +194,17 @@ def test_non_homomorphic_matrices_rejected():
 
 
 def _twin_spin_dim(act, v) -> int:
-    """Dimension of the smallest submodule containing v."""
-    space = RowSpace(act.p, act.dim)
-    queue = [w for w in [np.asarray(v, dtype=np.int64) % act.p] if space.add(w)]
+    """Dimension of the smallest submodule containing v: a vector joins the
+    spanning rows when it raises their rank."""
+    rows = np.zeros((0, act.dim), dtype=np.int64)
+    queue = [np.asarray(v, dtype=np.int64) % act.p]
     while queue:
         w = queue.pop()
-        for M in act.gen_matrices:
-            u = (w @ M) % act.p
-            if space.add(u):
-                queue.append(u)
-    return space.dim
+        grown = np.vstack([rows, w])
+        if rank(grown, act.p) > len(rows):
+            rows = grown
+            queue += [(w @ M) % act.p for M in act.gen_matrices]
+    return len(rows)
 
 
 def _twin_is_irreducible(act) -> bool:
@@ -200,12 +221,16 @@ def _twin_is_field(act) -> bool:
     all invertible, checked element by element."""
     p, d = act.p, act.dim
     basis = act.commutant_basis()
-    span = RowSpace(p, d * d, basis.reshape(len(basis), -1))
-    if not span.contains(np.eye(d, dtype=np.int64).reshape(-1)):
+    flat = basis.reshape(len(basis), -1)
+
+    def in_span(X):
+        return rank(np.vstack([flat, X.reshape(1, -1)]), p) == len(basis)
+
+    if not in_span(np.eye(d, dtype=np.int64)):
         return False
     for a, b in itertools.combinations_with_replacement(basis, 2):
         ab = (a @ b) % p
-        if not np.array_equal(ab, (b @ a) % p) or not span.contains(ab.reshape(-1)):
+        if not np.array_equal(ab, (b @ a) % p) or not in_span(ab):
             return False
     for coeffs in itertools.product(range(p), repeat=len(basis)):
         if any(coeffs):
@@ -307,3 +332,43 @@ def test_commutant_consistency_breaches_are_not_read_as_reducible(monkeypatch):
         with pytest.raises(InvgenError, match=msg) as info:
             act.is_irreducible()
         assert not isinstance(info.value, PreconditionError)
+
+
+def _twin_rref(A, p):
+    """Textbook elimination on Python ints: the first nonzero entry of a
+    column below the pivots is the pivot, rows are swapped and scaled,
+    and the column is cleared from every other row."""
+    R = [[int(x) % p for x in row] for row in np.atleast_2d(A).tolist()]
+    pivots, r = [], 0
+    for c in range(len(R[0]) if R else 0):
+        pr = next((i for i in range(r, len(R)) if R[i][c]), None)
+        if pr is None:
+            continue
+        R[r], R[pr] = R[pr], R[r]
+        inv = pow(R[r][c], p - 2, p)
+        R[r] = [x * inv % p for x in R[r]]
+        for i in range(len(R)):
+            if i != r and R[i][c]:
+                f = R[i][c]
+                R[i] = [(x - f * y) % p for x, y in zip(R[i], R[r])]
+        pivots.append(c)
+        r += 1
+    return R, pivots
+
+
+def test_rref_matches_the_textbook_elimination():
+    # the reduced form is unique, so the pivot rref picks must not matter;
+    # sparse, tall and wide matrices, zero rows and the largest prime
+    rng = np.random.default_rng(11)
+    cases = 0
+    for p in (2, 3, 5, 7, 65521):
+        for rows, cols in ((1, 1), (3, 5), (5, 3), (6, 6), (40, 4), (4, 9)):
+            for density in (0.1, 0.5, 1.0):
+                A = rng.integers(0, p, size=(rows, cols)) * (rng.random((rows, cols)) < density)
+                R, pivots = rref(A, p)
+                want, want_pivots = _twin_rref(A, p)
+                assert R.tolist() == want and pivots == want_pivots, (p, A.tolist())
+                assert np.array_equal(row_space_basis(A, p), R[: len(pivots)])
+                cases += 1
+    assert cases == 90
+    assert rref(np.zeros((0, 3), dtype=np.int64), 5)[1] == []
