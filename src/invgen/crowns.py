@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded, InputError, InvgenError, PreconditionError
-from .group import Group, _row_dtype, bits_to_indices, prime_power
+from .group import Group, _row_dtype, _void_view, bits_to_indices, prime_power
 from .gf import rank
 from .modlin import ModuleAction, intertwiners
 from .perm import Perm
@@ -436,6 +436,19 @@ def abelian_crown_power_with_embedding(act: ModuleAction, u: int):
     (v1, h1)(v2, h2) = (v1 M_{h2} + v2, h1 h2), matching left-to-right
     composition.  The generators are H's generators with v = 0, then
     the unit translations.
+
+    Every element is such a pair, so the group is built in closed form,
+    with no enumeration and no row search.  A point is its
+    little-endian base-p code, as in ``_affine_image_rows``, and (v, h)
+    has the raw index code(v) * |H| + h.  With add the addition table of
+    codes and lin[h] the code map of x -> x @ diag-block(M_h), the row
+    of (v, h) is add[code(v), lin[h]].  The rows are sorted once, and
+    pos maps a raw index to its element index.  The left map of a
+    generator (v_g, h_g) sends (v, h) to (v_g M_h + v, h_g h), one
+    gather through add, lin and H's table, so ``Group.table`` looks up
+    no row either.  A repeated row means the module is not faithful:
+    the pairs then close to a smaller group, and PreconditionError
+    says so.
     """
     if u < 0:
         raise InputError(f"u must be nonnegative, got {u}")
@@ -446,25 +459,45 @@ def abelian_crown_power_with_embedding(act: ModuleAction, u: int):
                 raise InputError("u = 0 admits no vector part")
             return H.element_index(h)
         return H, embed0
-    K = act.dim * u
-    npoints = act.p**K
-    if npoints * H.order > H.caps.order:
-        raise CapExceeded(
-            f"order {npoints * H.order} exceeds cap {H.caps.order} (order)"
-        )
-    image_rows = _affine_image_rows(act, u)
-    hs = list(H.gen_indices)
-    vs = np.vstack([np.zeros((len(hs), K), dtype=np.int64), np.eye(K, dtype=np.int64)])
-    gens = [Perm(row) for row in image_rows(vs, hs + [0] * K).tolist()]
+    p, dim, nh = act.p, act.dim, H.order
+    K = dim * u
+    npoints = p**K
+    n = npoints * nh
+    if n > H.caps.order:
+        raise CapExceeded(f"order {n} exceeds cap {H.caps.order} (order)")
+    powers = p ** np.arange(K, dtype=np.int64)
+    digits = np.arange(npoints, dtype=np.int64)[:, None] // powers % p
+    add = np.zeros((npoints, npoints), dtype=np.int32)
+    for k in range(K):  # one digit at a time keeps the temporaries npoints^2
+        d = digits[:, k].astype(np.int32)
+        add += (d[:, None] + d) % p * int(powers[k])
+    images = np.einsum("xud,hde->hxue", digits.reshape(npoints, u, dim), act.matrices)
+    lin = (images % p).reshape(nh, npoints, K) @ powers
+    rows = add.astype(_row_dtype(npoints))[:, lin].reshape(n, npoints)
+    order = np.argsort(_void_view(rows), kind="stable")
+    rows = rows[order]
+    distinct = 1 + int(np.count_nonzero((rows[1:] != rows[:-1]).any(axis=1)))
+    if distinct != n:
+        raise PreconditionError(f"crown power closed to order {distinct}, wanted {n}")
+    pos = np.empty(n, dtype=np.intp)
+    pos[order] = np.arange(n)
+    raw_gens = [*H.gen_indices, *(int(c) * nh for c in powers)]
+    codes = np.arange(npoints)[:, None]
+    left = []
+    for r in raw_gens:
+        c, h = divmod(r, nh)
+        # [code(v), h] -> raw index of (v_g M_h + v, h_g h)
+        image = add[lin[:, c], codes].astype(np.intp) * nh + H.table[h].astype(np.intp)
+        left.append(pos[image.ravel()[order]])
     name = f"crownpower({act.name}, u={u})"
-    G = Group(gens, name=name, degree=npoints, caps=H.caps)
-    if G.order != npoints * H.order:
-        raise PreconditionError(
-            f"crown power closed to order {G.order}, wanted {npoints * H.order}"
-        )
+    G = Group._from_rows(rows, pos[raw_gens].tolist(), name, H.caps, left)
 
     def embed(v, h) -> int:
-        return int(G._lookup(image_rows(v, [H.element_index(h)]))[0])
+        hi = H.element_index(h)
+        v = np.asarray(v, dtype=np.int64)
+        if v.size != K:
+            raise InputError(f"vector part has {v.size} entries, wanted {K}")
+        return int(pos[int(v.ravel() % p @ powers) * nh + hi])
 
     return G, embed
 

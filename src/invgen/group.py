@@ -5,9 +5,13 @@ lexicographically and big-endian (uint16 up to degree 65536, uint32
 above), so that a row's bytes compare exactly as its image tuple does;
 element i is row i, so indices, class representatives and every report
 are deterministic.  The rows are the only element representation: a Perm
-is built from a row only when asked (``Group.element``).  Enumeration
-applies a generator to a whole BFS frontier of rows with one gather, and
-a row is looked up by ``np.searchsorted`` on a void view of the array.
+is built from a row only when asked (``Group.element``).  The rows come
+from enumeration, which applies a generator to a whole BFS frontier of
+rows with one gather, or, for a group whose every element is known in
+closed form (the crown-based power V^u x| H, see
+``crowns.abelian_crown_power_with_embedding``), from ``Group._from_rows``
+with no search.  A row is looked up by ``np.searchsorted`` on a void
+view of the array.
 The multiplication table stores each entry, an element index below the
 order, in the smallest unsigned type that holds order - 1
 (``np.min_scalar_type``): uint8 up to order 256 and uint16 up to 65 536,
@@ -237,14 +241,29 @@ class Group:
         gen_rows = np.reshape([g.images for g in gens], (len(gens), degree))
         if (np.sort(gen_rows, axis=1) != np.arange(degree)).any():
             raise InputError(f"a generator is not a permutation of 0..{degree - 1}")
+        self._setup(name, gens, caps, _enumerate_rows(gens, degree, caps.order))
+        self.gen_indices = tuple(self._lookup(gen_rows).tolist())
+
+    @classmethod
+    def _from_rows(cls, rows, gen_indices, name, caps, left=None) -> "Group":
+        """The group whose elements are rows, already sorted, distinct and
+        closed under products, generated by the elements of gen_indices;
+        left, if given, holds the index map of each generator's left
+        multiplication, read by ``table`` in place of row lookups."""
+        G = cls.__new__(cls)
+        G._setup(name, [Perm(rows[i].tolist()) for i in gen_indices], caps, rows, left)
+        G.gen_indices = tuple(gen_indices)
+        return G
+
+    def _setup(self, name, gens, caps, rows, left=None):
         self.name = name
-        self.degree = degree
+        self.degree = rows.shape[1]
         self.generators = tuple(gens)
         self.caps = caps
-        self._E = _enumerate_rows(gens, degree, caps.order)
-        self._keys = _void_view(self._E)
-        self.order = len(self._E)
-        self.gen_indices = tuple(self._lookup(gen_rows).tolist())
+        self._E = rows
+        self._keys = _void_view(rows)
+        self.order = len(rows)
+        self._left = left
         # lazy caches
         self._table = None
         self._inv = None
@@ -333,7 +352,8 @@ class Group:
 
         The left-multiplication map of a generator g sends e to g * e,
         whose images are e(g(x)): the rows E[:, E[g]] of the sorted
-        image-row array, looked up by ``searchsorted`` in chunks.  The
+        image-row array, looked up by ``searchsorted`` in chunks, unless
+        the group was built with its left maps (``_from_rows``).  The
         table is then filled along ``_cayley_steps``: if e_c = e_a * g
         for a generator g, then row c is row a permuted by the left map
         of g, so each step's new rows are one gather of their parents'
@@ -342,10 +362,13 @@ class Group:
         """
         if self._table is None:
             n = self.order
-            left = []
-            for gi in self.gen_indices:
-                cols = self._E[gi].astype(np.intp)
-                left.append(self._lookup_all(lambda rows: rows[:, cols]))
+            left = self._left
+            if left is None:
+                left = []
+                for gi in self.gen_indices:
+                    cols = self._E[gi].astype(np.intp)
+                    left.append(self._lookup_all(lambda rows: rows[:, cols]))
+            self._left = None
             dtype = np.min_scalar_type(n - 1)
             table = np.empty((n, n), dtype=dtype)
             table[0] = np.arange(n, dtype=dtype)

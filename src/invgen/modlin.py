@@ -97,15 +97,21 @@ class EndField:
         return self.basis.shape[1]
 
 
+def _check_characteristic(p: int) -> None:
+    """A module's p must be a prime below 2^16, bound first: trial
+    division of a huge p would not finish."""
+    if p >= 2**16:
+        # (p-1)^2 < 2^32 keeps every int64 matrix product mod p exact
+        raise InputError(f"module characteristic {p} is not below 2^16")
+    if not is_prime(p):
+        raise InputError(f"module characteristic {p} is not prime")
+
+
 class ModuleAction:
     """A finite group acting linearly on GF(p)^dim by row-vector matrices."""
 
     def __init__(self, group: Group, p: int, gen_matrices, name: str | None = None):
-        if p >= 2**16:
-            # (p-1)^2 < 2^32 keeps every int64 matrix product mod p exact
-            raise InputError(f"module characteristic {p} is not below 2^16")
-        if not is_prime(p):
-            raise InputError(f"module characteristic {p} is not prime")
+        _check_characteristic(p)
         self.group = group
         self.p = p
         self.name = name or f"module(p={p}, over {group.name})"
@@ -331,6 +337,7 @@ def module_from_descriptor(desc: dict) -> ModuleAction:
         gspec = dict(desc["group"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"module descriptor missing or malformed field: {exc}") from exc
+    _check_characteristic(p)  # before any matrix is reduced mod p
     name = desc.get("name")
     if "generators" in gspec:
         perms = perms_from_images(gspec["generators"])

@@ -565,7 +565,8 @@ def _check_criterion_soundness(corpus: _Corpus, st: Stream):
     minimal normal subgroup, so no ambient builds its own lattice (only
     a simple quotient does, such as A5 under mod_sl24_nat's ambient);
     the |V|^u <= 128 gate on that half is a cost bound, not a need.
-    The criteria judge each block of ws in one call.
+    The criteria judge each block of ws in one call, and the block's
+    lifted elements are found by one search among the ambient's rows.
     """
     checked = 0
     bad = []
@@ -586,8 +587,10 @@ def _check_criterion_soundness(corpus: _Corpus, st: Stream):
             for block in _ws_samples(p, d, u, dim, st, None if exhaustive else 500):
                 gen = criterion_verdicts(act, hs, block, MODE_GENERATE)
                 inv = criterion_verdicts(act, hs, block, MODE_INVARIABLE) if brute_invgen else None
+                B = len(block)
+                block_idxs = GA._lookup(image_rows(block.reshape(B * d, -1), hs * B)).reshape(B, d)
                 for b, ws in enumerate(block):
-                    idxs = GA._lookup(image_rows(ws, hs)).tolist()
+                    idxs = block_idxs[b].tolist()
                     if gen[b] != (len(closure_indices(GA, idxs)) == GA.order):
                         bad.append(
                             f"{act.name} u={u}: gen criterion disagrees at {ws.tolist()}"

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import warnings
 
 import pytest
 
@@ -210,6 +211,21 @@ def test_fractional_module_matrix_entries_exit_2(capsys, entry):
         code, out, err = run(capsys, cmd, json.dumps(desc))
         assert (code, out) == (2, ""), (cmd, desc)
         assert err.startswith("input error: ") and "Traceback" not in err
+
+
+def test_module_prime_is_checked_before_any_matrix_is_reduced(capsys):
+    # an identity generator's matrix used to be reduced mod p = 0 first:
+    # numpy warned of a division by zero, then the error blamed the matrix
+    desc = {
+        "group": {"degree": 2, "generators": [[1, 2], [2, 1]]},
+        "p": 0,
+        "matrices": [[[1]], [[1]]],
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "h1", json.dumps(desc))
+    assert (code, out) == (2, "")
+    assert err == "input error: module characteristic 0 is not prime\n"
 
 
 def test_module_matrices_that_are_not_matrices_exit_2(capsys):

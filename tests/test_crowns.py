@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from invgen import (
+    Group,
     InputError,
     Perm,
     PreconditionError,
@@ -23,6 +24,7 @@ from invgen import (
     verify_sotto,
 )
 from invgen.crowns import _affine_image_rows, _make_factor
+from invgen.group import DEFAULT_CAPS
 from invgen.subgroups import (
     _lattice,
     frattini,
@@ -315,6 +317,89 @@ def test_embed_matches_the_affine_map(name, u):
         assert emb(v, H.element(h)) == i
         rows = image_rows(v, [h])  # in the ambient's row dtype, ready for _lookup
         assert rows.dtype == GA._E.dtype and tuple(rows[0].tolist()) == want
+
+
+def _lift_ambient_cases():
+    """(module row name, u) for every corpus module and every u with
+    |V|^u |H| within the order cap."""
+    cases = []
+    for d in read_corpus(shipped_corpus_path()):
+        if "module" in d:
+            act = module_from_descriptor(d["module"])
+            u = 1
+            while act.p ** (act.dim * u) * act.group.order <= DEFAULT_CAPS.order:
+                cases.append((d["name"], u))
+                u += 1
+    return cases
+
+
+LIFT_AMBIENT_CASES = _lift_ambient_cases()
+
+
+def test_lift_ambient_cases_are_the_benchmark_set():
+    assert len(LIFT_AMBIENT_CASES) == 21
+
+
+@pytest.mark.parametrize("name, u", LIFT_AMBIENT_CASES)
+def test_closed_form_matches_the_enumerated_group(name, u):
+    # the same generators, enumerated as an unknown permutation group from
+    # the rows of the independent affine route
+    act = module_from_descriptor(_row(name)["module"])
+    H, p, K = act.group, act.p, act.dim * u
+    GA, emb = abelian_crown_power_with_embedding(act, u)
+    image_rows = _affine_image_rows(act, u)
+    hs = list(H.gen_indices)
+    vs = np.vstack([np.zeros((len(hs), K), dtype=np.int64), np.eye(K, dtype=np.int64)])
+    gens = [Perm(row) for row in image_rows(vs, hs + [0] * K).tolist()]
+    ref = Group(gens, degree=p**K)
+    assert GA._E.dtype == ref._E.dtype and np.array_equal(GA._E, ref._E)
+    assert GA.generators == ref.generators
+    assert GA.gen_indices == ref.gen_indices
+    assert GA.table.dtype == ref.table.dtype and np.array_equal(GA.table, ref.table)
+    assert np.array_equal(GA.inverses(), ref.inverses())
+    assert GA.conjugacy_classes() == ref.conjugacy_classes()
+    rng = np.random.default_rng([20261020, u])
+    for _ in range(40):
+        v = rng.integers(-p, 2 * p, size=K)
+        h = int(rng.integers(0, H.order))
+        assert emb(v, h) == int(ref._lookup(image_rows(v, [h]))[0])
+
+
+def test_crown_power_of_an_unfaithful_module_is_refused():
+    # C2 acting trivially on F_3: the pairs close to F_3 alone
+    act = module_from_descriptor(
+        {"group": {"family": "cyclic", "n": 2}, "p": 3, "matrices": [[[1]]]}
+    )
+    with pytest.raises(PreconditionError, match=r"^crown power closed to order 3, wanted 6$"):
+        abelian_crown_power_with_embedding(act, 1)
+
+
+def test_crown_power_and_its_table_search_no_rows(monkeypatch):
+    # the closed form must not fall back to enumeration or row lookups
+    import invgen.group as group
+
+    act = module_from_descriptor(S3_GL22)
+    calls = []
+    for owner, attr in ((group, "_enumerate_rows"), (Group, "_lookup_all")):
+        real = getattr(owner, attr)
+        monkeypatch.setattr(
+            owner, attr, lambda *a, real=real, attr=attr: calls.append(attr) or real(*a)
+        )
+    for u in (1, 2, 3):
+        GA, _ = abelian_crown_power_with_embedding(act, u)
+        assert GA.table.shape == (GA.order, GA.order)
+    assert calls == []
+    Group([Perm((1, 0, 2))], degree=3).table  # the counters do count
+    assert calls == ["_enumerate_rows", "_lookup_all"]
+
+
+def test_embed_rejects_a_vector_part_of_the_wrong_length():
+    act = module_from_descriptor(S3_GL22)
+    _, emb = abelian_crown_power_with_embedding(act, 1)
+    assert emb([1, 1], 0) == emb([[1, 1]], 0)
+    for v in ([1], [1, 0, 1], []):
+        with pytest.raises(InputError, match="vector part has"):
+            emb(v, 0)
 
 
 def test_chief_series_is_built_once_per_tie_order(monkeypatch):
