@@ -60,7 +60,7 @@ from .genlift import (
     max_lift_rank,
     resolve_word,
 )
-from .group import Caps, ConjClass, Group, load_group
+from .group import ConjClass, Group, load_group
 from .harness import (
     BinomialCheckRow,
     SurveyRow,
@@ -95,7 +95,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BinomialCheckRow",
-    "Caps",
     "CapExceeded",
     "CheckOutcome",
     "ChiefFactor",

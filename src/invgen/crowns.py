@@ -19,7 +19,9 @@ base |A|.  No quotient group is built: the minimal normal subgroups of
 G/N are the normal subgroups of G minimal over N.  A Frattini-trivial
 group always has a crown whose R is complemented in I by a normal
 subgroup; corona_decomposition finds one and treats absence as an
-internal defect, not a soft failure.
+internal defect, not a soft failure.  Both crown-based power
+constructors check their known order against the one order cap of
+``group`` before they build anything.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, InputError, InvgenError, PreconditionError
-from .group import Group, _row_dtype, _void_view, bits_to_indices, prime_power
+from .errors import InputError, InvgenError, PreconditionError
+from .group import Group, _check_order, _row_dtype, bits_to_indices, prime_power
 from .gf import rank
 from .modlin import ModuleAction, intertwiners
 from .perm import Perm
@@ -437,18 +439,17 @@ def abelian_crown_power_with_embedding(act: ModuleAction, u: int):
     composition.  The generators are H's generators with v = 0, then
     the unit translations.
 
-    Every element is such a pair, so the group is built in closed form,
-    with no enumeration and no row search.  A point is its
-    little-endian base-p code, as in ``_affine_image_rows``, and (v, h)
+    Every element is such a pair, so the group is built from its rows by
+    ``Group._from_rows``, with no enumeration and no row search.  A
+    point is its little-endian base-p code, as in ``_affine_image_rows``, and (v, h)
     has the raw index code(v) * |H| + h.  With add the addition table of
     codes and lin[h] the code map of x -> x @ diag-block(M_h), the row
-    of (v, h) is add[code(v), lin[h]].  The rows are sorted once, and
-    pos maps a raw index to its element index.  The left map of a
-    generator (v_g, h_g) sends (v, h) to (v_g M_h + v, h_g h), one
-    gather through add, lin and H's table, so ``Group.table`` looks up
-    no row either.  A repeated row means the module is not faithful:
-    the pairs then close to a smaller group, and PreconditionError
-    says so.
+    of (v, h) is add[code(v), lin[h]], and pos maps a raw index to its
+    element index.  The left map of a generator (v_g, h_g) sends (v, h)
+    to (v_g M_h + v, h_g h), one gather through add, lin and H's table,
+    so ``Group.table`` looks up no row either.  A repeated row means the
+    module is not faithful: the pairs then close to a smaller group, and
+    PreconditionError says so.
     """
     if u < 0:
         raise InputError(f"u must be nonnegative, got {u}")
@@ -463,8 +464,7 @@ def abelian_crown_power_with_embedding(act: ModuleAction, u: int):
     K = dim * u
     npoints = p**K
     n = npoints * nh
-    if n > H.caps.order:
-        raise CapExceeded(f"order {n} exceeds cap {H.caps.order} (order)")
+    _check_order(n)
     powers = p ** np.arange(K, dtype=np.int64)
     digits = np.arange(npoints, dtype=np.int64)[:, None] // powers % p
     add = np.zeros((npoints, npoints), dtype=np.int32)
@@ -474,13 +474,6 @@ def abelian_crown_power_with_embedding(act: ModuleAction, u: int):
     images = np.einsum("xud,hde->hxue", digits.reshape(npoints, u, dim), act.matrices)
     lin = (images % p).reshape(nh, npoints, K) @ powers
     rows = add.astype(_row_dtype(npoints))[:, lin].reshape(n, npoints)
-    order = np.argsort(_void_view(rows), kind="stable")
-    rows = rows[order]
-    distinct = 1 + int(np.count_nonzero((rows[1:] != rows[:-1]).any(axis=1)))
-    if distinct != n:
-        raise PreconditionError(f"crown power closed to order {distinct}, wanted {n}")
-    pos = np.empty(n, dtype=np.intp)
-    pos[order] = np.arange(n)
     raw_gens = [*H.gen_indices, *(int(c) * nh for c in powers)]
     codes = np.arange(npoints)[:, None]
     left = []
@@ -488,9 +481,11 @@ def abelian_crown_power_with_embedding(act: ModuleAction, u: int):
         c, h = divmod(r, nh)
         # [code(v), h] -> raw index of (v_g M_h + v, h_g h)
         image = add[lin[:, c], codes].astype(np.intp) * nh + H.table[h].astype(np.intp)
-        left.append(pos[image.ravel()[order]])
+        left.append(image.ravel())
     name = f"crownpower({act.name}, u={u})"
-    G = Group._from_rows(rows, pos[raw_gens].tolist(), name, H.caps, left)
+    G, pos = Group._from_rows(rows, raw_gens, name, left)
+    if G.order != n:
+        raise PreconditionError(f"crown power closed to order {G.order}, wanted {n}")
 
     def embed(v, h) -> int:
         hi = H.element_index(h)
@@ -517,8 +512,7 @@ def build_crown_power_general(L: Group, k: int) -> Group:
     if k == 1:
         return L
     target = A.order ** (k - 1) * L.order
-    if target > L.caps.order:
-        raise CapExceeded(f"order {target} exceeds cap {L.caps.order} (order)")
+    _check_order(target)
     deg = L.degree * k
     gens = []
     for g in L.generators:
@@ -532,7 +526,7 @@ def build_crown_power_general(L: Group, k: int) -> Group:
             for i, img in enumerate(L.element(int(ai)).images):
                 imgs[c * L.degree + i] = c * L.degree + img
             gens.append(Perm(imgs))
-    G = Group(gens, name=f"crownpower_general({L.name}, k={k})", degree=deg, caps=L.caps)
+    G = Group(gens, name=f"crownpower_general({L.name}, k={k})", degree=deg)
     if G.order != target:
         raise PreconditionError(
             f"congruence power closed to order {G.order}, wanted {target}"

@@ -7,11 +7,11 @@ element i is row i, so indices, class representatives and every report
 are deterministic.  The rows are the only element representation: a Perm
 is built from a row only when asked (``Group.element``).  The rows come
 from enumeration, which applies a generator to a whole BFS frontier of
-rows with one gather, or, for a group whose every element is known in
-closed form (the crown-based power V^u x| H, see
-``crowns.abelian_crown_power_with_embedding``), from ``Group._from_rows``
-with no search.  A row is looked up by ``np.searchsorted`` on a void
-view of the array.
+rows with one gather, or from ``Group._from_rows`` for a group whose
+rows are already known, in any order: a crown-based power V^u x| H, a
+quotient G/N in its regular action, a normal subgroup as a group.  Only
+this module views rows as void keys, to sort them and to look one up by
+``np.searchsorted``.
 The multiplication table stores each entry, an element index below the
 order, in the smallest unsigned type that holds order - 1
 (``np.min_scalar_type``): uint8 up to order 256 and uint16 up to 65 536,
@@ -19,13 +19,14 @@ so at the order cap a table takes 2 bytes per entry, 8 MB.  Entries are
 read only as indices or through ``int()``, since arithmetic on an
 unsigned numpy scalar wraps.
 
-Sizes are desk scale and guarded by two caps (``Caps``, each a positive
-int, else ``InputError``), each raising ``CapExceeded`` when passed:
+Sizes are desk scale and guarded by two constants, each raising
+``CapExceeded`` when passed:
 
-    order  <= 2_000     checked while enumerating, so every group can
-                        build its multiplication table, the one primitive
-                        behind products, inverses and closures
-    degree <= 64        for groups loaded from descriptors, checked
+    ORDER_CAP  = 2_000  checked by ``_check_order`` while enumerating and
+                        before a crown-based power is built, so every
+                        group can build its multiplication table, the one
+                        primitive behind products, inverses and closures
+    DEGREE_CAP = 64     for groups loaded from descriptors, checked
                         before any generator is built
 
 Internally constructed groups (quotients, semidirect products acting on
@@ -47,24 +48,16 @@ from .perm import Perm
 # ---------------------------------------------------------------------------
 # caps
 
-
-@dataclass(frozen=True)
-class Caps:
-    order: int = 2_000
-    degree: int = 64
-
-    def __post_init__(self):
-        for name in ("order", "degree"):
-            val = getattr(self, name)
-            if isinstance(val, bool) or not isinstance(val, int) or val < 1:
-                raise InputError(f"cap {name!r} must be a positive integer, got {val!r}")
+ORDER_CAP = 2_000
+DEGREE_CAP = 64
 
 
-DEFAULT_CAPS = Caps()
-
-
-def _caps(caps) -> Caps:
-    return caps if caps is not None else DEFAULT_CAPS
+def _check_order(order: int, exact: bool = True) -> None:
+    """The one order check: CapExceeded once order passes ORDER_CAP.  A
+    partial count (exact=False) is a lower bound, so it is not named."""
+    if order > ORDER_CAP:
+        what = f"order {order}" if exact else "group order"
+        raise CapExceeded(f"{what} exceeds cap {ORDER_CAP} (order)")
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +154,7 @@ def _void_view(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
 
 
-def _enumerate_rows(generators, degree: int, order_cap: int) -> np.ndarray:
+def _enumerate_rows(generators, degree: int) -> np.ndarray:
     """Image rows of every element of <generators>, sorted lexicographically.
 
     Breadth-first from the identity: a generator g moves the whole
@@ -184,8 +177,7 @@ def _enumerate_rows(generators, degree: int, order_cap: int) -> np.ndarray:
             if not fresh:
                 continue
             seen.update(keys[i] for i in fresh)
-            if len(seen) > order_cap:
-                raise CapExceeded(f"group order exceeds enumeration cap {order_cap}")
+            _check_order(len(seen), exact=False)
             nxt.append(prod[fresh])
         frontier = _big_endian(np.concatenate(nxt) if nxt else frontier[:0], dtype)
         found.extend(nxt)
@@ -229,8 +221,7 @@ def _cayley_steps(table, gen_indices):
 class Group:
     """A finite permutation group; element i is row i of the sorted image rows."""
 
-    def __init__(self, generators, name="G", degree=None, caps=None):
-        caps = _caps(caps)
+    def __init__(self, generators, name="G", degree=None):
         gens = [g for g in generators if not g.is_identity()]
         if degree is None:
             if not gens:
@@ -241,25 +232,39 @@ class Group:
         gen_rows = np.reshape([g.images for g in gens], (len(gens), degree))
         if (np.sort(gen_rows, axis=1) != np.arange(degree)).any():
             raise InputError(f"a generator is not a permutation of 0..{degree - 1}")
-        self._setup(name, gens, caps, _enumerate_rows(gens, degree, caps.order))
+        self._setup(name, gens, _enumerate_rows(gens, degree))
         self.gen_indices = tuple(self._lookup(gen_rows).tolist())
 
     @classmethod
-    def _from_rows(cls, rows, gen_indices, name, caps, left=None) -> "Group":
-        """The group whose elements are rows, already sorted, distinct and
-        closed under products, generated by the elements of gen_indices;
-        left, if given, holds the index map of each generator's left
-        multiplication, read by ``table`` in place of row lookups."""
+    def _from_rows(cls, rows, gens, name, left=None) -> tuple["Group", np.ndarray]:
+        """The group of the image rows ``rows``, in any order and closed
+        under products, generated by the rows of raw indices gens, with
+        the element index of each raw row.  Equal rows are one element,
+        so a repeated row shows as an order below len(rows).  left, if
+        given, holds each generator's left multiplication as a map of
+        raw indices, read by ``table`` in place of row lookups."""
+        rows = _big_endian(rows, _row_dtype(np.shape(rows)[1]))
+        order = np.argsort(_void_view(rows), kind="stable")
+        rows = rows[order]
+        new = np.ones(len(rows), dtype=bool)
+        new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        index = np.empty(len(order), dtype=np.intp)
+        index[order] = np.cumsum(new) - 1
+        first = order[new]  # the raw index of each element's first row
+        if len(first) < len(order):
+            rows = rows[new]
+        if left is not None:
+            left = [index[m[first]] for m in left]
+        gen_indices = index[gens].tolist()
         G = cls.__new__(cls)
-        G._setup(name, [Perm(rows[i].tolist()) for i in gen_indices], caps, rows, left)
+        G._setup(name, [Perm(rows[i].tolist()) for i in gen_indices], rows, left)
         G.gen_indices = tuple(gen_indices)
-        return G
+        return G, index
 
-    def _setup(self, name, gens, caps, rows, left=None):
+    def _setup(self, name, gens, rows, left=None):
         self.name = name
         self.degree = rows.shape[1]
         self.generators = tuple(gens)
-        self.caps = caps
         self._E = rows
         self._keys = _void_view(rows)
         self.order = len(rows)
@@ -574,12 +579,12 @@ def _family_degree(family, desc) -> int:
     return 2 * n if family == "dihedral" and n in (1, 2) else n
 
 
-def _check_degree(degree: int, caps: Caps) -> None:
-    if degree > caps.degree:
-        raise CapExceeded(f"degree {degree} exceeds degree cap {caps.degree}")
+def _check_degree(degree: int) -> None:
+    if degree > DEGREE_CAP:
+        raise CapExceeded(f"degree {degree} exceeds degree cap {DEGREE_CAP}")
 
 
-def _elemab_group(p, k, caps):
+def _elemab_group(p, k):
     # k first: with k >= 1 the degree cap on p * k also bounds p, and so
     # the cost of the primality test
     if k < 1:
@@ -590,10 +595,10 @@ def _elemab_group(p, k, caps):
     gens = [
         Perm.from_cycles([tuple(range(i * p, (i + 1) * p))], degree) for i in range(k)
     ]
-    return Group(gens, name=f"elemab({p},{k})", degree=degree, caps=caps)
+    return Group(gens, name=f"elemab({p},{k})", degree=degree)
 
 
-def _agl1_group(q, caps):
+def _agl1_group(q):
     """AGL(1, q), generated by x -> x + 1 and x -> x * a on GF(p)[X]/(f).
 
     Point i is the polynomial whose base-p digits are i, low digit first.
@@ -622,11 +627,11 @@ def _agl1_group(q, caps):
             images = (digits @ np.array(rows) % p @ place).tolist()
             # bijection first: Perm.cycles does not end on any other map
             if len(set(images)) == q and Perm(images).order() == q - 1:
-                return Group([trans, Perm(images)], name=f"agl1({q})", degree=q, caps=caps)
+                return Group([trans, Perm(images)], name=f"agl1({q})", degree=q)
     raise InvgenError(f"no primitive element found for GF({q})")
 
 
-def load_group(desc: dict, caps=None) -> Group:
+def load_group(desc: dict) -> Group:
     """Build a Group from a JSON-style descriptor.
 
     Either explicit generators:
@@ -636,24 +641,21 @@ def load_group(desc: dict, caps=None) -> Group:
         {"family": "elemab", "p": int, "k": int}
         {"family": "agl1", "q": int}
     """
-    caps = _caps(caps)
     if not isinstance(desc, dict):
         raise InputError("group descriptor must be a JSON object")
     if "family" in desc:
         fam = desc["family"]
         try:
-            _check_degree(_family_degree(fam, desc), caps)
+            _check_degree(_family_degree(fam, desc))
             if fam == "elemab":
-                grp = _elemab_group(_int_param(desc, "p"), _int_param(desc, "k"), caps)
+                grp = _elemab_group(_int_param(desc, "p"), _int_param(desc, "k"))
             elif fam == "agl1":
-                grp = _agl1_group(_int_param(desc, "q"), caps)
+                grp = _agl1_group(_int_param(desc, "q"))
             else:
                 cyc, degree = _family_generators(fam, desc)
                 gens = [Perm.from_cycles(c, degree) for c in cyc]
                 param = desc.get("n", desc.get("q"))
-                grp = Group(
-                    gens, name=desc.get("name", f"{fam}({param})"), degree=degree, caps=caps
-                )
+                grp = Group(gens, name=desc.get("name", f"{fam}({param})"), degree=degree)
         except KeyError as e:
             raise InputError(f"family {fam!r} is missing parameter {e}")
         if "name" in desc:
@@ -666,7 +668,7 @@ def load_group(desc: dict, caps=None) -> Group:
             raise InputError("explicit descriptor needs a degree")
         if degree < 1:
             raise InputError("degree must be positive")
-        _check_degree(degree, caps)
+        _check_degree(degree)
         gens = perms_from_images(desc["generators"], degree)
-        return Group(gens, name=desc.get("name", "G"), degree=degree, caps=caps)
+        return Group(gens, name=desc.get("name", "G"), degree=degree)
     raise InputError("group descriptor needs 'family' or 'generators'")

@@ -122,18 +122,18 @@ def realize_descriptor(desc: dict) -> tuple[Group, str, ModuleAction | None]:
     Both constructors are called through the crowns module, so a wrapper
     set on it sees every crown power built here.
     """
-    if "module" in desc or "crownpower" in desc:
+    family = _family_tag(desc)
+    if family in ("module", "crownpower"):
         # a module row is the crown power V^1 x| H; either way the module
         # is built once, so the attached module's group is the H inside G
-        if "module" in desc:
-            family, module, u = "module", desc["module"], 1
+        if family == "module":
+            module, u = desc["module"], 1
         else:
-            family = "crownpower"
             module, u = _crown_fields(desc["crownpower"], "module", "u")
         act = module_from_descriptor(module)
         G = crowns.abelian_crown_power_with_embedding(act, u)[0]
-    elif "crownpower_general" in desc:
-        family, act = "crownpower_general", None
+    elif family == "crownpower_general":
+        act = None
         inner = desc["crownpower_general"]
         group, k = _crown_fields(inner, "group", "k")
         L = load_group(group)
@@ -141,10 +141,18 @@ def realize_descriptor(desc: dict) -> tuple[Group, str, ModuleAction | None]:
             raise InputError("only socle='auto' is supported")
         G = crowns.build_crown_power_general(L, k)
     else:
-        return load_group(desc), desc.get("family", "explicit"), None
+        return load_group(desc), family, None
     if "name" in desc:
         G.name = desc["name"]
     return G, family, act
+
+
+def _family_tag(desc: dict) -> str:
+    """A line's family tag, for its row with or without an error."""
+    for key in ("module", "crownpower", "crownpower_general"):
+        if key in desc:
+            return key
+    return desc.get("family", "explicit")
 
 
 def _crown_fields(inner, spec: str, count: str):
@@ -173,10 +181,8 @@ def _descriptor_label(desc: dict) -> str:
     if "family" in desc:
         param = desc.get("n", desc.get("q", desc.get("p")))
         return f"{desc['family']}({param})"
-    for key in ("module", "crownpower", "crownpower_general"):
-        if key in desc:
-            return key
-    return "?"
+    tag = _family_tag(desc)
+    return "?" if tag == "explicit" else tag
 
 
 def survey_row(desc: dict, trials: int, row_seed: int) -> SurveyRow:
@@ -201,11 +207,11 @@ def survey_row(desc: dict, trials: int, row_seed: int) -> SurveyRow:
             row.diag_m, row.diag_fix_count, row.diag_m_sq = _module_diagnostics(act)
         return row
     except InvgenError as exc:
-        return SurveyRow(name=name, family=desc.get("family", "?"), error=str(exc))
+        return SurveyRow(name=name, family=_family_tag(desc), error=str(exc))
     except Exception as exc:  # an internal defect: record it, keep surveying
         traceback.print_exc()
         return SurveyRow(
-            name=name, family=desc.get("family", "?"), error=f"{type(exc).__name__}: {exc}"
+            name=name, family=_family_tag(desc), error=f"{type(exc).__name__}: {exc}"
         )
 
 

@@ -51,7 +51,7 @@ from .genlift import (
     invgen_criterion,
     max_lift_rank,
 )
-from .group import DEFAULT_CAPS, Group, bits_to_indices, load_group
+from .group import ORDER_CAP, Group, bits_to_indices, load_group
 from .harness import agl_trend, read_corpus, realize_descriptor, run_survey, shipped_corpus_path
 from .rng import Stream, check_seed
 from .subgroups import (
@@ -559,7 +559,7 @@ def _check_criterion_soundness(corpus: _Corpus, st: Stream):
     """Criteria vs the explicitly built group V^u x| H.
 
     Generation is brute-forced by subgroup closure on every instance
-    with ambient order <= DEFAULT_CAPS.order: all ws when |V|^u <= 256, else 500
+    with ambient order <= ORDER_CAP: all ws when |V|^u <= 256, else 500
     random ws.  Invariable generation is brute-forced through the
     ambient's class-coverage test.  Its maximal classes come through a
     minimal normal subgroup, so no ambient builds its own lattice (only
@@ -578,7 +578,7 @@ def _check_criterion_soundness(corpus: _Corpus, st: Stream):
         while True:
             u += 1
             npts = p ** (dim * u)
-            if npts * act.group.order > DEFAULT_CAPS.order:
+            if npts * act.group.order > ORDER_CAP:
                 break
             GA = abelian_crown_power_with_embedding(act, u)[0]
             image_rows = _affine_image_rows(act, u)  # the rows behind embed's indices
@@ -730,7 +730,7 @@ def _check_conjugation_robustness(corpus: _Corpus, st: Stream):
 
 
 def _general_crown_instances():
-    # nonabelian socles need |A|^(k-1)|L| > DEFAULT_CAPS.order already at
+    # nonabelian socles need |A|^(k-1)|L| > ORDER_CAP already at
     # the smallest candidate (A5 twice), so the k >= 2 instances here are
     # all abelian
     specs = [
@@ -756,7 +756,7 @@ def _check_crown_order_law(corpus: _Corpus, st: Stream):
         checked += 1
     for act in corpus.modules():
         for u in (1, 2):
-            if act.p ** (act.dim * u) * act.group.order > DEFAULT_CAPS.order:
+            if act.p ** (act.dim * u) * act.group.order > ORDER_CAP:
                 continue
             G, _ = abelian_crown_power_with_embedding(act, u)
             if G.order != act.p ** (act.dim * u) * act.group.order:
@@ -769,7 +769,7 @@ def _check_coordinate_copies(corpus: _Corpus, st: Stream):
     checked = 0
     bad = []
     for L, A, k in _general_crown_instances():
-        if k < 2 or A.order ** (k - 1) * L.order > DEFAULT_CAPS.order:
+        if k < 2 or A.order ** (k - 1) * L.order > ORDER_CAP:
             continue
         Lk = build_crown_power_general(L, k)
         trivial = _record(Lk, [0], ())
@@ -919,9 +919,9 @@ def _check_survey_bounds(corpus: _Corpus, st: Stream):
         if row.error is not None:
             bad.append(f"{row.name}: corpus row errored: {row.error}")
             continue
-        if row.order > DEFAULT_CAPS.order:
+        if row.order > ORDER_CAP:
             bad.append(
-                f"{row.name}: corpus group exceeds the order-{DEFAULT_CAPS.order} survey band"
+                f"{row.name}: corpus group exceeds the order-{ORDER_CAP} survey band"
             )
         ratio = row.ratio_sqrt
         if not (ratio > 0 and math.isfinite(ratio)):

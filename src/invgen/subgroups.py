@@ -35,9 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvgenError, PreconditionError
+from .errors import PreconditionError
 from .group import Group, _index_orbits, bits_to_indices, is_prime, prime_power
-from .perm import Perm
 
 # ---------------------------------------------------------------------------
 # bitset helpers
@@ -435,17 +434,16 @@ def quotient_with_map(G: Group, N: SubgroupRecord) -> tuple[Group, np.ndarray]:
 
     N = 1 returns G itself, with its tables and lattice already built.
     N normal makes Nr x = N r r_x for the representative r_x of Nx, so
-    every element acts as its coset's representative does, and one
-    lookup of the representatives' rows gives the whole index map.
+    every element acts as its coset's representative does, and the
+    representatives' rows, distinct as row x sends N to Nr_x, are Q:
+    ``Group._from_rows`` builds Q from them and the left maps
+    x -> coset of g r_x of its generators g, read from G's table.
     """
     if not _is_normal_bits(G, N.member_indices(), N.bits):
         raise PreconditionError("quotient by a non-normal subgroup")
     n = G.order
     if N.order == 1:
         return G, np.arange(n, dtype=np.int64)
-    if N.order == n:
-        Q = Group([], name=f"{G.name}/{G.name}", degree=1, caps=G.caps)
-        return Q, np.zeros(n, dtype=np.int64)
     t = G.table
     Nidx = N.member_indices()
     cos_id = np.full(n, -1, dtype=np.int64)
@@ -454,15 +452,12 @@ def quotient_with_map(G: Group, N: SubgroupRecord) -> tuple[Group, np.ndarray]:
         if cos_id[i] < 0:
             cos_id[t[Nidx, i]] = len(reps)
             reps.append(i)
-    q = len(reps)
-    rep_arr = np.asarray(reps, dtype=np.int64)
+    reps = np.asarray(reps, dtype=np.int64)
+    gens = [g for g in G.gen_indices if cos_id[g]]  # less those inside N
     # row x: the permutation of the cosets by the representative x
-    rows = cos_id[t[np.ix_(rep_arr, rep_arr)]].T
-    gen_imgs = [Perm(rows[cos_id[g]].tolist()) for g in G.gen_indices]
-    Q = Group(gen_imgs, name=f"{G.name}/N{N.order}", degree=q, caps=G.caps)
-    if Q.order != q:
-        raise InvgenError(f"the regular realization of {G.name}/N has order {Q.order}, not {q}")
-    return Q, Q._lookup(rows)[cos_id]
+    rows, left = cos_id[t[np.ix_(reps, reps)]].T, [cos_id[t[g, reps]] for g in gens]
+    Q, index = Group._from_rows(rows, cos_id[gens], f"{G.name}/N{N.order}", left)
+    return Q, index[cos_id]
 
 
 # ---------------------------------------------------------------------------
@@ -577,29 +572,29 @@ def _complement_orbits(G: Group, members, Q: Group, index_map) -> list[np.ndarra
 def _normalizer_orbits(G: Group, members: np.ndarray) -> list[np.ndarray]:
     """Conjugacy classes of the normalizers N_G(K), one row per conjugate
     of K, for the subgroups 1 < K < N of the normal subgroup N with the
-    given members whose G-class holds |N : K| subgroups.
+    given members, ascending, whose G-class holds |N : K| subgroups.
 
-    The subgroups of N come from the lattice of N, built as its own
-    group on G's points; N normal makes the set of them closed under
-    conjugation by G.  A maximal M = N_G(K) not containing N has MN = G,
-    so |G : M| = |N : M ∩ N|, which is |N : K| only for K = M ∩ N: M
+    The subgroups of N come from the lattice of N, built from G's rows
+    and table as a group on G's points whose element i is members[i];
+    N normal makes the set of them closed under conjugation by G.  A
+    maximal M = N_G(K) not containing N has MN = G, so |G : M| = |N : M ∩ N|, which is |N : K| only for K = M ∩ N: M
     comes from one class of K, with distinct rows.  Any other normalizer
     may repeat a row or a class, and is left to the maximality filter.
     """
-    N = Group(
-        [G.element(i) for i in small_generating_set(G, members)],
-        name=f"{G.name}:N{len(members)}", degree=G.degree, caps=G.caps,
-    )
-    to_g = G._lookup(N._E)  # element i of N is element to_g[i] of G
+    sgs = small_generating_set(G, members)
+    N = Group._from_rows(  # G's index x is N's searchsorted(members, x)
+        G._E[members], np.searchsorted(members, sgs), f"{G.name}:N{len(members)}",
+        [np.searchsorted(members, G.table[g, members]) for g in sgs],
+    )[0]
     subgroups = subgroup_lattice(N)[1:-1]  # all but 1 and N
     masks = np.zeros((len(subgroups), G.order), dtype=bool)
     for row, K in zip(masks, subgroups):
-        row[to_g[K.member_indices()]] = True
+        row[members[K.member_indices()]] = True
     record = dict(zip(_row_bits(masks), subgroups))
     out = []
     for orbit in _conjugacy_orbits(G, masks):
         if len(orbit) * int(orbit[0].sum()) == N.order:
-            gens = [to_g[list(record[bits].gens)] for bits in _row_bits(orbit)]
+            gens = [members[list(record[bits].gens)] for bits in _row_bits(orbit)]
             out.append(_normalizers(G, orbit, gens))
     return out
 

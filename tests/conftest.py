@@ -8,7 +8,7 @@ from invgen import (
     read_corpus,
     shipped_corpus_path,
 )
-from invgen.group import DEFAULT_CAPS, load_group
+from invgen.group import ORDER_CAP, load_group
 from invgen.properties import verify_props
 
 
@@ -50,7 +50,7 @@ def lift_ambients():
             continue
         act = module_from_descriptor(d["module"])
         u = 1
-        while act.p ** (act.dim * u) * act.group.order <= DEFAULT_CAPS.order:
+        while act.p ** (act.dim * u) * act.group.order <= ORDER_CAP:
             out.append(abelian_crown_power_with_embedding(act, u)[0])
             u += 1
     return out

@@ -259,6 +259,34 @@ def test_lift_builds_the_module_once(capsys, monkeypatch):
         assert len(built) == 1
 
 
+C2_GF3 = {"group": {"family": "cyclic", "n": 2}, "p": 3, "matrices": [[[2]]]}
+
+
+@pytest.mark.parametrize(
+    "desc, order",
+    [
+        ({"crownpower": {"module": C2_GF3, "u": 7}}, 4374),  # 3^7 * 2
+        ({"crownpower_general": {"group": {"family": "alt", "n": 5}, "k": 2}}, 3600),  # 60^2
+    ],
+    ids=["crownpower", "crownpower_general"],
+)
+def test_crown_powers_past_the_order_cap_exit_3(capsys, monkeypatch, desc, order):
+    from invgen import Group
+    from invgen.harness import survey_row
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rows were built past the order cap")
+
+    # each constructor knows its order first, so nothing is built past the cap
+    monkeypatch.setattr(Group, "_from_rows", refuse)
+    message = f"order {order} exceeds cap 2000 (order)"
+    code, out, err = run(capsys, "cheb", "exact", json.dumps(desc))
+    assert (code, out, err) == (3, "", f"cap exceeded: {message}\n")
+    (kind,) = desc
+    row = survey_row(desc, 100, 1)
+    assert row.as_dict() == {"name": kind, "family": kind, "error": message}
+
+
 def test_descriptor_from_file(capsys, tmp_path):
     path = tmp_path / "g.json"
     path.write_text(S3)

@@ -52,7 +52,7 @@ def test_mask_index_round_trip(case):
 def tables():
     groups = [realize_descriptor(d)[0] for d in read_corpus(shipped_corpus_path())]
     groups += [load_group({"family": "elemab", "p": p, "k": k}) for p, k in ((11, 3), (2, 10))]
-    return [(G.name, coverage_table(G, use_cache=False)) for G in groups]
+    return [(G.name, coverage_table(G)) for G in groups]
 
 
 def test_json_round_trip(tables):
@@ -100,7 +100,7 @@ def test_coverage_table_leaves_numpy_ma_unimported():
     code = (
         "import sys\n"
         "from invgen import coverage_table, load_group\n"
-        "coverage_table(load_group({'family': 'sym', 'n': 4}), use_cache=False)\n"
+        "coverage_table(load_group({'family': 'sym', 'n': 4}))\n"
         "print('numpy.ma' in sys.modules)\n"
     )
     assert _python(code) == "False"

@@ -24,7 +24,7 @@ from invgen import (
     verify_sotto,
 )
 from invgen.crowns import _affine_image_rows, _make_factor
-from invgen.group import DEFAULT_CAPS
+from invgen.group import ORDER_CAP
 from invgen.subgroups import (
     _lattice,
     frattini,
@@ -327,7 +327,7 @@ def _lift_ambient_cases():
         if "module" in d:
             act = module_from_descriptor(d["module"])
             u = 1
-            while act.p ** (act.dim * u) * act.group.order <= DEFAULT_CAPS.order:
+            while act.p ** (act.dim * u) * act.group.order <= ORDER_CAP:
                 cases.append((d["name"], u))
                 u += 1
     return cases

@@ -1,6 +1,5 @@
 """Permutations, multiplication tables, classes, descriptors."""
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -15,13 +14,13 @@ from hypothesis import strategies as st
 
 import invgen
 from invgen import (
-    Caps,
     CapExceeded,
     Group,
     InputError,
     LiftProblem,
     Perm,
     abelian_crown_power_with_embedding,
+    build_crown_power_general,
     build_dw,
     load_group,
     module_from_descriptor,
@@ -30,9 +29,9 @@ from invgen import (
     shipped_corpus_path,
 )
 from invgen.cheb import inclusion_exclusion_profile
-from invgen.coverage import coverage_table, invariably_generates
+from invgen.coverage import _compute_table, coverage_table, invariably_generates
 from invgen.crowns import chief_series
-from invgen.group import DEFAULT_CAPS, is_prime, prime_power
+from invgen.group import ORDER_CAP, is_prime, prime_power
 from invgen.subgroups import (
     _prime_order_classes,
     _row_bits,
@@ -313,13 +312,12 @@ def test_descriptor_validation():
             load_group(desc)
 
 
-def test_degree_cap_enforced():
-    from invgen import CapExceeded
-
-    with pytest.raises(CapExceeded):
+def test_degree_cap_enforced(monkeypatch):
+    with pytest.raises(CapExceeded, match="^degree 99 exceeds degree cap 64$"):
         load_group({"family": "sym", "n": 99})
     # a loosened cap admits larger degrees
-    g = load_group({"family": "cyclic", "n": 70}, caps=Caps(degree=128))
+    monkeypatch.setattr("invgen.group.DEGREE_CAP", 128)
+    g = load_group({"family": "cyclic", "n": 70})
     assert g.order == 70
 
 
@@ -379,7 +377,7 @@ def test_load_group_fuzz(desc):
     except (InputError, CapExceeded):
         return
     assert isinstance(G, Group)
-    assert G.order <= DEFAULT_CAPS.order
+    assert G.order <= ORDER_CAP
 
 
 def test_canonical_key_is_representation_stable():
@@ -623,32 +621,38 @@ def test_table_dtype_does_not_change_results(desc):
             for f in chief_series(X)
         ]
 
-    assert coverage_table(wide, use_cache=False).covers == coverage_table(G, use_cache=False).covers
+    assert _compute_table(wide).covers == _compute_table(G).covers
     assert series(wide) == series(G)
     assert inclusion_exclusion_profile(wide) == inclusion_exclusion_profile(G)
 
 
-def test_caps_must_be_positive_integers():
-    for bad in (-5, 0, True, False, 2.0, "5", None):
-        with pytest.raises(InputError, match="must be a positive integer"):
-            Caps(order=bad)
-        with pytest.raises(InputError, match="must be a positive integer"):
-            Caps(degree=bad)
-    assert Caps(order=1, degree=1) == Caps(1, 1)
-    assert load_group({"family": "cyclic", "n": 1}, caps=Caps(order=1)).order == 1
+def test_enumeration_cap_boundary(monkeypatch):
+    monkeypatch.setattr("invgen.group.ORDER_CAP", 24)
+    assert load_group({"family": "sym", "n": 4}).order == 24
+    monkeypatch.setattr("invgen.group.ORDER_CAP", 23)
+    # the enumeration stops at a partial count, so it names no order
+    with pytest.raises(CapExceeded, match=r"^group order exceeds cap 23 \(order\)$"):
+        load_group({"family": "sym", "n": 4})
 
 
-def test_enumeration_cap_boundary():
-    assert load_group({"family": "sym", "n": 4}, caps=Caps(order=24)).order == 24
-    with pytest.raises(CapExceeded, match="enumeration cap 23"):
-        load_group({"family": "sym", "n": 4}, caps=Caps(order=23))
-
-
-def test_one_order_cap():
-    assert [f.name for f in dataclasses.fields(Caps)] == ["order", "degree"]
+def test_one_order_cap(monkeypatch):
+    assert [name for name in vars(invgen.group) if name.endswith("_CAP")] == [
+        "ORDER_CAP", "DEGREE_CAP"
+    ]
     # A7 (order 2520) is past the one order cap, so it never loads
-    with pytest.raises(CapExceeded, match=f"enumeration cap {DEFAULT_CAPS.order}"):
+    with pytest.raises(CapExceeded, match=rf"^group order exceeds cap {ORDER_CAP} \(order\)$"):
         load_group({"family": "alt", "n": 7})
+    # the enumeration and both crown-power pre-checks read that one cap
+    s3 = load_group({"family": "sym", "n": 3})
+    act = module_from_descriptor(_row_desc("mod_s3_gl22")["module"])  # order 24 at u = 1
+    monkeypatch.setattr("invgen.group.ORDER_CAP", 23)
+    for build, what in (
+        (lambda: load_group({"family": "sym", "n": 4}), "group order"),
+        (lambda: abelian_crown_power_with_embedding(act, 1), "order 24"),
+        (lambda: build_crown_power_general(s3, 3), "order 54"),
+    ):
+        with pytest.raises(CapExceeded, match=rf"^{what} exceeds cap 23 \(order\)$"):
+            build()
 
 
 def _assert_classes_match_reference(G):

@@ -166,6 +166,36 @@ def test_survey_error_rows_do_not_abort(tmp_path):
     assert rows[1].c_exact is None
 
 
+C2_GF3 = {"group": {"family": "cyclic", "n": 2}, "p": 3, "matrices": [[[2]]]}
+
+
+@pytest.mark.parametrize(
+    "good, bad, family",
+    [
+        ({"module": C2_GF3}, {"module": {**C2_GF3, "matrices": [[[2.5]]]}}, "module"),
+        (
+            {"crownpower": {"module": C2_GF3, "u": 1}},
+            {"crownpower": {"module": C2_GF3, "u": 7}},  # order 4374
+            "crownpower",
+        ),
+        (
+            {"crownpower_general": {"group": {"family": "sym", "n": 3}, "k": 2}},
+            {"crownpower_general": {"group": {"family": "alt", "n": 5}, "k": 2}},  # order 3600
+            "crownpower_general",
+        ),
+        ({"generators": [[2, 1]], "degree": 2}, {"generators": [[2, 1]], "degree": 99}, "explicit"),
+        ({"family": "sym", "n": 3}, {"family": "sym", "n": 99}, "sym"),
+    ],
+    ids=["module", "crownpower", "crownpower_general", "explicit", "family"],
+)
+def test_survey_rows_keep_their_family_tag_on_error(good, bad, family):
+    from invgen.harness import survey_row
+
+    ok, failed = survey_row(good, 200, 1), survey_row(bad, 200, 1)
+    assert ok.error is None and failed.error is not None, failed.error
+    assert (ok.family, failed.family) == (family, family)
+
+
 def test_survey_empty_corpus(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
@@ -271,7 +301,7 @@ def test_foreign_coverage_cache_entry_is_recomputed(tmp_path, monkeypatch):
     import shutil
 
     from invgen import chebotarev_exact
-    from invgen.coverage import _cache_path
+    from invgen.coverage import _cache_path, _compute_table
 
     monkeypatch.setenv("INVGEN_CACHE_DIR", str(tmp_path))
     c6 = load_group({"family": "cyclic", "n": 6})
@@ -279,7 +309,7 @@ def test_foreign_coverage_cache_entry_is_recomputed(tmp_path, monkeypatch):
     s3 = load_group({"family": "sym", "n": 3})
     shutil.copyfile(_cache_path(c6), _cache_path(s3))
     assert chebotarev_exact(s3).value == Fraction(19, 5)
-    expected = coverage_table(load_group({"family": "sym", "n": 3}), use_cache=False)
+    expected = _compute_table(load_group({"family": "sym", "n": 3}))
     assert json.loads(open(_cache_path(s3)).read()) == expected.to_json()  # rewritten
 
     # right class data, but a cover naming a class S3 does not have
@@ -346,7 +376,7 @@ def _write_cyclic2_each_round(root, barrier):
 def test_concurrent_cache_writers_of_one_key(tmp_path):
     import multiprocessing
 
-    from invgen.coverage import ClassCoverageTable
+    from invgen.coverage import ClassCoverageTable, _compute_table
 
     ctx = multiprocessing.get_context("spawn")
     barrier = ctx.Barrier(2)
@@ -363,7 +393,7 @@ def test_concurrent_cache_writers_of_one_key(tmp_path):
         proc.terminate()
     assert not stuck
     assert [proc.exitcode for proc in procs] == [0, 0]
-    expected = coverage_table(load_group({"family": "cyclic", "n": 2}), use_cache=False)
+    expected = _compute_table(load_group({"family": "cyclic", "n": 2}))
     for k in range(CACHE_RACE_ROUNDS):
         (entry,) = os.listdir(tmp_path / str(k))  # no temp file left behind
         data = json.loads((tmp_path / str(k) / entry).read_text())

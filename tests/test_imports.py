@@ -270,13 +270,40 @@ def _cap_raises(tree: ast.Module) -> list[str]:
 
 
 def test_every_cap_is_a_known_one():
-    # the group order and degree, the crown-power order pre-checks, the
-    # Monte Carlo and min_k draw caps and the exhaustive reference mode of
-    # coverage; an enumeration with a cap of its own has no place here
+    # the group order and degree (the enumeration and both crown-power
+    # pre-checks go through the one order check), the Monte Carlo and
+    # min_k draw caps and the exhaustive reference mode of coverage; an
+    # enumeration with a cap of its own has no place here
     sites = {p.name: s for p in _modules() if (s := _cap_raises(_tree(p)))}
     assert sites == {
         "cheb.py": ["chebotarev_montecarlo", "min_k_for_probability"],
         "coverage.py": ["_invariably_generates_exhaustive"],
-        "crowns.py": ["abelian_crown_power_with_embedding", "build_crown_power_general"],
-        "group.py": ["_check_degree", "_enumerate_rows"],
+        "group.py": ["_check_degree", "_check_order"],
     }, sites
+
+
+def test_only_group_forms_row_keys():
+    # the void view of sorted rows is group.py's element format; other
+    # modules hand their rows, in any order, to Group._from_rows
+    users = {
+        p.name for p in _modules()
+        if "_void_view" in {
+            n.id if isinstance(n, ast.Name) else n.name
+            for n in ast.walk(_tree(p)) if isinstance(n, (ast.Name, ast.alias))
+        }
+    }
+    assert users == {"group.py"}, users
+
+
+def test_only_groups_unknown_by_their_rows_are_enumerated():
+    # Group(...) enumerates: the descriptor loaders and the congruence
+    # power; crown powers, quotients and normal subgroups are built from
+    # rows they already hold
+    calls = {
+        p.name: sorted(c) for p in _modules()
+        if (c := _calls_by_function(_tree(p), {"Group"}))
+    }
+    assert calls == {
+        "crowns.py": [("build_crown_power_general", "Group")],
+        "group.py": [("_agl1_group", "Group"), ("_elemab_group", "Group"), ("load_group", "Group")],
+    }, calls

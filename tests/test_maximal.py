@@ -49,7 +49,7 @@ def lattice_route(G):
 
 
 def new_route(G):
-    table = coverage_table(G, use_cache=False)
+    table = coverage_table(G)
     return table.maximal_orders, table.maximal_counts, table.covers
 
 
@@ -147,7 +147,7 @@ def test_elementary_abelian_closed_form(p, k):
     # the maximal subgroups of GF(p)^k are its (p^k - 1)/(p - 1)
     # hyperplanes, each normal, of order p^(k-1)
     G = load_group({"family": "elemab", "p": p, "k": k})
-    table = coverage_table(G, use_cache=False)
+    table = coverage_table(G)
     r = (p**k - 1) // (p - 1)
     assert table.maximal_orders == (p ** (k - 1),) * r
     assert table.maximal_counts == (1,) * r
@@ -251,7 +251,7 @@ def test_pgl27_matches_the_lattice():
 def test_only_a_simple_group_builds_its_own_lattice(monkeypatch, make, simple):
     G = make()
     built = _lattice_builds(monkeypatch)
-    coverage_table(G, use_cache=False)
+    coverage_table(G)
     assert frattini(G).order == 1
     chief_series(G)
     assert corona_decomposition(G).U is not None
@@ -323,6 +323,6 @@ def test_maximal_classes_are_built_once_per_group(monkeypatch):
     frattini(G)
     chief_series(G)
     corona_decomposition(G)
-    coverage_table(G, use_cache=False)
+    coverage_table(G)
     assert maximal_classes(G) is first
     assert sum(H is G for H in builds) == 1

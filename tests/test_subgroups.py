@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from invgen import load_group, read_corpus, realize_descriptor, shipped_corpus_path
-from invgen.coverage import coverage_table
+from invgen import Group, load_group, read_corpus, realize_descriptor, shipped_corpus_path
+from invgen.coverage import _compute_table, coverage_table
 from invgen.subgroups import (
     _cyclic_subgroups_prime_power,
     _lattice,
@@ -159,13 +159,55 @@ def test_quotients_are_regular_with_kernel_n():
     assert checked == 721
 
 
+def test_quotients_equal_the_enumeration_of_their_generators():
+    # a second route to each quotient: enumerate it from its generators
+    checked = 0
+    for G in _small_corpus_groups(200):
+        for N in normal_subgroups(G)[1:]:
+            Q, _ = quotient_with_map(G, N)
+            ref = Group(Q.generators, degree=Q.degree)
+            assert Q._E.dtype == ref._E.dtype and np.array_equal(Q._E, ref._E), (G.name, N)
+            assert Q.gen_indices == ref.gen_indices, (G.name, N)
+            assert np.array_equal(Q.table, ref.table), (G.name, N)
+            checked += 1
+    assert checked == 669  # the 721 quotients above, less the 52 by N = 1
+
+
+def test_quotients_and_normal_subgroups_search_no_rows(monkeypatch):
+    # both are built from rows already held, with no enumeration and no
+    # row lookup; the lattice of N is stubbed, so only N is built
+    import invgen.group as group
+    import invgen.subgroups as sg
+
+    groups = [load_group({"family": "sym", "n": n}) for n in (4, 5, 6)]
+    normals = [normal_subgroups(G) for G in groups]  # G's table and classes too
+    minimal = [sg._minimal_normal(G)[0] for G in groups]
+
+    def refuse(*args):
+        raise AssertionError("a row was searched for")
+
+    built = []
+    monkeypatch.setattr(group, "_enumerate_rows", refuse)
+    monkeypatch.setattr(Group, "_lookup", refuse)
+    monkeypatch.setattr(sg, "subgroup_lattice", lambda N: built.append(N) or [])
+    for G, Ns, members in zip(groups, normals, minimal):
+        for N in Ns[1:]:
+            Q, phi = quotient_with_map(G, N)
+            assert (phi[G.table] == Q.table[np.ix_(phi, phi)]).all(), (G.name, N)
+        assert sg._normalizer_orbits(G, members) == []
+        N = built[-1]
+        assert np.array_equal(N._E, G._E[members])
+        assert np.array_equal(N.table, np.searchsorted(members, G.table[np.ix_(members, members)]))
+    assert len(built) == len(groups)
+
+
 def test_quotient_tables_reach_the_disk_cache(tmp_path, monkeypatch):
     # quotient generators carry Python ints, so the cache key serializes
     monkeypatch.setenv("INVGEN_CACHE_DIR", str(tmp_path))
     s4 = load_group({"family": "sym", "n": 4})
     (v4,) = minimal_normal_subgroups(s4)
     Q, _ = quotient_with_map(s4, v4)
-    assert coverage_table(Q) == coverage_table(load_group({"family": "sym", "n": 3}), use_cache=False)
+    assert coverage_table(Q) == _compute_table(load_group({"family": "sym", "n": 3}))
     # quotients keep the regular realization, whatever their order
     desc = next(d for d in read_corpus(shipped_corpus_path()) if d.get("name") == "mod_sl24_nat")
     G = realize_descriptor(desc)[0]
