@@ -27,7 +27,8 @@ the same permutation group share an entry, and entries written in an
 older format are never read.  An entry lists each cover's class indices
 in ascending order, converted to and from the bitmask by unpacking and
 packing bits; an entry whose covers are not strictly ascending lists of
-in-range ints is treated as corrupt.
+in-range ints, or whose covers lack the identity class or list every
+class, is treated as corrupt.
 """
 
 from __future__ import annotations
@@ -136,8 +137,10 @@ def _cover_masks(covers, num_classes: int) -> tuple[int, ...]:
     """The bitmasks of a cache entry's covers, each of which must list
     class indices below num_classes as non-bool ints in strictly
     ascending order; a repeated index would otherwise carry into another
-    bit.  All covers are checked and packed together, as the rows of one
-    boolean array."""
+    bit.  Each cover must hold the identity class 0, which every
+    subgroup meets, and miss some class, as no proper subgroup meets
+    every class (Jordan).  All covers are checked and packed together,
+    as the rows of one boolean array."""
     if not (isinstance(covers, list) and all(isinstance(c, list) for c in covers)):
         raise TypeError("covers must be lists of class indices")
     if not set(map(type, itertools.chain.from_iterable(covers))) <= {int}:
@@ -151,6 +154,10 @@ def _cover_masks(covers, num_classes: int) -> tuple[int, ...]:
         raise ValueError("cover indices not strictly ascending")
     hit = np.zeros((len(covers), num_classes), dtype=bool)
     hit[row, flat] = True
+    if num_classes and not hit[:, 0].all():
+        raise ValueError("a cover lacks the identity class")
+    if hit.all(axis=1).any():
+        raise ValueError("a cover lists every class")
     return tuple(_row_bits(hit))
 
 
@@ -203,8 +210,9 @@ def coverage_table(G: Group, use_cache: bool = True) -> ClassCoverageTable:
 
     A disk entry is served only if its order and class sizes and orders
     are G's and every cover lists G's class indices in strictly ascending
-    order; anything else (corrupt, stale or another group's table) is
-    recomputed and rewritten.
+    order, holds the identity class and misses some class; anything else
+    (corrupt, stale or another group's table) is recomputed and
+    rewritten.
     """
     if G._coverage is not None:
         return G._coverage

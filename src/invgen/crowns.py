@@ -11,17 +11,18 @@ nonabelian factors when their section centralizers coincide.
 
 For a non-Frattini factor A the crown is read off its definition:
 R_G(A) is the intersection of the normal subgroups N for which G/N is
-monolithic and primitive with socle equivalent to A (a monolithic
-quotient is primitive when its socle is not Frattini), with no
-isomorphism test against a model group; I_G(A) is the preimage of the
-socle of G/R_G(A), and delta the logarithm of that socle's size in
-base |A|.  No quotient group is built: the minimal normal subgroups of
-G/N are the normal subgroups of G minimal over N.  A Frattini-trivial
-group always has a crown whose R is complemented in I by a normal
-subgroup; corona_decomposition finds one and treats absence as an
-internal defect, not a soft failure.  Both crown-based power
-constructors check their known order against the one order cap of
-``group`` before they build anything.
+monolithic and primitive with socle equivalent to A, with no
+isomorphism test against a model group.  G/N is primitive exactly when
+N is the core of a maximal subgroup, so the candidates are the cores of
+the maximal classes.  I_G(A) is the preimage of the socle of G/R_G(A),
+and delta the logarithm of that socle's size in base |A|.  No quotient
+group is built: the minimal normal subgroups of G/N are the normal
+subgroups of G minimal over N.  A Frattini-trivial group always has a
+crown whose R is complemented in I by a normal subgroup;
+corona_decomposition finds one and treats absence as an internal
+defect, not a soft failure.  Both crown-based power constructors check
+their known order against the one order cap of ``group`` before they
+build anything.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .subgroups import (
     maximal_classes,
     minimal_normal_subgroups,
     normal_subgroups,
-    small_generating_set,
 )
 
 # ---------------------------------------------------------------------------
@@ -91,58 +91,49 @@ def section_centralizer(G: Group, upper: SubgroupRecord, lower: SubgroupRecord) 
         # [g, s] = g^-1 s^-1 g s, per g
         x = t[t[t[invs, sinv], allg], int(s)]
         ok &= in_lower[x]
-    members = np.nonzero(ok)[0]
-    return _record(G, members, small_generating_set(G, members))
-
-
-def _coords_of_section(G: Group, upper: SubgroupRecord, lower: SubgroupRecord, p: int):
-    """GF(p) coordinates on upper/lower: basis element indices + full map."""
-    t = G.table
-    lower_members = [int(i) for i in lower.member_indices()]
-    coords: dict[int, np.ndarray] = {}
-    basis: list[int] = []
-    for i in lower_members:
-        coords[i] = np.zeros(0, dtype=np.int64)
-    for x in (int(i) for i in upper.member_indices()):
-        if x in coords:
-            continue
-        bi = len(basis)
-        basis.append(x)
-        for known in list(coords):
-            coords[known] = np.append(coords[known], 0)
-        current = list(coords.items())
-        xc = 0
-        for c in range(1, p):
-            xc = int(t[xc, x])
-            for y, vec in current:
-                w = vec.copy()
-                w[bi] = c
-                coords[int(t[y, xc])] = w
-    f = len(basis)
-    if lower.order * p**f != upper.order:
-        raise PreconditionError("section is not elementary abelian of the expected rank")
-    return basis, coords, f
+    return _record(G, np.nonzero(ok)[0])
 
 
 def _section_module(G: Group, upper: SubgroupRecord, lower: SubgroupRecord) -> ModuleAction:
-    """The conjugation module of an abelian chief factor."""
+    """The conjugation module of an abelian chief factor.
+
+    The basis is chosen greedily: each time, the least member of upper
+    outside the span of the basis so far.  coords holds the GF(p)
+    coordinates of each element of the span, a union of cosets of
+    lower; adding b as the k-th basis element fills one coset block
+    per power, coords[span * b^c] = coords[span] + c * e_k for
+    c = 1..p-1.  Row k of a generator g's matrix is the coordinates of
+    g^-1 b_k g, so the whole matrix is one gather.
+    """
     size = upper.order // lower.order
     pf = prime_power(size)
     if pf is None:
         raise PreconditionError(f"abelian chief factor size {size} is not a prime power")
     p, f = pf
-    basis, coords, rank = _coords_of_section(G, upper, lower, p)
-    if rank != f:
-        raise PreconditionError("section rank disagrees with its order")
     t = G.table
-    mats = []
-    for gi in G.gen_indices:
-        ginv = G.inv_index(gi)
-        M = np.zeros((f, f), dtype=np.int64)
-        for bi, b in enumerate(basis):
-            conj = int(t[int(t[ginv, b]), gi])
-            M[bi] = coords[conj]
-        mats.append(M)
+    members = upper.member_indices()
+    span = lower.member_indices()
+    known = np.zeros(G.order, dtype=bool)
+    known[span] = True
+    coords = np.zeros((G.order, f), dtype=np.int64)
+    basis = []
+    for k in range(f):
+        b = int(members[np.argmin(known[members])])
+        basis.append(b)
+        blocks = [span]
+        bc = 0
+        for c in range(1, p):
+            bc = int(t[bc, b])
+            block = t[span, bc]
+            coords[block] = coords[span]
+            coords[block, k] = c
+            blocks.append(block)
+        span = np.concatenate(blocks)
+        known[span] = True
+    if not known[members].all():
+        raise PreconditionError("section is not elementary abelian of the expected rank")
+    inv = G.inverses()
+    mats = [coords[t[t[inv[g], basis], g]] for g in G.gen_indices]
     return ModuleAction(G, p, mats, name=f"section({upper.order}/{lower.order} of {G.name})")
 
 
@@ -255,52 +246,22 @@ def _minimal_over(G: Group, N: SubgroupRecord) -> list[SubgroupRecord]:
     return mins
 
 
-def _record_from_bits(G: Group, bits: int) -> SubgroupRecord:
-    members = bits_to_indices(bits, G.order)
-    return _record(G, members, small_generating_set(G, members))
-
-
 def _crown_candidates(G: Group, A: ChiefFactor) -> list[SubgroupRecord]:
     """Normal N with G/N monolithic primitive and socle equivalent to A.
 
-    A monolithic G/N is primitive exactly when its socle is not
-    Frattini, so N passes when G/N has one minimal normal subgroup B, B
-    is not Frattini and B is equivalent to A.  No isomorphism test with
-    the monolithic primitive group L_A of A is needed; the order filter
-    |N| * |L_A| = |G| already pins G/N down to L_A:
-
-    - Equivalent factors have one centralizer C = C_G(A): isomorphic
-      G-modules have one kernel, and nonabelian factors are equivalent
-      by definition when their centralizers are equal.
-    - Nonabelian A: the nonabelian socle of a monolithic G/N has trivial
-      centralizer in G/N, so N = C and G/N is G/C = L_A.
-    - Abelian A: |G/N| = |A| * |G:C| makes the socle S/N
-      self-centralizing.  As it is not Frattini it has a complement
-      (Gaschütz), on which G/C acts as it acts on A, so G/N is
-      A x| G/C = L_A.
-    - Conversely, the socle of L_A is not Frattini, so every N with
-      G/N isomorphic to L_A passes.
+    G/N is primitive exactly when N is the core of a maximal subgroup,
+    so the candidates are the cores of the maximal classes, each the
+    AND of its class's rows.  A core passes when G/N has one minimal
+    normal subgroup and it is equivalent to A; the socle's order is
+    compared first, so no factor is built for a socle of another order.
     """
-    index = G.order // A.centralizer.order
-    if A.is_abelian:
-        index *= A.order
     out = []
-    for N in normal_subgroups(G):
-        if N.order * index != G.order:
-            continue
+    for core in np.unique([masks.all(axis=0) for masks in maximal_classes(G)], axis=0):
+        N = _record(G, np.flatnonzero(core))
         mins = _minimal_over(G, N)
-        if len(mins) != 1:
-            continue
-        B = _make_factor(G, mins[0], N)
-        # Under the order cap the Frattini test changes no list: a group
-        # with a monolithic quotient of L_A's order whose socle is Frattini
-        # and equivalent to a non-Frattini A has order at least 16^2 * 60.
-        # Above the cap it matters: a nonsplit 2^4.A5 (order 960) is
-        # monolithic with a self-centralizing Frattini socle.
-        if B.is_frattini:
-            continue
-        if factors_equivalent(G, A, B):
-            out.append(N)
+        if len(mins) == 1 and mins[0].order == N.order * A.order:
+            if factors_equivalent(G, A, _make_factor(G, mins[0], N)):
+                out.append(N)
     return out
 
 
@@ -316,11 +277,10 @@ def crown_of_factor(G: Group, A: ChiefFactor) -> CrownData:
     bits = cands[0].bits
     for N in cands[1:]:
         bits &= N.bits
-    R = _record_from_bits(G, bits)
+    R = _record(G, bits_to_indices(bits, G.order))
     # I/R is the socle of G/R: the product of the normal subgroups minimal over R
     gens = [g for M in _minimal_over(G, R) for g in M.gens]
-    members = closure_indices(G, [*R.gens, *gens])
-    I = _record(G, members, small_generating_set(G, members))
+    I = _record(G, closure_indices(G, [*R.gens, *gens]))
     socle = I.order // R.order
     delta = round(math.log(socle) / math.log(A.order))
     if A.order**delta != socle:

@@ -579,6 +579,16 @@ def _family_degree(family, desc) -> int:
     return 2 * n if family == "dihedral" and n in (1, 2) else n
 
 
+def _family_name(desc: dict, read=dict.get) -> str:
+    """The name of a family descriptor's group, from the parameters that
+    fix it: elemab(p,k), agl1(q), or family(n) for the other families.
+    read(desc, key) gets a parameter; ``load_group`` reads them as ints,
+    and a survey names a row that failed from its raw values."""
+    fam = desc["family"]
+    keys = ("p", "k") if fam == "elemab" else ("q",) if fam == "agl1" else ("n",)
+    return f"{fam}({','.join(str(read(desc, key)) for key in keys)})"
+
+
 def _check_degree(degree: int) -> None:
     if degree > DEGREE_CAP:
         raise CapExceeded(f"degree {degree} exceeds degree cap {DEGREE_CAP}")
@@ -595,7 +605,7 @@ def _elemab_group(p, k):
     gens = [
         Perm.from_cycles([tuple(range(i * p, (i + 1) * p))], degree) for i in range(k)
     ]
-    return Group(gens, name=f"elemab({p},{k})", degree=degree)
+    return Group(gens, degree=degree)
 
 
 def _agl1_group(q):
@@ -627,7 +637,7 @@ def _agl1_group(q):
             images = (digits @ np.array(rows) % p @ place).tolist()
             # bijection first: Perm.cycles does not end on any other map
             if len(set(images)) == q and Perm(images).order() == q - 1:
-                return Group([trans, Perm(images)], name=f"agl1({q})", degree=q)
+                return Group([trans, Perm(images)], degree=q)
     raise InvgenError(f"no primitive element found for GF({q})")
 
 
@@ -653,13 +663,10 @@ def load_group(desc: dict) -> Group:
                 grp = _agl1_group(_int_param(desc, "q"))
             else:
                 cyc, degree = _family_generators(fam, desc)
-                gens = [Perm.from_cycles(c, degree) for c in cyc]
-                param = desc.get("n", desc.get("q"))
-                grp = Group(gens, name=desc.get("name", f"{fam}({param})"), degree=degree)
+                grp = Group([Perm.from_cycles(c, degree) for c in cyc], degree=degree)
         except KeyError as e:
             raise InputError(f"family {fam!r} is missing parameter {e}")
-        if "name" in desc:
-            grp.name = desc["name"]
+        grp.name = desc["name"] if "name" in desc else _family_name(desc, _int_param)
         return grp
     if "generators" in desc:
         try:

@@ -31,7 +31,7 @@ from .cheb import chebotarev_exact, chebotarev_montecarlo, min_k_for_probability
 from .coverage import coverage_table
 from . import crowns
 from .errors import InputError, InvgenError
-from .group import Group, _int_param, load_group
+from .group import Group, _family_name, _int_param, load_group
 from .modlin import ModuleAction, module_from_descriptor
 from .rng import check_seed, stream_state
 
@@ -179,8 +179,7 @@ def _descriptor_label(desc: dict) -> str:
     if "name" in desc:
         return str(desc["name"])
     if "family" in desc:
-        param = desc.get("n", desc.get("q", desc.get("p")))
-        return f"{desc['family']}({param})"
+        return _family_name(desc)
     tag = _family_tag(desc)
     return "?" if tag == "explicit" else tag
 

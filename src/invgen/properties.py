@@ -62,7 +62,6 @@ from .subgroups import (
     minimal_normal_subgroups,
     normal_subgroups,
     quotient_with_map,
-    small_generating_set,
     subgroup_conjugates,
     subgroup_lattice,
 )
@@ -780,8 +779,7 @@ def _check_coordinate_copies(corpus: _Corpus, st: Stream):
             rows = np.tile(np.arange(Lk.degree), (len(a_rows), 1))
             rows[:, c * L.degree : (c + 1) * L.degree] = a_rows + c * L.degree
             members = Lk._lookup(rows)
-            rec = _record(Lk, members, small_generating_set(Lk, members))
-            copies.append(rec)
+            copies.append(_record(Lk, members))
         mins = {m.bits for m in minimal_normal_subgroups(Lk)}
         factors = []
         for rec in copies:

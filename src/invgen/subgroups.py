@@ -1,12 +1,12 @@
 """Subgroup enumeration and quotients, all at multiplication-table scale.
 
 Subgroups are identified by membership bitsets (Python ints over element
-indices).  The coverage table, ``frattini`` and the Frattini test of a
-chief factor need only the conjugacy classes of maximal subgroups, and
-``maximal_classes`` finds them through a minimal normal subgroup N
-without the lattice of G: preimages of the maximal subgroups of G/N,
-complements of N and, when N is nonabelian, normalizers of subgroups of
-N, read off the lattice of N alone.  The lattice of G is left for what
+indices).  The coverage table, ``frattini``, the Frattini test of a
+chief factor and the crown candidates need only the conjugacy classes of
+maximal subgroups, and ``maximal_classes`` finds them through a minimal
+normal subgroup N without the lattice of G: preimages of the maximal
+subgroups of G/N, complements of N and, when N is nonabelian,
+normalizers of subgroups of N, read off the lattice of N alone.  The lattice of G is left for what
 needs every subgroup (``subgroup_lattice`` and
 ``maximal_subgroups_up_to_conjugacy``, so the property battery checks
 one route against the other) and for nonabelian simple groups.
@@ -75,8 +75,12 @@ class SubgroupRecord:
         return f"Subgroup(order={self.order} of {self.group.name})"
 
 
-def _record(G: Group, member_idx, gens) -> SubgroupRecord:
+def _record(G: Group, member_idx, gens=None) -> SubgroupRecord:
+    """The record of the subgroup with the given members, generated by
+    gens, or by ``small_generating_set`` when gens is None."""
     member_idx = np.asarray(member_idx, dtype=np.int64)
+    if gens is None:
+        gens = small_generating_set(G, member_idx)
     return SubgroupRecord(
         group=G,
         bits=indices_to_bits(member_idx, G.order),
@@ -348,8 +352,7 @@ def frattini(G: Group) -> SubgroupRecord:
     mask = np.ones(G.order, dtype=bool)
     for masks in maximal_classes(G):
         mask &= masks.all(axis=0)
-    members = np.flatnonzero(mask)
-    return _record(G, members, small_generating_set(G, members))
+    return _record(G, np.flatnonzero(mask))
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +384,7 @@ def normal_subgroups(G: Group) -> list[SubgroupRecord]:
                 continue
             # the class only gives the join; records must carry a small set
             # generating the subgroup itself
-            found[bits] = rec = _record(G, members, small_generating_set(G, members))
+            found[bits] = rec = _record(G, members)
             if rec.order < G.order:
                 queue.append(rec)
     out = sorted(found.values(), key=lambda r: (r.order, r.bits))
@@ -411,7 +414,7 @@ def minimal_normal_subgroups(G: Group) -> list[SubgroupRecord]:
     for bits, members in closures.items():
         if any(b != bits and (b & bits) == b for b in closures):
             continue
-        out.append(_record(G, members, small_generating_set(G, members)))
+        out.append(_record(G, members))
     out.sort(key=lambda r: (r.order, r.bits))
     return out
 
@@ -615,7 +618,7 @@ def _maximal_orbits(G: Group) -> list[np.ndarray]:
                     row[r.member_indices()] = True
                 out.append(masks)
         return out
-    Q, index_map = quotient_with_map(G, _record(G, members, small_generating_set(G, members)))
+    Q, index_map = quotient_with_map(G, _record(G, members))
     above = [masks[:, index_map] for masks in _maximal_orbits(Q)]
     complements = _complement_orbits(G, members, Q, index_map)
     if abelian:

@@ -44,8 +44,15 @@ def test_mask_index_round_trip(case):
     n, indices = case
     mask = sum(1 << c for c in indices)
     assert indices_to_bits(indices, n) == mask
-    assert _cover_masks([indices, [], indices], n) == (mask, 0, mask)
     assert bits_to_indices(mask, n).tolist() == indices
+    if n:
+        # a cache entry's covers hold the identity class 0 and miss some class
+        cover = sorted({0, *indices})
+        if len(cover) < n:
+            assert _cover_masks([cover, [0], cover], n) == (mask | 1, 1, mask | 1)
+        else:
+            with pytest.raises(ValueError, match="a cover lists every class"):
+                _cover_masks([cover], n)
 
 
 @pytest.fixture(scope="module")

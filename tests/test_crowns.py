@@ -1,6 +1,7 @@
 """Chief series, crowns, coronas, and crown-based powers."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -23,8 +24,9 @@ from invgen import (
     shipped_corpus_path,
     verify_sotto,
 )
-from invgen.crowns import _affine_image_rows, _make_factor
-from invgen.group import ORDER_CAP
+from invgen.crowns import _affine_image_rows, _make_factor, modules_isomorphic
+from invgen.group import ORDER_CAP, prime_power
+from invgen.modlin import ModuleAction
 from invgen.subgroups import (
     _lattice,
     frattini,
@@ -160,12 +162,23 @@ S3_X_S3 = {
 }
 
 
+# PGL(2, 7) on GF(7) and infinity (point 8): x + 1, 3x and -1/x, as in
+# test_maximal.py.  Its socle PSL(2, 7) is nonabelian, so some of its
+# maximal classes are normalizers of subgroups of the socle.
+PGL27 = {
+    "name": "PGL(2,7)",
+    "degree": 8,
+    "generators": [[2, 3, 4, 5, 6, 7, 1, 8], [1, 4, 7, 3, 6, 2, 5, 8], [8, 7, 4, 3, 6, 5, 2, 1]],
+}
+
+
 def _reference_groups():
     for desc in read_corpus(shipped_corpus_path()):
         G = realize_descriptor(desc)[0]
         if G.order <= 200:
             yield G
     yield load_group(S3_X_S3)
+    yield load_group(PGL27)
 
 
 def test_crowns_match_their_definition():
@@ -176,6 +189,47 @@ def test_crowns_match_their_definition():
                 assert crown_of_factor(G, A).R.bits == _crown_by_definition(G, A), G.name
                 checked += 1
     assert checked >= 100
+
+
+def _section_module_by_brute_force(G, A) -> ModuleAction:
+    """A's module on another basis, in Perm arithmetic alone: the basis is
+    picked greedily from upper's members in descending order, and each
+    element's coordinates come from enumerating the p^f basis products
+    over lower."""
+    p, f = prime_power(A.order)
+    lower = [G.element(int(i)) for i in A.lower.member_indices()]
+
+    def coordinates(basis) -> dict:
+        out = {}
+        for c in itertools.product(range(p), repeat=len(basis)):
+            e = Perm.identity(G.degree)
+            for b, k in zip(basis, c):
+                for _ in range(k):
+                    e = e * b
+            for x in lower:
+                out[x * e] = c
+        return out
+
+    basis, coords = [], coordinates([])
+    for i in A.upper.member_indices()[::-1]:
+        if G.element(int(i)) not in coords:
+            basis.append(G.element(int(i)))
+            coords = coordinates(basis)
+    assert len(basis) == f and len(coords) == A.upper.order
+    mats = [[coords[g.inverse() * b * g] for b in basis] for g in G.generators]
+    return ModuleAction(G, p, mats)
+
+
+def test_section_modules_match_a_brute_force_basis():
+    checked = 0
+    for G in _reference_groups():
+        for reverse in (False, True):
+            for A in chief_series(G, reverse_ties=reverse):
+                if A.is_abelian:
+                    brute = _section_module_by_brute_force(G, A)
+                    assert modules_isomorphic(A.module, brute), (G.name, A)
+                    checked += 1
+    assert checked >= 200
 
 
 def test_corona_s4(s4):

@@ -196,6 +196,17 @@ def test_survey_rows_keep_their_family_tag_on_error(good, bad, family):
     assert (ok.family, failed.family) == (family, family)
 
 
+def test_survey_names_a_failed_elemab_row_as_load_group_would(tmp_path):
+    # elemab(2,11) has order 2048, over the order cap
+    path = tmp_path / "elemab.jsonl"
+    rows = [{"family": "elemab", "p": 2, "k": 3}, {"family": "elemab", "p": 2, "k": 11}]
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    ok, failed = run_survey(str(path), trials=100, seed=1, **QUIET)
+    assert ok.error is None and "exceeds" in failed.error, failed.error
+    assert (ok.name, failed.name) == ("elemab(2,3)", "elemab(2,11)")
+    assert ok.name == load_group(rows[0]).name
+
+
 def test_survey_empty_corpus(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
@@ -256,8 +267,9 @@ def test_corrupted_coverage_cache_is_caught(tmp_path, monkeypatch, mini_corpus):
     coverage_table(G)  # primes the on-disk entry
     path = _cache_path(G)
     data = json.loads(open(path).read())
-    # claim the A3 column also covers the transposition class
-    data["covers"][1] = [0, 1, 2]
+    # claim the A3 column covers the transposition class, not the
+    # 3-cycles: a wrong cover that no structural check can detect
+    data["covers"][1] = [0, 2]
     with open(path, "w") as fh:
         json.dump(data, fh)
 
@@ -339,6 +351,47 @@ def test_foreign_coverage_cache_entry_is_recomputed(tmp_path, monkeypatch):
         assert json.loads(open(_cache_path(s3)).read()) == expected.to_json(), bad
 
 
+def _serve_s3_entry_with_cover(tmp_path, monkeypatch, m, cover):
+    """A fresh S3 after its cache entry's m-th cover is replaced."""
+    from invgen.coverage import _cache_path
+
+    monkeypatch.setenv("INVGEN_CACHE_DIR", str(tmp_path))
+    s3 = load_group({"family": "sym", "n": 3})
+    expected = coverage_table(s3)
+    data = expected.to_json()
+    assert data["covers"] == [[0, 2], [0, 1]]
+    data["covers"][m] = cover
+    with open(_cache_path(s3), "w") as fh:
+        json.dump(data, fh)
+    return load_group({"family": "sym", "n": 3}), expected
+
+
+def test_coverage_cache_cover_of_every_class_is_recomputed(tmp_path, monkeypatch):
+    # no proper subgroup meets every class (Jordan); served, this cover
+    # gives C(S3) = 0 and min_k = 0 with no error
+    from invgen import chebotarev_exact, min_k_for_probability
+    from invgen.coverage import _cache_path, _cover_masks
+
+    with pytest.raises(ValueError, match="a cover lists every class"):
+        _cover_masks([[0, 2], [0, 1, 2]], 3)
+    s3, expected = _serve_s3_entry_with_cover(tmp_path, monkeypatch, 1, [0, 1, 2])
+    assert chebotarev_exact(s3).value == Fraction(19, 5)
+    assert min_k_for_probability(s3, Fraction(2, 9)) == 2
+    assert coverage_table(s3) == expected
+    assert json.loads(open(_cache_path(s3)).read()) == expected.to_json()  # rewritten
+
+
+def test_coverage_cache_cover_without_the_identity_is_recomputed(tmp_path, monkeypatch):
+    # every subgroup meets the identity class 0
+    from invgen.coverage import _cache_path, _cover_masks
+
+    with pytest.raises(ValueError, match="a cover lacks the identity class"):
+        _cover_masks([[2], [0, 1]], 3)
+    s3, expected = _serve_s3_entry_with_cover(tmp_path, monkeypatch, 0, [2])
+    assert coverage_table(s3) == expected
+    assert json.loads(open(_cache_path(s3)).read()) == expected.to_json()  # rewritten
+
+
 def test_unversioned_coverage_cache_entry_is_not_served(tmp_path, monkeypatch):
     # an entry under the key without the format version, with a cover
     # that passes the metadata checks but is wrong
@@ -350,7 +403,7 @@ def test_unversioned_coverage_cache_entry_is_not_served(tmp_path, monkeypatch):
     s3 = load_group({"family": "sym", "n": 3})
     expected = coverage_table(s3)
     data = expected.to_json()
-    data["covers"][1] = [0, 1, 2]
+    data["covers"][1] = [0, 2]
     digest = hashlib.sha256(s3.canonical_key().encode()).hexdigest()
     unversioned = tmp_path / f"{digest}.json"
     assert str(unversioned) != _cache_path(s3)
