@@ -14,11 +14,13 @@ R_G(A) is the intersection of the normal subgroups N for which G/N is
 monolithic and primitive with socle equivalent to A, with no
 isomorphism test against a model group.  G/N is primitive exactly when
 N is the core of a maximal subgroup, so the candidates are the cores of
-the maximal classes.  I_G(A) is the preimage of the socle of G/R_G(A),
-and delta the logarithm of that socle's size in base |A|.  No quotient
-group is built: the minimal normal subgroups of G/N are the normal
-subgroups of G minimal over N.  A Frattini-trivial group always has a
-crown whose R is complemented in I by a normal subgroup;
+the maximal classes; those with a monolithic quotient, and the socle
+factor of each, are found once per group and cached on it.  I_G(A) is
+the preimage of the socle of G/R_G(A), and delta the logarithm of that
+socle's size in base |A|.  No quotient group is built: the minimal
+normal subgroups of G/N are the normal subgroups of G minimal over N.
+A Frattini-trivial group always has a crown whose R is complemented in
+I by a normal subgroup;
 corona_decomposition finds one and treats absence as an internal
 defect, not a soft failure.  Both crown-based power constructors check
 their known order against the one order cap of ``group`` before they
@@ -246,23 +248,29 @@ def _minimal_over(G: Group, N: SubgroupRecord) -> list[SubgroupRecord]:
     return mins
 
 
-def _crown_candidates(G: Group, A: ChiefFactor) -> list[SubgroupRecord]:
-    """Normal N with G/N monolithic primitive and socle equivalent to A.
+def _monolithic_quotients(G: Group) -> list[tuple[SubgroupRecord, ChiefFactor]]:
+    """(N, socle factor) for every normal N with G/N monolithic primitive.
 
     G/N is primitive exactly when N is the core of a maximal subgroup,
-    so the candidates are the cores of the maximal classes, each the
-    AND of its class's rows.  A core passes when G/N has one minimal
-    normal subgroup and it is equivalent to A; the socle's order is
-    compared first, so no factor is built for a socle of another order.
+    so N runs over the cores of the maximal classes, each the AND of its
+    class's rows; a core is kept when G/N has one minimal normal
+    subgroup M, and its socle factor is M/N.  None of this depends on a
+    chief factor, so it is built once per group and cached on it.
     """
-    out = []
-    for core in np.unique([masks.all(axis=0) for masks in maximal_classes(G)], axis=0):
-        N = _record(G, np.flatnonzero(core))
-        mins = _minimal_over(G, N)
-        if len(mins) == 1 and mins[0].order == N.order * A.order:
-            if factors_equivalent(G, A, _make_factor(G, mins[0], N)):
-                out.append(N)
-    return out
+    if G._monolithic is None:
+        out = []
+        for core in np.unique([masks.all(axis=0) for masks in maximal_classes(G)], axis=0):
+            N = _record(G, np.flatnonzero(core))
+            mins = _minimal_over(G, N)
+            if len(mins) == 1:
+                out.append((N, _make_factor(G, mins[0], N)))
+        G._monolithic = out
+    return G._monolithic
+
+
+def _crown_candidates(G: Group, A: ChiefFactor) -> list[SubgroupRecord]:
+    """Normal N with G/N monolithic primitive and socle equivalent to A."""
+    return [N for N, B in _monolithic_quotients(G) if factors_equivalent(G, A, B)]
 
 
 def crown_of_factor(G: Group, A: ChiefFactor) -> CrownData:

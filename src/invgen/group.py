@@ -281,6 +281,7 @@ class Group:
         self._coverage = None
         self._normals = None
         self._chief_series = {}  # reverse_ties -> chief factors
+        self._monolithic = None  # (core, socle factor) per monolithic primitive quotient
         self._profile = None
 
     # -- rows ------------------------------------------------------------------
@@ -361,9 +362,11 @@ class Group:
         the group was built with its left maps (``_from_rows``).  The
         table is then filled along ``_cayley_steps``: if e_c = e_a * g
         for a generator g, then row c is row a permuted by the left map
-        of g, so each step's new rows are one gather of their parents'
-        rows, taken in chunks of about _TABLE_CHUNK entries to keep the
-        temporary small.
+        of g.  Each step fills its new rows in chunks of about
+        _TABLE_CHUNK entries, to keep the temporary small: one copy of the
+        parents' rows, each contiguous in the table, then one ``np.take``
+        of the left map's columns from that copy.  The two run about twice
+        as fast as one 2-d fancy index table[parents[:, None], left].
         """
         if self._table is None:
             n = self.order
@@ -380,8 +383,8 @@ class Group:
             step = max(1, _TABLE_CHUNK // n)
             for j, kids, parents in _cayley_steps(table, self.gen_indices):
                 for s in range(0, kids.size, step):
-                    rows = parents[s : s + step, None]
-                    table[kids[s : s + step]] = table[rows, left[j]]
+                    rows = table[parents[s : s + step]]
+                    table[kids[s : s + step]] = np.take(rows, left[j], axis=1)
             self._table = table
         return self._table
 

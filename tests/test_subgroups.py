@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import invgen.subgroups as subgroups
 from invgen import Group, load_group, read_corpus, realize_descriptor, shipped_corpus_path
 from invgen.coverage import _compute_table, coverage_table
 from invgen.subgroups import (
@@ -302,6 +303,104 @@ def test_closure_from_a_subgroup_matches_the_closure_from_the_identity():
                 met += hits
                 whole += len(want) == n
     assert checked > 10_000 and met > 1000 and whole > 1000, (checked, met, whole)
+
+
+def _bfs_levels(G, gens):
+    """Levels of the breadth-first search from the identity by right
+    multiplication with gens, read entry by entry off the table."""
+    t = G.table
+    seen, levels = {0}, [[0]]
+    while True:
+        nxt = sorted({int(t[a, g]) for a in levels[-1] for g in gens} - seen)
+        if not nxt:
+            return levels
+        seen.update(nxt)
+        levels.append(nxt)
+
+
+def _mask(n, members):
+    mask = np.zeros(n, dtype=bool)
+    mask[members] = True
+    return mask
+
+
+@pytest.fixture(scope="module")
+def closure_boundary_cases(lift_ambients):
+    """(G, gens, start, avoid, want) closures on both sides of the switch
+    from scalar to vectorised levels in ``closure_indices``, want read
+    off ``_closure_by_unique``; and the number of cases of each kind."""
+    small = subgroups._SCALAR_FRONTIER
+    rng = np.random.default_rng(20261020)
+    cases, kinds = [], dict.fromkeys(("single", "start", "avoid early", "avoid late", "lagrange"), 0)
+    for G in lift_ambients:
+        n = G.order
+        # involutions: the frontier never grows past one element
+        for x in np.flatnonzero(np.diagonal(G.table) == 0)[1:].tolist():
+            cases.append((G, [x], None, None, np.array([0, x], dtype=np.int64)))
+            kinds["single"] += 1
+        tails = [list(G.gen_indices[-k:]) for k in range(1, len(G.gen_indices) + 1)]
+        pairs = [rng.integers(1, n, size=2).tolist() for _ in range(8)]
+        for gens in tails + pairs:
+            want = _closure_by_unique(G, gens)
+            # a search from any subset of the closure reaches the closure
+            for size in (1, small, small + 1, 16, 17, len(want)):
+                if size <= len(want):
+                    cases.append((G, gens, want[:size], None, want))
+                    kinds["start"] += 1
+            if len(want) == n:
+                continue
+            cases.append((G, gens, None, ~_mask(n, want), want))
+            levels = _bfs_levels(G, gens)
+            # a hit on the first level, whose frontier is the identity alone,
+            # and on the first level after a frontier past the scalar regime
+            cases.append((G, gens, None, _mask(n, levels[1][:1]), None))
+            kinds["avoid early"] += 1
+            late = [i for i in range(1, len(levels)) if len(levels[i - 1]) > small]
+            if late:
+                cases.append((G, gens, None, _mask(n, levels[late[0]][-1:]), None))
+                kinds["avoid late"] += 1
+    # the Lagrange stop on a level grown from a frontier in the scalar regime
+    for G in _small_corpus_groups(32):
+        n = G.order
+        for a, b in rng.integers(0, n, size=(24, 2)).tolist():
+            levels = _bfs_levels(G, [a, b])
+            counts = np.cumsum([len(level) for level in levels])
+            past = np.flatnonzero(2 * counts > n)
+            if past.size and max(len(level) for level in levels[: past[0]]) <= small:
+                cases.append((G, [a, b], None, None, np.arange(n, dtype=np.int64)))
+                cases.append((G, [a, b], None, np.zeros(n, dtype=bool), None))
+                kinds["lagrange"] += 1
+    return cases, kinds
+
+
+def _assert_closures(cases):
+    for G, gens, start, avoid, want in cases:
+        got = closure_indices(G, gens, start=start, avoid=avoid)
+        if want is None:
+            assert got is None, (G.name, gens)
+        else:
+            assert got is not None and got.dtype == want.dtype, (G.name, gens)
+            assert np.array_equal(got, want), (G.name, gens)
+
+
+def test_closure_at_the_regime_boundary_on_lift_ambients(closure_boundary_cases):
+    cases, kinds = closure_boundary_cases
+    _assert_closures(cases)
+    assert kinds["single"] > 1000 and kinds["start"] > 500, kinds
+    assert kinds["avoid early"] > 50 and kinds["avoid late"] > 20 and kinds["lagrange"] > 50, kinds
+
+
+def test_each_closure_regime_alone_matches_the_default(closure_boundary_cases, monkeypatch):
+    # threshold 0 always takes the vectorised levels, one above every
+    # order always the scalar walk; both must agree with the default
+    def tables():
+        return [_compute_table(realize_descriptor(d)[0]) for d in read_corpus(shipped_corpus_path())]
+
+    want = tables()
+    for small in (0, 1 + max(G.order for G, *_ in closure_boundary_cases[0])):
+        monkeypatch.setattr(subgroups, "_SCALAR_FRONTIER", small)
+        _assert_closures(closure_boundary_cases[0])
+        assert tables() == want, small
 
 
 def _greedy_generators(G, members) -> tuple:
