@@ -9,33 +9,30 @@ its section, which is what equivalence of factors is measured against:
 abelian factors are equivalent when their modules are isomorphic,
 nonabelian factors when their section centralizers coincide.
 
-For a non-Frattini factor A the crown is read off its definition:
-R_G(A) is the intersection of the normal subgroups N for which G/N is
-monolithic and primitive with socle equivalent to A, with no
-isomorphism test against a model group.  G/N is primitive exactly when
-N is the core of a maximal subgroup, so the candidates are the cores of
-the maximal classes; those with a monolithic quotient, and the socle
-factor of each, are found once per group and cached on it.  I_G(A) is
-the preimage of the socle of G/R_G(A), and delta the logarithm of that
-socle's size in base |A|.  No quotient group is built: the minimal
-normal subgroups of G/N are the normal subgroups of G minimal over N.
-A Frattini-trivial group always has a crown whose R is complemented in
-I by a normal subgroup;
-corona_decomposition finds one and treats absence as an internal
-defect, not a soft failure.  Both crown-based power constructors check
-their known order against the one order cap of ``group`` before they
-build anything.
+G-equivalence is decided once per group: the non-Frattini factors of
+both tie orders' chief series and the socle factor M/N of every
+monolithic primitive quotient G/N are split into classes, cached on the
+group.  G/N is primitive exactly when N is the core of a maximal
+subgroup.  A crown is a lookup in A's class: R_G(A) is the intersection
+of the class's cores N, I_G(A) the preimage of the socle of G/R_G(A),
+and delta the class's count of non-Frattini factors in a chief series,
+the same for both tie orders, with |A|^delta = |I/R|.  No quotient group
+is built: the minimal normal subgroups of G/N are the normal subgroups
+of G minimal over N.  A Frattini-trivial group always has a crown whose
+R is complemented in I by a normal subgroup; corona_decomposition finds
+one and treats absence as an internal defect, not a soft failure.  Both
+crown-based power constructors check their known order against the one
+order cap of ``group`` before they build anything.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InputError, InvgenError, PreconditionError
-from .group import Group, _check_order, _row_dtype, bits_to_indices, prime_power
+from .group import Group, _check_order, _row_dtype, prime_power
 from .gf import rank
 from .modlin import ModuleAction, intertwiners
 from .perm import Perm
@@ -237,6 +234,22 @@ class CrownData:
     U: SubgroupRecord | None = None
 
 
+@dataclass(eq=False)
+class _FactorClass:
+    """One G-equivalence class of the factors crowns read: rep, its first
+    member; keys, the (upper, lower) bits of its members; deltas, its
+    non-Frattini factors in the default and the reversed series; cores,
+    the member rows of each N with G/N monolithic primitive and socle in
+    the class; R, their intersection; I, the preimage of the socle of G/R."""
+
+    rep: ChiefFactor
+    keys: set = field(default_factory=set)
+    deltas: list = field(default_factory=lambda: [0, 0])
+    cores: list = field(default_factory=list)
+    R: SubgroupRecord | None = None
+    I: SubgroupRecord | None = None
+
+
 def _minimal_over(G: Group, N: SubgroupRecord) -> list[SubgroupRecord]:
     """Normal subgroups of G minimal over N (the minimal normal subgroups
     of G/N): in ascending order, those over N containing none found before."""
@@ -248,70 +261,64 @@ def _minimal_over(G: Group, N: SubgroupRecord) -> list[SubgroupRecord]:
     return mins
 
 
-def _monolithic_quotients(G: Group) -> list[tuple[SubgroupRecord, ChiefFactor]]:
-    """(N, socle factor) for every normal N with G/N monolithic primitive.
+def _factor_classes(G: Group) -> list[_FactorClass]:
+    """The classes of the factors crowns read, built once per group and cached.
 
-    G/N is primitive exactly when N is the core of a maximal subgroup,
-    so N runs over the cores of the maximal classes, each the AND of its
-    class's rows; a core is kept when G/N has one minimal normal
-    subgroup M, and its socle factor is M/N.  None of this depends on a
-    chief factor, so it is built once per group and cached on it.
+    A factor whose section is a member is found by its bits, another by
+    factors_equivalent with each class's rep; the N are the cores of the
+    maximal classes, each the AND of its class's rows.
     """
-    if G._monolithic is None:
-        out = []
-        for core in np.unique([masks.all(axis=0) for masks in maximal_classes(G)], axis=0):
+    if G._factor_classes is None:
+        classes: list[_FactorClass] = []
+
+        def member(upper: SubgroupRecord, lower: SubgroupRecord, A=None) -> _FactorClass:
+            key = (upper.bits, lower.bits)
+            cls = next((c for c in classes if key in c.keys), None)
+            if cls is None:
+                A = A if A is not None else _make_factor(G, upper, lower)
+                cls = next((c for c in classes if factors_equivalent(G, A, c.rep)), None)
+                if cls is None:
+                    cls = _FactorClass(A)
+                    classes.append(cls)
+            cls.keys.add(key)
+            return cls
+
+        for reverse in (False, True):
+            for A in chief_series(G, reverse_ties=reverse):
+                if not A.is_frattini:
+                    member(A.upper, A.lower, A).deltas[reverse] += 1
+        cores = {c.tobytes(): c for c in (masks.all(axis=0) for masks in maximal_classes(G))}
+        for core in cores.values():
             N = _record(G, np.flatnonzero(core))
             mins = _minimal_over(G, N)
             if len(mins) == 1:
-                out.append((N, _make_factor(G, mins[0], N)))
-        G._monolithic = out
-    return G._monolithic
-
-
-def _crown_candidates(G: Group, A: ChiefFactor) -> list[SubgroupRecord]:
-    """Normal N with G/N monolithic primitive and socle equivalent to A."""
-    return [N for N, B in _monolithic_quotients(G) if factors_equivalent(G, A, B)]
+                member(mins[0], N).cores.append(core)
+        for cls in classes:
+            # delta is the same in every chief series, and every crown has a core
+            if cls.deltas[0] != cls.deltas[1] or 0 in (cls.deltas[0], len(cls.cores)):
+                raise InvgenError(f"the class of {cls.rep!r} counts {cls.deltas} factors"
+                                  f" in the two tie orders and {len(cls.cores)} cores")
+            cls.R = _record(G, np.flatnonzero(np.logical_and.reduce(cls.cores)))
+            # I/R is the socle of G/R: the product of the normal subgroups minimal over R
+            gens = [g for M in _minimal_over(G, cls.R) for g in M.gens]
+            cls.I = _record(G, closure_indices(G, [*cls.R.gens, *gens]))
+        G._factor_classes = classes
+    return G._factor_classes
 
 
 def crown_of_factor(G: Group, A: ChiefFactor) -> CrownData:
-    """R_G(A), I_G(A) and delta for a non-Frattini chief factor."""
+    """R_G(A), I_G(A) and delta for a non-Frattini factor of either tie
+    order's chief series, read off A's class."""
     if A.is_frattini:
         raise PreconditionError("Frattini factors have no crown")
-    cands = _crown_candidates(G, A)
-    if not cands:
-        raise InvgenError(
-            "no monolithic quotient matches the factor; crown undefined"
-        )
-    bits = cands[0].bits
-    for N in cands[1:]:
-        bits &= N.bits
-    R = _record(G, bits_to_indices(bits, G.order))
-    # I/R is the socle of G/R: the product of the normal subgroups minimal over R
-    gens = [g for M in _minimal_over(G, R) for g in M.gens]
-    I = _record(G, closure_indices(G, [*R.gens, *gens]))
-    socle = I.order // R.order
-    delta = round(math.log(socle) / math.log(A.order))
-    if A.order**delta != socle:
-        raise InvgenError(
-            f"socle size {socle} is not a power of the factor size {A.order}"
-        )
-    _assert_series_count(G, A, delta)
-    return CrownData(factor=A, delta=delta, R=R, I=I)
-
-
-def _assert_series_count(G: Group, A: ChiefFactor, delta: int) -> None:
-    for reverse in (False, True):
-        series = chief_series(G, reverse_ties=reverse)
-        count = sum(
-            1
-            for B in series
-            if not B.is_frattini and factors_equivalent(G, A, B)
-        )
-        if count != delta:
-            raise InvgenError(
-                f"delta {delta} disagrees with the series count {count}"
-                f" (reverse_ties={reverse})"
-            )
+    key = (A.upper.bits, A.lower.bits)
+    cls = next((c for c in _factor_classes(G) if key in c.keys), None)
+    if cls is None:
+        raise PreconditionError("the factor is in neither tie order's chief series of G")
+    delta = cls.deltas[0]
+    if A.order**delta != cls.I.order // cls.R.order:
+        raise InvgenError(f"|I/R| = {cls.I.order // cls.R.order} is not {A.order}^{delta}")
+    return CrownData(factor=A, delta=delta, R=cls.R, I=cls.I)
 
 
 def corona_decomposition(G: Group) -> CrownData:
@@ -320,30 +327,22 @@ def corona_decomposition(G: Group) -> CrownData:
     Requires a trivial Frattini subgroup; by the underlying lemma a
     complemented crown always exists then, so exhausting all crowns
     without finding one raises (bug indicator, never a soft error).
+    The crowns are tried one per class, in the default series' order.
     """
     if G.order == 1:
         raise PreconditionError("the trivial group has no chief factors")
     if frattini(G).order != 1:
         raise PreconditionError("Frattini subgroup is nontrivial")
-    series = chief_series(G)
-    seen: list[ChiefFactor] = []
     normals = normal_subgroups(G)
-    for A in series:
-        if A.is_frattini:
-            continue
-        if any(factors_equivalent(G, A, B) for B in seen):
-            continue
-        seen.append(A)
-        crown = crown_of_factor(G, A)
+    for cls in _factor_classes(G):
+        crown = crown_of_factor(G, cls.rep)
         want_order = crown.I.order // crown.R.order
-        for U in normals:
-            if U.order != want_order or U.order == 1:
-                continue
-            if (U.bits & crown.I.bits) != U.bits:
-                continue
-            if (U.bits & crown.R.bits) != 1:
-                continue
-            crown.U = U
+        crown.U = next((
+            U for U in normals
+            if U.order == want_order > 1
+            and (U.bits & crown.I.bits) == U.bits and (U.bits & crown.R.bits) == 1
+        ), None)
+        if crown.U is not None:
             return crown
     raise InvgenError(
         "no crown of a Frattini-trivial group admitted a normal complement"

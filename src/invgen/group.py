@@ -281,7 +281,7 @@ class Group:
         self._coverage = None
         self._normals = None
         self._chief_series = {}  # reverse_ties -> chief factors
-        self._monolithic = None  # (core, socle factor) per monolithic primitive quotient
+        self._factor_classes = None  # G-equivalence classes of the factors crowns read
         self._profile = None
 
     # -- rows ------------------------------------------------------------------

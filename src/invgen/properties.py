@@ -31,10 +31,10 @@ from .cheb import (
 from .coverage import coverage_table, fpf_proportion, invariably_generates
 from .crowns import (
     _affine_image_rows,
+    _factor_classes,
     _make_factor,
     abelian_crown_power_with_embedding,
     build_crown_power_general,
-    chief_series,
     corona_decomposition,
     crown_of_factor,
     factors_equivalent,
@@ -848,25 +848,19 @@ def _check_relativo(corpus: _Corpus, st: Stream):
 
 
 def _check_delta_series_count(corpus: _Corpus, st: Stream):
-    # one crown per equivalence class of non-Frattini abelian factors;
-    # crown_of_factor checks its delta against the class count in both
-    # tie-break series, and raises InvgenError when they disagree
+    # one crown per class of non-Frattini abelian factors: building the
+    # classes checks that both tie orders count the same members of each,
+    # crown_of_factor that |A|^delta is |I/R|, and each raises InvgenError
     checked = 0
     bad = []
     for G in corpus.groups():
-        seen = []
-        for A in chief_series(G):
-            if A.is_frattini or not A.is_abelian:
-                continue
-            if any(factors_equivalent(G, A, B) for B in seen):
-                continue
-            seen.append(A)
-            try:
-                crown_of_factor(G, A)
-            except InvgenError as exc:
-                bad.append(f"{G.name}: abelian crown failed: {exc}")
-                continue
-            checked += 1
+        try:
+            for cls in _factor_classes(G):
+                if cls.rep.is_abelian:
+                    crown_of_factor(G, cls.rep)
+                    checked += 1
+        except InvgenError as exc:
+            bad.append(f"{G.name}: abelian crown failed: {exc}")
     return checked, bad
 
 

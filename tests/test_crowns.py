@@ -29,6 +29,7 @@ from invgen.group import ORDER_CAP, prime_power
 from invgen.modlin import ModuleAction
 from invgen.subgroups import (
     _lattice,
+    _record,
     frattini,
     minimal_normal_subgroups,
     quotient_with_map,
@@ -123,6 +124,22 @@ def test_frattini_factor_has_no_crown():
         crown_of_factor(c4, bottom)
 
 
+def test_crown_of_a_factor_outside_both_series_is_refused():
+    # C2^2 has three minimal normal subgroups; the two tie orders start
+    # their series from at most two of them
+    G = load_group({"family": "elemab", "p": 2, "k": 2})
+    trivial = _record(G, [0], ())
+    keys = {
+        (A.upper.bits, A.lower.bits)
+        for reverse in (False, True)
+        for A in chief_series(G, reverse_ties=reverse)
+    }
+    outside = [M for M in minimal_normal_subgroups(G) if (M.bits, trivial.bits) not in keys]
+    assert outside
+    with pytest.raises(PreconditionError, match="neither tie order"):
+        crown_of_factor(G, _make_factor(G, outside[0], trivial))
+
+
 def _crown_by_definition(G, A) -> int:
     """Bits of R_G(A), read off the subgroup lattice.
 
@@ -160,6 +177,27 @@ S3_X_S3 = {
     "degree": 6,
     "generators": [[2, 3, 1, 4, 5, 6], [2, 1, 3, 4, 5, 6], [1, 2, 3, 5, 6, 4], [1, 2, 3, 5, 4, 6]],
 }
+
+
+def test_s3_x_s3_crowns():
+    # the two C3 factors are inequivalent, so each has its own crown: a
+    # verdict that called them isomorphic would give delta 2, |R| 1, |I| 9
+    G = load_group(S3_X_S3)
+    for reverse in (False, True):
+        got = []
+        for A in chief_series(G, reverse_ties=reverse):
+            cr = crown_of_factor(G, A)
+            got.append((A.order, A.is_frattini, cr.delta, cr.R.order, cr.I.order))
+        assert got == [
+            (3, False, 1, 6, 18),
+            (3, False, 1, 6, 18),
+            (2, False, 2, 9, 36),
+            (2, False, 2, 9, 36),
+        ]
+    c3, other_c3 = chief_series(G)[:2]
+    assert crown_of_factor(G, c3).R.bits != crown_of_factor(G, other_c3).R.bits
+    cor = corona_decomposition(G)
+    assert (cor.factor.order, cor.delta, cor.R.order, cor.I.order, cor.U.order) == (3, 1, 6, 18, 3)
 
 
 # PGL(2, 7) on GF(7) and infinity (point 8): x + 1, 3x and -1/x, as in
@@ -230,6 +268,44 @@ def test_section_modules_match_a_brute_force_basis():
                     assert modules_isomorphic(A.module, brute), (G.name, A)
                     checked += 1
     assert checked >= 200
+
+
+# The largest p^(dim^2) whose matrices _isomorphic_by_brute_force tries
+_BRUTE_GL_LIMIT = 2**12
+
+
+def _isomorphic_by_brute_force(ma: ModuleAction, mb: ModuleAction) -> bool:
+    """Some T in GL(dim, p) with M_a(g) T = T M_b(g) for every generator g,
+    found by trying every dim x dim matrix; invertibility by the integer
+    determinant mod p."""
+    p, d = ma.p, ma.dim
+    codes = np.arange(p ** (d * d))[:, None] // p ** np.arange(d * d) % p
+    T = codes.reshape(-1, d, d)
+    ok = np.ones(len(T), dtype=bool)
+    for a, b in zip(ma.gen_matrices, mb.gen_matrices):
+        ok &= ((np.asarray(a) @ T - T @ np.asarray(b)) % p == 0).all(axis=(1, 2))
+    dets = np.rint(np.linalg.det(T[ok].astype(float))).astype(np.int64)
+    return bool((dets % p).any())
+
+
+def test_modules_isomorphic_matches_a_search_of_gl():
+    # every pair of distinct non-Frattini abelian factors of one group, both
+    # tie orders, with equal p and dim and GL(dim, p) small enough to search
+    verdicts = []
+    for G in _reference_groups():
+        factors = {}
+        for reverse in (False, True):
+            for A in chief_series(G, reverse_ties=reverse):
+                if A.is_abelian and not A.is_frattini:
+                    factors.setdefault((A.upper.bits, A.lower.bits), A)
+        for A, B in itertools.combinations(factors.values(), 2):
+            if A.order != B.order or A.order ** A.module.dim > _BRUTE_GL_LIMIT:
+                continue
+            want = _isomorphic_by_brute_force(A.module, B.module)
+            assert modules_isomorphic(A.module, B.module) == want, (G.name, A, B)
+            verdicts.append(want)
+    assert len(verdicts) == 208
+    assert verdicts.count(False) >= 1 and verdicts.count(True) >= 1
 
 
 def test_corona_s4(s4):
@@ -457,23 +533,41 @@ def test_embed_rejects_a_vector_part_of_the_wrong_length():
 
 
 def test_chief_series_is_built_once_per_tie_order(monkeypatch):
+    # each tie order's series is built once; the first crown builds the
+    # factor classes, which decide every module isomorphism the crowns
+    # need, so later crowns and the corona run no isomorphism test
     import invgen.crowns as crowns
 
-    G = load_group({"family": "sym", "n": 4})
-    builds = []
+    builds, tests = [], []
     build = crowns._build_chief_series
     monkeypatch.setattr(
         crowns, "_build_chief_series", lambda H, rev: builds.append(rev) or build(H, rev)
     )
-    first = chief_series(G)
-    first.pop()
-    again = chief_series(G)
-    assert len(again) == len(first) + 1
-    assert all(a is b for a, b in zip(first, again))
-    for A in again:
-        if not A.is_frattini:
-            crown_of_factor(G, A)  # counts delta along both tie orders
-    assert builds == [False, True]
+    real = crowns.modules_isomorphic
+    monkeypatch.setattr(crowns, "modules_isomorphic", lambda a, b: tests.append(1) or real(a, b))
+    for desc, classes_test in (
+        ({"family": "sym", "n": 4}, False),  # orders 4, 3 and 2 need no test
+        (S3_X_S3, True),
+        ({"family": "elemab", "p": 2, "k": 4}, True),
+    ):
+        builds.clear()
+        G = load_group(desc)
+        first = chief_series(G)
+        first.pop()
+        again = chief_series(G)
+        assert len(again) == len(first) + 1
+        assert all(a is b for a, b in zip(first, again))
+        crown_of_factor(G, next(A for A in again if not A.is_frattini))
+        assert builds == [False, True]
+        built = len(tests)
+        assert (built > 0) == classes_test
+        for reverse in (False, True):
+            for A in chief_series(G, reverse_ties=reverse):
+                if not A.is_frattini:
+                    crown_of_factor(G, A)
+        assert corona_decomposition(G).U is not None
+        assert builds == [False, True] and len(tests) == built
+        tests.clear()
     with pytest.raises(dataclasses.FrozenInstanceError):
         again[0].is_frattini = True
 

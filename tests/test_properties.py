@@ -15,6 +15,7 @@ from invgen.properties import (
     _WS_BLOCK,
     PROPERTY_CHECKS,
     _check_criterion_soundness,
+    _check_delta_series_count,
     _check_rank_formula,
     _Corpus,
     _lift_instances,
@@ -123,6 +124,34 @@ def test_genlift_checks_catch_wrong_verdicts(monkeypatch, s3_gf7_corpus, check):
     for change in (flip_first, lambda v: np.ones_like(v)):
         _patch_verdicts(monkeypatch, change)
         assert check(s3_gf7_corpus, Stream(1, 0))[1], change
+
+
+def test_delta_series_count_sees_a_wrong_series_count(monkeypatch, tmp_path):
+    # S4 x C2: its two C2 factors form one class (delta 2).  The top one
+    # dropped from the reversed series makes the tie orders disagree; the
+    # bottom factor V4 counted twice in both makes 4^2 differ from |I/R|
+    import invgen.crowns as crowns
+
+    path = tmp_path / "s4xc2.jsonl"
+    path.write_text(json.dumps({"degree": 6, "generators": [
+        [2, 3, 4, 1, 5, 6], [2, 1, 3, 4, 5, 6], [1, 2, 3, 4, 6, 5],
+    ]}) + "\n")
+    assert _check_delta_series_count(_Corpus(str(path)), Stream(1, 0)) == (3, [])
+    real = crowns.chief_series
+    reasons = []
+    for plant in (
+        lambda series, reverse: series[:-1] if reverse else series,
+        lambda series, reverse: series[:1] + series,
+    ):
+        monkeypatch.setattr(
+            crowns, "chief_series",
+            lambda G, reverse_ties=False, plant=plant: plant(real(G, reverse_ties), reverse_ties),
+        )
+        checked, bad = _check_delta_series_count(_Corpus(str(path)), Stream(1, 0))
+        assert len(bad) == 1 and "abelian crown failed" in bad[0], bad
+        reasons.append(bad[0].split(": ", 2)[2])
+    assert reasons[0].endswith("counts [2, 1] factors in the two tie orders and 3 cores")
+    assert reasons[1] == "|I/R| = 4 is not 4^2"
 
 
 def test_rank_formula_stops_at_the_first_hit_and_gives_back_later_draws(monkeypatch, s3_gf7_corpus):
