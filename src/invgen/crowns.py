@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, InvgenError, PreconditionError
-from .group import Group, _check_order, _row_dtype, prime_power
+from .group import Group, _check_order, _int_array, _row_dtype, prime_power
 from .gf import rank
 from .modlin import ModuleAction, intertwiners
 from .perm import Perm
@@ -397,6 +397,24 @@ def _affine_image_rows(act: ModuleAction, u: int):
     return image_rows
 
 
+def _addition_table(p: int, K: int) -> np.ndarray:
+    """add[x, y] = the code of x + y, for the little-endian base-p codes
+    x, y of points of F_p^K, as int32.
+
+    Built over the growing p^k x p^k block, one broadcast per digit: with
+    P = p^k, the table over k + 1 digits at [t P + x, s P + y] is the
+    table over k digits at [x, y] plus P ((t + s) mod p).
+    """
+    digit = np.arange(p, dtype=np.int32)
+    top = (digit[:, None] + digit) % p  # (t + s) mod p
+    add = np.zeros((1, 1), dtype=np.int32)
+    P = 1
+    for _ in range(K):
+        add = (add[None, :, None, :] + top[:, None, :, None] * P).reshape(p * P, p * P)
+        P *= p
+    return add
+
+
 def abelian_crown_power_with_embedding(act: ModuleAction, u: int):
     """V^u x| H as a permutation group on the points of V^u, plus an embed map.
 
@@ -408,15 +426,21 @@ def abelian_crown_power_with_embedding(act: ModuleAction, u: int):
 
     Every element is such a pair, so the group is built from its rows by
     ``Group._from_rows``, with no enumeration and no row search.  A
-    point is its little-endian base-p code, as in ``_affine_image_rows``, and (v, h)
-    has the raw index code(v) * |H| + h.  With add the addition table of
-    codes and lin[h] the code map of x -> x @ diag-block(M_h), the row
+    point is its little-endian base-p code, as in ``_affine_image_rows``,
+    and (v, h) has the raw index code(v) * |H| + h.  With add the
+    addition table of codes (``_addition_table``, one broadcast per
+    digit) and lin[h] the code map of x -> x @ diag-block(M_h), the row
     of (v, h) is add[code(v), lin[h]], and pos maps a raw index to its
     element index.  The left map of a generator (v_g, h_g) sends (v, h)
     to (v_g M_h + v, h_g h), one gather through add, lin and H's table,
     so ``Group.table`` looks up no row either.  A repeated row means the
     module is not faithful: the pairs then close to a smaller group, and
     PreconditionError says so.
+
+    embed reads v as nested integers by the rules of ``_int_array``
+    (booleans and fractional entries raise InputError) and works out
+    code(v) and pos in plain Python, as it is called once per lifted
+    element.
     """
     if u < 0:
         raise InputError(f"u must be nonnegative, got {u}")
@@ -434,10 +458,7 @@ def abelian_crown_power_with_embedding(act: ModuleAction, u: int):
     _check_order(n)
     powers = p ** np.arange(K, dtype=np.int64)
     digits = np.arange(npoints, dtype=np.int64)[:, None] // powers % p
-    add = np.zeros((npoints, npoints), dtype=np.int32)
-    for k in range(K):  # one digit at a time keeps the temporaries npoints^2
-        d = digits[:, k].astype(np.int32)
-        add += (d[:, None] + d) % p * int(powers[k])
+    add = _addition_table(p, K)
     images = np.einsum("xud,hde->hxue", digits.reshape(npoints, u, dim), act.matrices)
     lin = (images % p).reshape(nh, npoints, K) @ powers
     rows = add.astype(_row_dtype(npoints))[:, lin].reshape(n, npoints)
@@ -454,12 +475,15 @@ def abelian_crown_power_with_embedding(act: ModuleAction, u: int):
     if G.order != n:
         raise PreconditionError(f"crown power closed to order {G.order}, wanted {n}")
 
+    weights = powers.tolist()
+    index = pos.tolist()
+
     def embed(v, h) -> int:
         hi = H.element_index(h)
-        v = np.asarray(v, dtype=np.int64)
-        if v.size != K:
-            raise InputError(f"vector part has {v.size} entries, wanted {K}")
-        return int(pos[int(v.ravel() % p @ powers) * nh + hi])
+        v = _int_array(v, "vector part").ravel().tolist()
+        if len(v) != K:
+            raise InputError(f"vector part has {len(v)} entries, wanted {K}")
+        return index[sum(x % p * w for x, w in zip(v, weights)) * nh + hi]
 
     return G, embed
 

@@ -52,7 +52,8 @@ class LiftProblem:
     """A tuple of lifted generators h_i w_i of V^u x| H.
 
     ws has shape (d, u, dim_p): ws[i][j] is the j-th copy coordinate of
-    the vector attached to h_i.
+    the vector attached to h_i.  Its entries are read as by
+    ``_int_array``: booleans and fractional numbers raise InputError.
     """
 
     act: ModuleAction
@@ -67,7 +68,7 @@ class LiftProblem:
         if self.u < 0:
             raise InputError(f"u must be nonnegative, got {self.u}")
         d = len(self.hs)
-        ws = np.asarray(self.ws, dtype=np.int64)
+        ws = _int_array(self.ws, "ws")
         if self.u == 0:
             ws = np.zeros((d, 0, self.act.dim), dtype=np.int64)
         if ws.shape != (d, self.u, self.act.dim):
@@ -387,4 +388,4 @@ def lift_problem_from_descriptor(desc: dict) -> LiftProblem:
     if ws is None:
         # LiftProblem rejects u < 0 before it reads ws
         ws = np.zeros((len(hs), max(u, 0), act.dim), dtype=np.int64)
-    return LiftProblem(act=act, u=u, hs=tuple(hs), ws=_int_array(ws, "ws"))
+    return LiftProblem(act=act, u=u, hs=tuple(hs), ws=ws)

@@ -507,9 +507,12 @@ def _int_param(desc, key) -> int:
 def _int_array(val, what: str) -> np.ndarray:
     """Nested numbers as an int64 array, under the rules of _int_param:
     integers, integral floats and integer strings are read; booleans and
-    fractional or non-finite entries are rejected, not truncated."""
+    fractional or non-finite entries are rejected, not truncated.  An
+    int64 array is returned as it is, not copied."""
     try:
         given = np.asarray(val)
+        if given.dtype.kind in "iu":
+            return given.astype(np.int64, copy=False)
         with np.errstate(invalid="ignore"):
             out = given.astype(np.int64)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -24,7 +24,7 @@ from invgen import (
     shipped_corpus_path,
     verify_sotto,
 )
-from invgen.crowns import _affine_image_rows, _make_factor, modules_isomorphic
+from invgen.crowns import _addition_table, _affine_image_rows, _make_factor, modules_isomorphic
 from invgen.group import ORDER_CAP, prime_power
 from invgen.modlin import ModuleAction
 from invgen.subgroups import (
@@ -530,6 +530,29 @@ def test_embed_rejects_a_vector_part_of_the_wrong_length():
     for v in ([1], [1, 0, 1], []):
         with pytest.raises(InputError, match="vector part has"):
             emb(v, 0)
+
+
+def test_embed_rejects_fractional_and_boolean_vector_parts():
+    # these used to be truncated: [0.5, 1.9] read as [0, 1], True as 1
+    act = module_from_descriptor(S3_GL22)
+    _, emb = abelian_crown_power_with_embedding(act, 1)
+    for v in ([0.5, 1.9], [True, False], np.array([1.0, 0.5]), [[0.7, 1]]):
+        with pytest.raises(InputError, match="vector part must be nested integers"):
+            emb(v, 0)
+    # integral floats are read, and every entry is taken mod p
+    assert emb([1.0, 0.0], 0) == emb([1, 0], 0) == emb(np.array([3, -2]), 0)
+
+
+def test_addition_table_matches_digitwise_sums():
+    for p in (2, 3, 5, 7):
+        for K in range(5):
+            add = _addition_table(p, K)
+            powers = p ** np.arange(K, dtype=np.int64)
+            digits = np.arange(p**K, dtype=np.int64)[:, None] // powers % p
+            want = np.zeros((p**K, p**K), dtype=np.int64)
+            for k in range(K):
+                want += (digits[:, k, None] + digits[:, k]) % p * powers[k]
+            assert add.dtype == np.int32 and np.array_equal(add, want), (p, K)
 
 
 def test_chief_series_is_built_once_per_tie_order(monkeypatch):

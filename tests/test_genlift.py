@@ -185,6 +185,24 @@ def test_lift_problem_descriptor_round_trip():
         lift_problem_from_descriptor(bad)
 
 
+def test_lift_problem_rejects_fractional_and_boolean_ws():
+    # these used to be truncated: [0.7, 1.2] read as [0, 1], True as 1
+    act = module_from_descriptor(S3_GL22)
+    hs = _gen_indices(act)
+    for ws in ([[[0.7, 1.2]], [[1.0, 0.0]]], [[[True, False]], [[False, True]]]):
+        with pytest.raises(InputError, match="ws must be nested integers"):
+            LiftProblem(act, 1, hs, ws)
+        desc = {"module": S3_GL22, "u": 1, "hs": [[1], [2]], "ws": ws}
+        with pytest.raises(InputError, match="ws must be nested integers"):
+            lift_problem_from_descriptor(desc)
+    # integral floats are read; an int64 array is read without a copy
+    prob = LiftProblem(act, 1, hs, [[[1.0, 0.0]], [[0.0, 3.0]]])
+    assert prob.ws.dtype == np.int64 and prob.ws.tolist() == [[[1, 0]], [[0, 1]]]
+    assert gen_criterion(prob) == gen_criterion(LiftProblem(act, 1, hs, [[[1, 0]], [[0, 1]]]))
+    ws = np.zeros((2, 1, 2), dtype=np.int64)
+    assert genlift._int_array(ws, "ws") is ws
+
+
 def test_build_dw_is_cached_per_tuple():
     act = module_from_descriptor(S3_GL22)
     hs = tuple(_gen_indices(act))

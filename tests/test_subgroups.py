@@ -1,11 +1,13 @@
 """Subgroup lattice against values known independently of the code."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import invgen.subgroups as subgroups
 from invgen import Group, load_group, read_corpus, realize_descriptor, shipped_corpus_path
-from invgen.coverage import _compute_table, coverage_table
+from invgen.coverage import CACHE_ENV, _compute_table, coverage_table
 from invgen.subgroups import (
     _cyclic_subgroups_prime_power,
     _lattice,
@@ -220,27 +222,39 @@ def test_quotient_tables_reach_the_disk_cache(tmp_path, monkeypatch):
     assert len(list(tmp_path.iterdir())) == 2
 
 
-def _closure_by_unique(G, gen_idxs):
-    """Reference closure: BFS over whole table rows, deduplicated by np.unique."""
+def _closure_by_unique(G, gen_idxs, start=None, avoid=None, stops=None):
+    """Reference closure: BFS by right multiplication over whole table
+    rows, deduplicated by np.unique, from start, the members of a
+    subgroup inside <gens> (by default the identity alone).  As
+    documented for ``closure_indices``: with avoid, None once a new
+    element meets the mask; once more than |G|/2 elements are found, G,
+    or None with avoid.  stops, a Counter if given, counts the stop that
+    ended the search."""
     t = G.table
     n = G.order
     gen_idxs = [int(g) for g in gen_idxs if g != 0]
+    frontier = np.array([0] if start is None else start, dtype=np.int64)
     if not gen_idxs:
-        return np.array([0], dtype=np.int64)
+        return np.sort(frontier)
     seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    count = 1
-    frontier = np.array([0], dtype=np.int64)
+    seen[frontier] = True
+    count = frontier.size
     while frontier.size:
         prods = t[frontier][:, gen_idxs].ravel()
         prods = prods[~seen[prods]]
         if prods.size == 0:
             break
         new = np.unique(prods)
+        if avoid is not None and avoid[new].any():
+            if stops is not None:
+                stops["avoid"] += 1
+            return None
         seen[new] = True
         count += new.size
         if 2 * count > n:
-            return np.arange(n, dtype=np.int64)
+            if stops is not None:
+                stops["whole" if avoid is None else "half"] += 1
+            return np.arange(n, dtype=np.int64) if avoid is None else None
         frontier = new
     return np.flatnonzero(seen).astype(np.int64)
 
@@ -303,6 +317,39 @@ def test_closure_from_a_subgroup_matches_the_closure_from_the_identity():
                 met += hits
                 whole += len(want) == n
     assert checked > 10_000 and met > 1000 and whole > 1000, (checked, met, whole)
+
+
+def test_closure_replays_the_coverage_tables_of_the_corpus(monkeypatch):
+    # every closure made while the corpus's coverage tables are built
+    # uncached, the complement search's joins grown from a start and
+    # stopped by a mask to avoid among them, against the reference
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    real = subgroups.closure_indices
+    calls = []
+
+    def record(G, gens, start=None, avoid=None):
+        got = real(G, gens, start=start, avoid=avoid)
+        copy = [None if a is None else np.array(a) for a in (start, avoid)]
+        calls.append((G, list(gens), *copy, got))
+        return got
+
+    monkeypatch.setattr(subgroups, "closure_indices", record)
+    for desc in read_corpus(shipped_corpus_path()):
+        _compute_table(realize_descriptor(desc)[0])
+    stops = Counter()
+    for G, gens, start, avoid, got in calls:
+        want = _closure_by_unique(G, gens, start=start, avoid=avoid, stops=stops)
+        if want is None:
+            assert got is None, (G.name, gens)
+        else:
+            assert got is not None and got.dtype == want.dtype, (G.name, gens)
+            assert np.array_equal(got, want), (G.name, gens)
+    started = sum(start is not None for _, _, start, _, _ in calls)
+    avoided = sum(avoid is not None for _, _, _, avoid, _ in calls)
+    assert len(calls) > 2500 and started > 1000 and avoided > 1000, (len(calls), started, avoided)
+    # a join that avoids N meets it before it passes |G|/2, so the None
+    # of the |G|/2 stop is left to the regime-boundary cases
+    assert stops["avoid"] > 0 and stops["whole"] > 0, stops
 
 
 def _bfs_levels(G, gens):
