@@ -177,17 +177,8 @@ def _class_data(G: Group) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def _compute_table(G: Group) -> ClassCoverageTable:
-    """The table from the classes of maximal subgroups of G.
-
-    They are found through a minimal normal subgroup N
-    (``subgroups.maximal_classes``): the preimages of the maximal
-    subgroups of G/N, from the same recursion on G/N, the complements of
-    N, found by lifting generators of G/N one at a time, each join grown
-    from the last and dropped once it meets N, and,
-    when N is nonabelian, the normalizers of subgroups of N, from the
-    lattice of N.  Only a nonabelian simple group takes them from its
-    own lattice.
-    """
+    """The table from the classes of maximal subgroups of G, as
+    ``subgroups.maximal_classes`` finds them."""
     class_sizes, class_orders = _class_data(G)
     class_of = G.class_of()
     maximal = maximal_classes(G)

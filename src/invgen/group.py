@@ -236,13 +236,13 @@ class Group:
         self.gen_indices = tuple(self._lookup(gen_rows).tolist())
 
     @classmethod
-    def _from_rows(cls, rows, gens, name, left=None) -> tuple["Group", np.ndarray]:
+    def _from_rows(cls, rows, gens, name, left) -> tuple["Group", np.ndarray]:
         """The group of the image rows ``rows``, in any order and closed
         under products, generated by the rows of raw indices gens, with
         the element index of each raw row.  Equal rows are one element,
-        so a repeated row shows as an order below len(rows).  left, if
-        given, holds each generator's left multiplication as a map of
-        raw indices, read by ``table`` in place of row lookups."""
+        so a repeated row shows as an order below len(rows).  left holds
+        each generator's left multiplication as a map of raw indices,
+        read by ``table`` in place of row lookups."""
         rows = _big_endian(rows, _row_dtype(np.shape(rows)[1]))
         order = np.argsort(_void_view(rows), kind="stable")
         rows = rows[order]
@@ -253,11 +253,10 @@ class Group:
         first = order[new]  # the raw index of each element's first row
         if len(first) < len(order):
             rows = rows[new]
-        if left is not None:
-            left = [index[m[first]] for m in left]
         gen_indices = index[gens].tolist()
         G = cls.__new__(cls)
-        G._setup(name, [Perm(rows[i].tolist()) for i in gen_indices], rows, left)
+        G._setup(name, [Perm(rows[i].tolist()) for i in gen_indices], rows,
+                 [index[m[first]] for m in left])
         G.gen_indices = tuple(gen_indices)
         return G, index
 
@@ -504,20 +503,32 @@ def _int_param(desc, key) -> int:
     raise InputError(f"parameter {key!r} must be an integer, got {desc[key]!r}")
 
 
+def _holds_bool(val) -> bool:
+    """Whether val is a boolean or nested lists or tuples hold one."""
+    if isinstance(val, (list, tuple)):
+        return any(_holds_bool(v) for v in val)
+    return isinstance(val, (bool, np.bool_))
+
+
 def _int_array(val, what: str) -> np.ndarray:
     """Nested numbers as an int64 array, under the rules of _int_param:
-    integers, integral floats and integer strings are read; booleans and
-    fractional or non-finite entries are rejected, not truncated.  An
-    int64 array is returned as it is, not copied."""
+    integers, integral floats and integer strings are read; booleans,
+    also mixed with integers, and fractional or non-finite entries are
+    rejected, not truncated.  An int64 array is returned as it is, not
+    copied."""
+    if isinstance(val, np.ndarray) and val.dtype.kind in "iu":
+        return val.astype(np.int64, copy=False)
     try:
         given = np.asarray(val)
-        if given.dtype.kind in "iu":
-            return given.astype(np.int64, copy=False)
         with np.errstate(invalid="ignore"):
             out = given.astype(np.int64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{what} must be nested integers: {exc}") from None
-    if given.dtype.kind == "b" or (given.dtype.kind == "f" and not np.array_equal(given, out)):
+    if (
+        given.dtype.kind == "b"
+        or _holds_bool(val)
+        or (given.dtype.kind == "f" and not np.array_equal(given, out))
+    ):
         raise InputError(f"{what} must be nested integers, got {val!r}")
     return out
 

@@ -25,7 +25,9 @@ class Perm:
     @staticmethod
     def from_one_based(images, degree=None) -> "Perm":
         """Validate a 1-based image list (the external format)."""
-        if not isinstance(images, list) or not all(isinstance(i, int) for i in images):
+        if not isinstance(images, list) or not all(
+            isinstance(i, int) and not isinstance(i, bool) for i in images
+        ):
             raise InputError(f"an image list must be a list of integers, got {images!r}")
         imgs = [i - 1 for i in images]
         d = degree if degree is not None else len(imgs)

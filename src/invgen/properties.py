@@ -141,7 +141,7 @@ class _Corpus:
     def quotient_cached(self, G: Group, N):
         key = (id(G), N.bits)
         if key not in self._quotients:
-            self._quotients[key] = quotient_with_map(G, N)
+            self._quotients[key] = quotient_with_map(G, N.member_indices())
         return self._quotients[key]
 
 

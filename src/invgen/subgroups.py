@@ -6,8 +6,11 @@ chief factor and the crown candidates need only the conjugacy classes of
 maximal subgroups, and ``maximal_classes`` finds them through a minimal
 normal subgroup N without the lattice of G: preimages of the maximal
 subgroups of G/N, complements of N and, when N is nonabelian,
-normalizers of subgroups of N, read off the lattice of N alone.  The lattice of G is left for what
-needs every subgroup (``subgroup_lattice`` and
+normalizers of subgroups of N, read off the lattice of N alone.  N is
+the smallest abelian normal closure of a prime-order class, or else the
+smallest such closure; it is minimal normal, as any minimal normal
+subgroup inside a closure is itself such a closure.  The lattice of G
+is left for what needs every subgroup (``subgroup_lattice`` and
 ``maximal_subgroups_up_to_conjugacy``, so the property battery checks
 one route against the other) and for nonabelian simple groups.
 
@@ -33,7 +36,6 @@ soon as it meets N.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -229,9 +231,13 @@ def _conjugate_orbit(G: Group, rec: SubgroupRecord, conj_maps):
 
 
 def _cyclic_subgroups_prime_power(G: Group):
-    """Distinct prime-power cyclic subgroups, each with one generator."""
+    """Distinct prime-power cyclic subgroups, each with one generator, and
+    for each element the position in that list of the cyclic subgroup it
+    generates: -1 for the identity and for elements whose order is not a
+    prime power."""
     t = G.table
     seen = {}
+    bits_of = [None] * G.order
     for i in range(1, G.order):
         members = [0]
         x = i
@@ -241,25 +247,12 @@ def _cyclic_subgroups_prime_power(G: Group):
         # keep only prime-power orders; they generate everything by joins
         if prime_power(len(members)) is None:
             continue
-        bits = indices_to_bits(members, G.order)
+        bits_of[i] = bits = indices_to_bits(members, G.order)
         if bits not in seen:
             seen[bits] = _record(G, members, (i,))
-    return [seen[b] for b in sorted(seen)]
-
-
-def _cyclic_index(G: Group, cyclics) -> np.ndarray:
-    """Map each generator of a listed cyclic subgroup to that cyclic's
-    position in the list; other elements map to -1."""
-    t = G.table
-    cyc_of = np.full(G.order, -1, dtype=np.int64)
-    for ci, c in enumerate(cyclics):
-        x = c.gens[0]
-        y = x
-        for j in range(1, c.order):
-            if math.gcd(j, c.order) == 1:
-                cyc_of[y] = ci
-            y = int(t[y, x])
-    return cyc_of
+    position = {b: k for k, b in enumerate(sorted(seen))}
+    cyc_of = np.array([-1 if b is None else position[b] for b in bits_of], dtype=np.int64)
+    return [seen[b] for b in position], cyc_of
 
 
 def _normalizers(G: Group, masks: np.ndarray, gens) -> np.ndarray:
@@ -314,7 +307,7 @@ def _lattice(G: Group) -> list[tuple[SubgroupRecord, list[SubgroupRecord]]]:
         G._lattice = [(trivial, [trivial])]
         return G._lattice
     conj_maps = G.conj_maps()
-    cyclics = _cyclic_subgroups_prime_power(G)
+    cyclics, cyc_of = _cyclic_subgroups_prime_power(G)
     whole = _record(G, np.arange(n), tuple(G.gen_indices))
 
     seen_bits = {trivial.bits, whole.bits}
@@ -335,7 +328,6 @@ def _lattice(G: Group) -> list[tuple[SubgroupRecord, list[SubgroupRecord]]]:
         admit(c)
 
     inv = G.inverses()
-    cyc_of = _cyclic_index(G, cyclics)
     cyc_gens = np.array([c.gens[0] for c in cyclics], dtype=np.int64)
 
     wi = 0
@@ -471,17 +463,12 @@ def minimal_normal_subgroups(G: Group) -> list[SubgroupRecord]:
 # quotients
 
 
-def _is_normal_bits(G: Group, members, bits) -> bool:
-    return all(
-        indices_to_bits(cm[members], G.order) == bits for cm in G.conj_maps()
-    )
-
-
-def quotient_with_map(G: Group, N: SubgroupRecord) -> tuple[Group, np.ndarray]:
-    """Quotient by a normal subgroup N in its regular realization: G
-    acting on the right cosets of N, so Q has degree and order |G|/|N|.
-    Returns Q and the index map sending G's element indices to Q's.  Q's
-    generators are the images of G's, less those inside N, in G's order.
+def quotient_with_map(G: Group, members) -> tuple[Group, np.ndarray]:
+    """Quotient by the normal subgroup N with the given member indices, in
+    its regular realization: G acting on the right cosets of N, so Q has
+    degree and order |G|/|N|.  Returns Q and the index map sending G's
+    element indices to Q's.  Q's generators are the images of G's, less
+    those inside N, in G's order.
 
     N = 1 returns G itself, with its tables and lattice already built.
     N normal makes Nr x = N r r_x for the representative r_x of Nx, so
@@ -490,13 +477,15 @@ def quotient_with_map(G: Group, N: SubgroupRecord) -> tuple[Group, np.ndarray]:
     ``Group._from_rows`` builds Q from them and the left maps
     x -> coset of g r_x of its generators g, read from G's table.
     """
-    if not _is_normal_bits(G, N.member_indices(), N.bits):
-        raise PreconditionError("quotient by a non-normal subgroup")
     n = G.order
-    if N.order == 1:
+    Nidx = np.asarray(members, dtype=np.int64)
+    inside = np.zeros(n, dtype=bool)
+    inside[Nidx] = True
+    if not all(inside[cm[Nidx]].all() for cm in G.conj_maps()):
+        raise PreconditionError("quotient by a non-normal subgroup")
+    if len(Nidx) == 1:
         return G, np.arange(n, dtype=np.int64)
     t = G.table
-    Nidx = N.member_indices()
     cos_id = np.full(n, -1, dtype=np.int64)
     reps = []
     for i in range(n):
@@ -507,7 +496,7 @@ def quotient_with_map(G: Group, N: SubgroupRecord) -> tuple[Group, np.ndarray]:
     gens = [g for g in G.gen_indices if cos_id[g]]  # less those inside N
     # row x: the permutation of the cosets by the representative x
     rows, left = cos_id[t[np.ix_(reps, reps)]].T, [cos_id[t[g, reps]] for g in gens]
-    Q, index = Group._from_rows(rows, cos_id[gens], f"{G.name}/N{N.order}", left)
+    Q, index = Group._from_rows(rows, cos_id[gens], f"{G.name}/N{len(Nidx)}", left)
     return Q, index[cos_id]
 
 
@@ -519,44 +508,25 @@ def _minimal_normal(G: Group) -> tuple[np.ndarray, bool]:
     """Members of one minimal normal subgroup of the nontrivial group G,
     abelian when G has an abelian one, and whether it is abelian.
 
-    The normal closure of a prime-order element is replaced by a smaller
-    closure of a prime-order class inside it while there is one; what is
-    left is minimal normal.  A nonabelian one is set aside with every
-    class inside it, since it meets an abelian minimal normal subgroup
-    trivially; the first one set aside is returned when no abelian one
-    turns up.
+    It is the smallest abelian normal closure of a prime-order class, or
+    else the smallest closure, each closure taken once: any minimal
+    normal subgroup inside a closure is itself such a closure.  A closure
+    of prime order is returned at once, and only closures of prime-power
+    order, as abelian minimal normal subgroups are, are tested for
+    commutativity.
     """
-    prime = _prime_order_classes(G)
-    closures = {}
-
-    def closure(c):
-        if c.rep not in closures:
-            closures[c.rep] = closure_indices(G, c.member_indices())
-        return closures[c.rep]
-
-    t = G.table
-    rejected = 0
-    first = None
-    for c in prime:
-        if c.members & rejected:
-            continue
-        members = closure(c)
-        shrunk = not is_prime(len(members))  # prime order: already minimal
-        while shrunk:
-            bits = indices_to_bits(members, G.order)
-            shrunk = False
-            for d in prime:
-                if (d.members & bits) == d.members and len(closure(d)) < len(members):
-                    members = closure(d)
-                    shrunk = True
-                    break
-        block = t[np.ix_(members, members)]
-        if (block == block.T).all():
+    smallest = abelian = None
+    for c in _prime_order_classes(G):
+        members = closure_indices(G, c.member_indices())
+        if is_prime(len(members)):
             return members, True
-        if first is None:
-            first = members
-        rejected |= indices_to_bits(members, G.order)
-    return first, False
+        if smallest is None or len(members) < len(smallest):
+            smallest = members
+        if (abelian is None or len(members) < len(abelian)) and prime_power(len(members)):
+            block = G.table[np.ix_(members, members)]
+            if (block == block.T).all():
+                abelian = members
+    return (abelian, True) if abelian is not None else (smallest, False)
 
 
 def _row_bits(masks: np.ndarray) -> list[int]:
@@ -666,7 +636,7 @@ def _maximal_orbits(G: Group) -> list[np.ndarray]:
                     row[r.member_indices()] = True
                 out.append(masks)
         return out
-    Q, index_map = quotient_with_map(G, _record(G, members))
+    Q, index_map = quotient_with_map(G, members)
     above = [masks[:, index_map] for masks in _maximal_orbits(Q)]
     complements = _complement_orbits(G, members, Q, index_map)
     if abelian:

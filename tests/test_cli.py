@@ -17,6 +17,7 @@ MALFORMED_EXPLICIT = {
     "explicit_non_integer_images": {"generators": [["a", "b"]], "degree": 2},
     "explicit_generators_not_a_list": {"generators": 5, "degree": 2},
     "explicit_fractional_degree": {"generators": [[2, 1]], "degree": 2.5},
+    "explicit_boolean_image": {"generators": [[2, True]], "degree": 2},
 }
 NON_INTEGRAL_PARAMS = {
     "sym_fractional_n": {"family": "sym", "n": 3.9},
@@ -235,6 +236,7 @@ def test_module_matrices_that_are_not_matrices_exit_2(capsys):
     with_identity = {"degree": 2, "generators": [[1, 2], [2, 1]]}
     for group, p, mats in (
         (c2, 3, [5]), (c2, 3, [[1, 0]]), (c2, 3, [[[True]]]), (with_identity, 2, [1, [[1]]]),
+        (c2, 3, [[[True, 0], [0, 2]]]),  # [[1, 0], [0, 2]] would be valid
     ):
         desc = {"group": group, "p": p, "matrices": mats}
         code, out, err = run(capsys, "h1", json.dumps(desc))

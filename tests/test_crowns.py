@@ -533,10 +533,13 @@ def test_embed_rejects_a_vector_part_of_the_wrong_length():
 
 
 def test_embed_rejects_fractional_and_boolean_vector_parts():
-    # these used to be truncated: [0.5, 1.9] read as [0, 1], True as 1
+    # these used to be truncated: [0.5, 1.9] read as [0, 1], True as 1;
+    # a boolean mixed with integers, [True, 1], numpy reads as int64
     act = module_from_descriptor(S3_GL22)
     _, emb = abelian_crown_power_with_embedding(act, 1)
-    for v in ([0.5, 1.9], [True, False], np.array([1.0, 0.5]), [[0.7, 1]]):
+    for v in (
+        [0.5, 1.9], [True, False], np.array([1.0, 0.5]), [[0.7, 1]], [True, 1], [[1.0, False]],
+    ):
         with pytest.raises(InputError, match="vector part must be nested integers"):
             emb(v, 0)
     # integral floats are read, and every entry is taken mod p
@@ -627,7 +630,7 @@ def test_frattini_flags_match_the_quotient_lattice():
         for reverse in (False, True):
             for A in chief_series(G, reverse_ties=reverse):
                 if A.lower.bits not in quotients:
-                    Q, index_map = quotient_with_map(G, A.lower)
+                    Q, index_map = quotient_with_map(G, A.lower.member_indices())
                     quotients[A.lower.bits] = (index_map, _lattice_frattini_bits(Q))
                 index_map, phi = quotients[A.lower.bits]
                 image = {int(i) for i in index_map[A.upper.member_indices()]}

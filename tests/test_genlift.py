@@ -189,7 +189,12 @@ def test_lift_problem_rejects_fractional_and_boolean_ws():
     # these used to be truncated: [0.7, 1.2] read as [0, 1], True as 1
     act = module_from_descriptor(S3_GL22)
     hs = _gen_indices(act)
-    for ws in ([[[0.7, 1.2]], [[1.0, 0.0]]], [[[True, False]], [[False, True]]]):
+    for ws in (
+        [[[0.7, 1.2]], [[1.0, 0.0]]],
+        [[[True, False]], [[False, True]]],
+        [[[True, 0]], [[1, 0]]],  # mixed with integers: numpy reads it as int64
+        [[[1.0, 0.0]], [[0.0, True]]],
+    ):
         with pytest.raises(InputError, match="ws must be nested integers"):
             LiftProblem(act, 1, hs, ws)
         desc = {"module": S3_GL22, "u": 1, "hs": [[1], [2]], "ws": ws}

@@ -267,10 +267,40 @@ def test_abelian_minimal_normal_over_a_nonabelian_socle():
     assert abelian and len(members) == 16
     (N,) = minimal_normal_subgroups(G)
     assert N.order == 16
-    Q, _ = quotient_with_map(G, N)
+    Q, _ = quotient_with_map(G, N.member_indices())
     members, abelian = _minimal_normal(Q)
     assert not abelian and len(members) == Q.order == 60
     assert new_route(G) == lattice_route(realize_descriptor(desc)[0])
+
+
+def _sym_subgroup_classes():
+    """One group per nontrivial subgroup class of S_n, n <= 6, generated
+    by the class representative's generators."""
+    out = []
+    for n in range(2, 7):
+        S = load_group({"family": "sym", "n": n})
+        out += [Group([S.element(g) for g in rep.gens], degree=n) for rep, _ in _lattice(S)[1:]]
+    return out
+
+
+def _commutes(G, members):
+    block = G.table[np.ix_(members, members)]
+    return bool((block == block.T).all())
+
+
+def test_minimal_normal_is_one_of_the_minimal_normal_subgroups(lift_ambients):
+    # the smallest closure of a prime-order class, or the smallest abelian
+    # one, against the list of every minimal normal subgroup
+    groups = _sym_subgroup_classes()
+    assert len(groups) == 87
+    groups += [realize_descriptor(d)[0] for d in read_corpus(shipped_corpus_path())]
+    assert len(lift_ambients) == 21
+    for G in groups + lift_ambients:
+        members, abelian = _minimal_normal(G)
+        minimal = minimal_normal_subgroups(G)
+        assert any(np.array_equal(members, N.member_indices()) for N in minimal), G.name
+        assert abelian == _commutes(G, members), G.name
+        assert abelian == any(_commutes(G, N.member_indices()) for N in minimal), G.name
 
 
 def _random_module(rng):

@@ -2,15 +2,20 @@
 
 The battery itself runs once per session (see the prop_report fixture);
 each test here reads off one outcome so failures name the exact check.
+A check must also be able to fail: the planted-defect tests break what
+a check reads and require it to report a violation.
 """
 
 import json
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from invgen import MODE_GENERATE, MODE_INVARIABLE, max_lift_rank, read_corpus, shipped_corpus_path
-from invgen import properties
+from invgen import Group, properties
+from invgen.modlin import ModuleAction
 from invgen.properties import (
     _WS_BLOCK,
     PROPERTY_CHECKS,
@@ -20,6 +25,7 @@ from invgen.properties import (
     _Corpus,
     _lift_instances,
     _ws_samples,
+    verify_props,
 )
 from invgen.rng import Stream
 
@@ -175,3 +181,63 @@ def test_rank_formula_stops_at_the_first_hit_and_gives_back_later_draws(monkeypa
     st = Stream(1, 0)
     checked, bad = _check_rank_formula(s3_gf7_corpus, st)
     assert (checked, len(bad), st.j) == (10, 2, 6 * sum(draws))
+
+
+def _drop_a_class(monkeypatch):
+    real = Group.conjugacy_classes
+    monkeypatch.setattr(Group, "conjugacy_classes", lambda G: real(G)[:-1])
+
+
+def _raise_h1_dim(by):
+    def plant(monkeypatch):
+        real = ModuleAction.h1_dim
+        monkeypatch.setattr(ModuleAction, "h1_dim", lambda act: real(act) + by(act))
+
+    return plant
+
+
+def _scale_agl_ratios(monkeypatch):
+    real = properties.agl_trend
+    monkeypatch.setattr(
+        properties, "agl_trend",
+        lambda qs: [dict(row, c_over_q=10 * row["c_over_q"]) for row in real(qs)],
+    )
+
+
+def _shift_exact_value(monkeypatch):
+    real = properties.chebotarev_exact
+
+    def shifted(G):
+        exact = real(G)
+        return replace(exact, value=exact.value + Fraction(1, G.order))
+
+    monkeypatch.setattr(properties, "chebotarev_exact", shifted)
+
+
+# one planted defect per check, each a check no other test sees fail
+PLANTED = {
+    ("group_core", "class_partition"): _drop_a_class,
+    ("modlin", "cohomology_bound"): _raise_h1_dim(lambda act: act.dim),
+    ("modlin", "coprime_vanishing"): _raise_h1_dim(lambda act: 1),
+    ("harness", "agl_band"): _scale_agl_ratios,
+    ("chebotarev", "waiting_time_identity"): _shift_exact_value,
+}
+
+
+@pytest.fixture(scope="module")
+def s3_gf7_path(tmp_path_factory):
+    """mod_s3_gf7 alone: S3, and a faithful, absolutely irreducible module
+    of order prime to |S3|, which every planted check reaches."""
+    row = next(d for d in read_corpus(shipped_corpus_path()) if d.get("name") == "mod_s3_gf7")
+    path = tmp_path_factory.mktemp("corpus") / "s3_gf7.jsonl"
+    path.write_text(json.dumps(row) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("check", PLANTED, ids=[".".join(c) for c in PLANTED])
+def test_planted_defect_is_reported(monkeypatch, s3_gf7_path, check):
+    (clean,) = verify_props(corpus_path=s3_gf7_path, only=(check,)).outcomes
+    assert clean.checked > 0 and clean.passed, clean.violations
+    PLANTED[check](monkeypatch)
+    (outcome,) = verify_props(corpus_path=s3_gf7_path, only=(check,)).outcomes
+    assert (outcome.suite, outcome.name) == check and outcome.violations

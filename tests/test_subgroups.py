@@ -8,6 +8,8 @@ import pytest
 import invgen.subgroups as subgroups
 from invgen import Group, load_group, read_corpus, realize_descriptor, shipped_corpus_path
 from invgen.coverage import CACHE_ENV, _compute_table, coverage_table
+from invgen.errors import PreconditionError
+from invgen.group import prime_power
 from invgen.subgroups import (
     _cyclic_subgroups_prime_power,
     _lattice,
@@ -146,11 +148,33 @@ def test_normal_subgroups_match_the_lattice():
     assert checked == 51
 
 
+def test_cyclic_positions_match_a_power_walk():
+    # each element's position is that of the cyclic subgroup its powers
+    # make as Perms, and -1 exactly when its order (1 included) is not a
+    # prime power
+    checked = 0
+    for G in _small_corpus_groups(120):
+        cyclics, cyc_of = _cyclic_subgroups_prime_power(G)
+        position = {c.bits: k for k, c in enumerate(cyclics)}
+        want = []
+        for i in range(G.order):
+            g = G.element(i)
+            power, bits = g, 1
+            while not power.is_identity():
+                bits |= 1 << G.element_index(power)
+                power = power * g
+            want.append(position[bits] if prime_power(bits.bit_count()) else -1)
+        assert cyc_of.tolist() == want, G.name
+        assert set(want) == {-1, *range(len(cyclics))}, G.name
+        checked += 1
+    assert checked == 51
+
+
 def test_quotients_are_regular_with_kernel_n():
     checked = 0
     for G in _small_corpus_groups(200):
         for N in normal_subgroups(G):
-            Q, phi = quotient_with_map(G, N)
+            Q, phi = quotient_with_map(G, N.member_indices())
             if N.order == 1:
                 assert Q is G
             else:
@@ -162,12 +186,20 @@ def test_quotients_are_regular_with_kernel_n():
     assert checked == 721
 
 
+def test_quotient_by_a_non_normal_subgroup_is_refused(s4):
+    conjugates = [r for _, orbit in _lattice(s4) if len(orbit) > 1 for r in orbit]
+    assert len(conjugates) == 30 - 4  # all but 1, V4, A4 and S4
+    for rec in conjugates:
+        with pytest.raises(PreconditionError, match="non-normal"):
+            quotient_with_map(s4, rec.member_indices())
+
+
 def test_quotients_equal_the_enumeration_of_their_generators():
     # a second route to each quotient: enumerate it from its generators
     checked = 0
     for G in _small_corpus_groups(200):
         for N in normal_subgroups(G)[1:]:
-            Q, _ = quotient_with_map(G, N)
+            Q, _ = quotient_with_map(G, N.member_indices())
             ref = Group(Q.generators, degree=Q.degree)
             assert Q._E.dtype == ref._E.dtype and np.array_equal(Q._E, ref._E), (G.name, N)
             assert Q.gen_indices == ref.gen_indices, (G.name, N)
@@ -195,7 +227,7 @@ def test_quotients_and_normal_subgroups_search_no_rows(monkeypatch):
     monkeypatch.setattr(sg, "subgroup_lattice", lambda N: built.append(N) or [])
     for G, Ns, members in zip(groups, normals, minimal):
         for N in Ns[1:]:
-            Q, phi = quotient_with_map(G, N)
+            Q, phi = quotient_with_map(G, N.member_indices())
             assert (phi[G.table] == Q.table[np.ix_(phi, phi)]).all(), (G.name, N)
         assert sg._normalizer_orbits(G, members) == []
         N = built[-1]
@@ -209,13 +241,13 @@ def test_quotient_tables_reach_the_disk_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("INVGEN_CACHE_DIR", str(tmp_path))
     s4 = load_group({"family": "sym", "n": 4})
     (v4,) = minimal_normal_subgroups(s4)
-    Q, _ = quotient_with_map(s4, v4)
+    Q, _ = quotient_with_map(s4, v4.member_indices())
     assert coverage_table(Q) == _compute_table(load_group({"family": "sym", "n": 3}))
     # quotients keep the regular realization, whatever their order
     desc = next(d for d in read_corpus(shipped_corpus_path()) if d.get("name") == "mod_sl24_nat")
     G = realize_descriptor(desc)[0]
     (V,) = minimal_normal_subgroups(G)
-    A5, _ = quotient_with_map(G, V)
+    A5, _ = quotient_with_map(G, V.member_indices())
     assert A5.degree == A5.order == 60
     assert coverage_table(A5).maximal_orders == (6, 10, 12)  # S3, D10, A4
     assert all(type(x) is int for H in (Q, A5) for g in H.generators for x in g.images)
@@ -296,7 +328,7 @@ def test_closure_from_a_subgroup_matches_the_closure_from_the_identity():
     checked = met = whole = 0
     for G in _small_corpus_groups(120):
         n = G.order
-        cyclics = _cyclic_subgroups_prime_power(G)
+        cyclics, _ = _cyclic_subgroups_prime_power(G)
         for H, _ in _lattice(G):
             inside = np.zeros(n, dtype=bool)
             inside[H.member_indices()] = True
