@@ -20,39 +20,48 @@ the work is r times the number of distinct meets rather than 2^r, and
 subsets whose terms cancel drop out as soon as they do.
 
 Monte Carlo estimation replays the same event with the splitmix-style
-counter RNG from invgen.rng: every draw is a pure function of
-(seed, trial, draw index), so runs are reproducible across processes
-and the vectorised path is bit-identical to a scalar per-trial loop.  One
-kernel simulates each trial's waiting time n, capped at a draw limit,
-and serves both estimators: C(G) is the mean of n and P_I(G, k) is the
-share of trials with n <= k, on the same draws.  Each call splits its
-trials into contiguous parts, one per usable CPU but none smaller than
-MC_MIN_PART_TRIALS; the calling thread runs the first part and a thread
-started and joined within the call runs each other one.  numpy releases
-the GIL inside its array operations, so the parts run side by side.  A
-trial's draws do not depend on the part that simulates it and each part
-writes only its own slice of the counts, so the counts are the same for
-any split; a part that raises re-raises in the caller once every part
-has ended, and no thread outlives the call (a later fork inherits no
-held lock).  Within a part, the kernel keeps the reduced covers each
-trial has not yet ruled out as packed words, one bit per cover and
-ceil(r/64) little-endian uint64 words per trial.  Each element's words
-are gathered once per call, so a drawn element index picks its words
-directly.  A part draws in blocks: with m trials live at draw index j,
-it takes K = budget // m steps of every live trial at once, at least one
-and no more than the draws left before the limit, where the budget is
-MC_BLOCK_DRAWS times the number of parts.  So the steps with many trials
-live go one at a time, and the long tail of a slow group's waits costs
-a few numpy calls per block rather than about twenty per step.  The
-(K, m) draws are made in place in two buffers allocated once per part,
-their words are gathered into the second, the words carried from the
-earlier blocks are ANDed into the first step and, for K >= 2, the words
-are ANDed cumulatively along the steps.  A trial whose words reach zero
-stays ended, so its zero steps form a suffix of the block and its count
-is j + 1 plus its number of nonzero steps.  The survivors' last-step
-words are copied to a third buffer, which the part also allocates once,
-and the live arrays are compacted only after a block where some trial
-ended.  The counts are those of one step at a time for any budget.
+counter RNG from invgen.rng: every draw is a pure function of (seed,
+trial, draw index), so runs are reproducible across processes and the
+vectorised path is bit-identical to a scalar per-trial loop.  One kernel
+simulates each trial's waiting time n, capped at a draw limit, and
+serves both estimators: C(G) is the mean of n and P_I(G, k) is the share
+of trials with n <= k, on the same draws.  One driver makes every kernel
+call.  It takes a list of jobs, each one the cover words of every
+element, the group order, the trials, the seed and the draw limit, and
+cuts each job's trials into contiguous parts, one per usable CPU but
+none smaller than MC_MIN_PART_TRIALS.  The parts run in job order on one
+worker per usable CPU, never more workers than parts: the calling thread
+starts on the first part and a thread started and joined within the call
+on each next one, and a worker that ends a part takes the next part not
+yet taken.  numpy releases the GIL inside its array operations, so the
+parts run side by side.  A lone chebotarev_montecarlo or
+p_invariable_montecarlo call is a list of one job, so it splits its own
+trials; a serial survey hands every row's job to one call after the
+rows' exact work, so the kernels of different rows run side by side too.
+A trial's draws depend only on (seed, trial) and each part writes only
+its own slice of its job's counts, so the counts are the same for any
+split or schedule; a part that raises fails its job once every part of
+the job has ended, and no thread outlives the call (a later fork
+inherits no held lock).  Within a part, the kernel keeps the reduced
+covers each trial has not yet ruled out as packed words, one bit per
+cover and ceil(r/64) little-endian uint64 words per trial.  Each
+element's words are gathered once per job, so a drawn element index
+picks its words directly.  A part draws in blocks: with m trials live at
+draw index j, it takes K = budget // m steps of every live trial at
+once, at least one and no more than the draws left before the limit,
+where the budget is MC_BLOCK_DRAWS times the number of parts of its job.
+So the steps with many trials live go one at a time, and the long tail
+of a slow group's waits costs a few numpy calls per block rather than
+about twenty per step.  The (K, m) draws are made in place in two
+buffers allocated once per part, their words are gathered into the
+second, the words carried from the earlier blocks are ANDed into the
+first step and, for K >= 2, the words are ANDed cumulatively along the
+steps.  A trial whose words reach zero stays ended, so its zero steps
+form a suffix of the block and its count is j + 1 plus its number of
+nonzero steps.  The survivors' last-step words are copied to a third
+buffer, which the part also allocates once, and the live arrays are
+compacted only after a block where some trial ended.  The counts are
+those of one step at a time for any budget.
 """
 
 from __future__ import annotations
@@ -60,6 +69,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -250,40 +260,120 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+@dataclass(frozen=True)
+class _McJob:
+    """The inputs of one Monte Carlo kernel call.
+
+    words holds each element's packed cover words, one row of
+    ceil(r/64) uint64 per element; a trial still short of invariable
+    generation after limit draws reads limit + 1.
+    """
+
+    words: np.ndarray
+    order: int
+    trials: int
+    seed: int
+    limit: int
+
+
+def _mc_job(G: Group, trials: int, seed: int, limit: int = MAX_DRAWS_PER_TRIAL) -> _McJob:
+    words = np.take(_class_cover_words(G), G.class_of(), axis=0)  # per element
+    return _McJob(words, G.order, trials, seed, limit)
+
+
+def _mc_run(jobs: list[_McJob], finish) -> list:
+    """finish(job, counts) for each job, or the Exception the job raised.
+
+    counts holds the draw count of each of the job's trials.  The jobs'
+    parts run in job order on the workers the module docstring
+    describes.  A job's counts are allocated when its first part starts
+    and handed to finish by the worker that ends its last part, so at
+    most one counts array per worker, plus one, is alive at a time.  An
+    Exception raised by a part or by finish becomes the job's entry once
+    all its parts have ended; any other exception stops the workers from
+    taking parts and is re-raised once they have ended.
+    """
+    cpus = _usable_cpus()
+    results: list = [None] * len(jobs)
+    items = []  # (job index, first trial, end trial, block budget)
+    for j, job in enumerate(jobs):
+        if not job.words.shape[1]:  # the trivial group has no covers: no draw needed
+            results[j] = _settle(finish, job, np.zeros(job.trials, dtype=np.int64))
+            continue
+        parts = max(1, min(cpus, job.trials // MC_MIN_PART_TRIALS))
+        cuts = [job.trials * i // parts for i in range(parts + 1)]
+        items += [(j, cuts[i], cuts[i + 1], MC_BLOCK_DRAWS * parts) for i in range(parts)]
+    left = Counter(j for j, *_ in items)  # parts of each job not yet ended
+    counts: dict[int, np.ndarray] = {}
+    errors: dict[int, Exception] = {}
+    fatal: list[BaseException] = []
+    lock = threading.Lock()
+    pending = iter(range(len(items)))  # the items not yet taken, in job order
+
+    def work(i: int) -> None:
+        try:
+            while i is not None:
+                j, first, end, budget = items[i]
+                job = jobs[j]
+                with lock:
+                    if j not in counts:
+                        counts[j] = np.empty(job.trials, dtype=np.int64)
+                    out = counts[j][first:end]
+                try:
+                    _mc_part(job.words, job.order, job.seed, job.limit, budget, first, out)
+                except Exception as exc:
+                    with lock:
+                        errors.setdefault(j, exc)
+                del out  # so a finished job's counts are freed with done
+                with lock:
+                    left[j] -= 1
+                    done = None if left[j] else counts.pop(j)
+                    i = None if fatal else next(pending, None)
+                if done is not None:
+                    results[j] = errors[j] if j in errors else _settle(finish, job, done)
+                    del done
+        except BaseException as exc:  # re-raised by the caller once every worker ends
+            fatal.append(exc)
+
+    # the calling thread starts on the first item, one thread on each next
+    mine = next(pending, None)
+    threads = [
+        threading.Thread(target=work, args=(next(pending),))
+        for _ in range(1, min(cpus, len(items)))
+    ]
+    for t in threads:
+        t.start()
+    try:
+        if mine is not None:
+            work(mine)
+    finally:
+        for t in threads:
+            t.join()
+    if fatal:
+        raise fatal[0]
+    return results
+
+
+def _settle(fn, *args):
+    """fn(*args), or the Exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
+
+
 def _mc_draw_counts(
     G: Group, trials: int, seed: int, limit: int = MAX_DRAWS_PER_TRIAL
 ) -> np.ndarray:
     """Number of draws each trial needed before invariable generation.
 
     A trial still short of it after `limit` draws reads limit + 1.  The
-    trials run in contiguous parts, as the module docstring describes.
+    trials run as one job of the driver `_mc_run`.
     """
-    words = np.take(_class_cover_words(G), G.class_of(), axis=0)  # per element
-    counts = np.zeros(trials, dtype=np.int64)
-    if not words.shape[1]:  # the trivial group has no covers: no draw needed
-        return counts
-    parts = max(1, min(_usable_cpus(), trials // MC_MIN_PART_TRIALS))
-    cuts = [trials * i // parts for i in range(parts + 1)]
-    budget = MC_BLOCK_DRAWS * parts
-    errors: list[BaseException] = []
-
-    def run(i: int) -> None:
-        try:
-            _mc_part(words, G.order, seed, limit, budget, cuts[i], counts[cuts[i]:cuts[i + 1]])
-        except BaseException as exc:  # re-raised by the caller once all parts end
-            errors.append(exc)
-
-    workers = [threading.Thread(target=run, args=(i,)) for i in range(1, parts)]
-    for w in workers:
-        w.start()
-    try:
-        _mc_part(words, G.order, seed, limit, budget, 0, counts[:cuts[1]])
-    finally:
-        for w in workers:
-            w.join()
-    if errors:
-        raise errors[0]
-    return counts
+    out = _mc_run([_mc_job(G, trials, seed, limit)], lambda job, counts: counts)[0]
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 def _mc_part(
@@ -337,12 +427,21 @@ def _mc_part(
     out[live] = limit + 1
 
 
-def chebotarev_montecarlo(G: Group, trials: int, seed: int) -> MonteCarloReport:
-    """Estimate C(G) by simulating the draw process to completion."""
+def chebotarev_montecarlo(
+    G: Group, trials: int, seed: int, *, counts: np.ndarray | None = None
+) -> MonteCarloReport:
+    """Estimate C(G) by simulating the draw process to completion.
+
+    counts, when given, are the trials' draw counts already drawn by
+    `_mc_run` (a serial survey draws all its rows' side by side), and G
+    is not read.  Every Monte Carlo estimate of C(G) is reported here,
+    so the draw cap has one check.
+    """
     if trials < 1:
         raise InputError(f"need at least one trial, got {trials}")
     check_seed(seed)
-    counts = _mc_draw_counts(G, trials, seed)
+    if counts is None:
+        counts = _mc_draw_counts(G, trials, seed)
     if counts.max() > MAX_DRAWS_PER_TRIAL:
         raise CapExceeded(f"a trial exceeded {MAX_DRAWS_PER_TRIAL} draws (draws)")
     mean = float(counts.mean())
@@ -350,6 +449,14 @@ def chebotarev_montecarlo(G: Group, trials: int, seed: int) -> MonteCarloReport:
         float(counts.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     )
     return MonteCarloReport(mean=mean, stderr=stderr, trials=trials, seed=seed)
+
+
+def _chebotarev_reports(jobs: list[_McJob]) -> list:
+    """chebotarev_montecarlo of each job, the trials of all of them drawn
+    by one `_mc_run` call: a MonteCarloReport, or the Exception raised."""
+    return _mc_run(
+        jobs, lambda job, counts: chebotarev_montecarlo(None, job.trials, job.seed, counts=counts)
+    )
 
 
 def p_invariable_montecarlo(

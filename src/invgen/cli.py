@@ -383,8 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="corpus path (default: shipped corpus)")
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--threads", type=int, default=1,
-                   help="worker processes (default 1); each row's Monte Carlo"
-                        " kernel already uses every usable CPU")
+                   help="worker processes (default 1); a serial survey runs all"
+                        " rows' Monte Carlo kernels side by side on the usable CPUs"
+                        " after the rows' exact work, a pool worker splits each"
+                        " row's own trials")
     _add_common(p, seed_default=20_260_814)
     p.set_defaults(fn=_cmd_survey)
 

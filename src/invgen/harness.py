@@ -10,11 +10,15 @@ exception, as "<Type>: <message>" with its traceback on stderr, and
 the property battery's survey check counts every errored row as a
 violation.
 
-Rows are computed by a pool of `threads` worker processes (never more
-than there are rows) when threads > 1, and written in corpus order
-either way; each row's Monte Carlo kernel already runs on every usable
-CPU.  Every row's Monte Carlo seed derives from (base seed, line
-index), so output bytes depend only on (corpus, trials, seed).
+A serial survey runs in two phases: each row's exact work in corpus
+order, keeping of its Monte Carlo step only the kernel's job, then every
+row's kernel side by side in one call of the Monte Carlo driver (see
+invgen.cheb).  With threads > 1 a pool of `threads` worker processes
+(never more than there are rows) computes whole rows instead, and each
+row's kernel splits its own trials across the usable CPUs.  Rows are
+written in corpus order either way.  Every row's Monte Carlo seed
+derives from (base seed, line index), so output bytes depend only on
+(corpus, trials, seed).
 """
 
 from __future__ import annotations
@@ -22,12 +26,16 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib.resources import files as _pkg_files
 
-from .cheb import chebotarev_exact, chebotarev_montecarlo, min_k_for_probability
+from .cheb import (
+    _chebotarev_reports, _mc_job, chebotarev_exact, chebotarev_montecarlo,
+    min_k_for_probability,
+)
 from .coverage import coverage_table
 from . import crowns
 from .errors import InputError, InvgenError
@@ -184,8 +192,39 @@ def _descriptor_label(desc: dict) -> str:
     return "?" if tag == "explicit" else tag
 
 
-def survey_row(desc: dict, trials: int, row_seed: int) -> SurveyRow:
-    name = _descriptor_label(desc)
+@dataclass(frozen=True)
+class _Failed:
+    """A row step that raised: the row's error field and, for an internal
+    defect, the traceback to print if this is the error the row reports."""
+
+    error: str
+    trace: str | None = None
+
+
+def _attempt(fn, *args):
+    """fn(*args), or the _Failed of the Exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return _failed(exc)
+
+
+def _failed(exc: Exception) -> _Failed:
+    if isinstance(exc, InvgenError):
+        return _Failed(str(exc))
+    # an internal defect: record it, keep surveying
+    return _Failed(f"{type(exc).__name__}: {exc}", "".join(traceback.format_exception(exc)))
+
+
+def _row_head(desc: dict, trials: int, row_seed: int, monte_carlo) -> list:
+    """A row's steps up to its diagnostics, in the order survey_row runs them.
+
+    Returns [row, mc, diag]: row holds every field but c_mc and
+    mc_stderr, mc is monte_carlo(G, trials, row_seed) and diag the
+    module diagnostics, or None for a row without a module; a step that
+    raised is a _Failed.  A failure before the Monte Carlo step ends the
+    row there, as [failure].  The group itself is not kept.
+    """
     try:
         G, family, act = realize_descriptor(desc)
         row = SurveyRow(name=G.name, family=family, order=G.order)
@@ -194,29 +233,53 @@ def survey_row(desc: dict, trials: int, row_seed: int) -> SurveyRow:
         row.seed = row_seed
         row.c_exact = chebotarev_exact(G).value
         row.min_k_29 = min_k_for_probability(G, INVK_THRESHOLD)
-        mc = chebotarev_montecarlo(G, trials=trials, seed=row_seed)
-        row.c_mc = mc.mean
-        row.mc_stderr = mc.stderr
         c = float(row.c_exact)
         row.sqrt_order = math.sqrt(G.order)
         row.ratio_sqrt = c / row.sqrt_order
         if G.order > 1:
             row.klz_ratio = c / math.sqrt(G.order * math.log(G.order))
-        if act is not None:
-            row.diag_m, row.diag_fix_count, row.diag_m_sq = _module_diagnostics(act)
-        return row
-    except InvgenError as exc:
-        return SurveyRow(name=name, family=_family_tag(desc), error=str(exc))
-    except Exception as exc:  # an internal defect: record it, keep surveying
-        traceback.print_exc()
-        return SurveyRow(
-            name=name, family=_family_tag(desc), error=f"{type(exc).__name__}: {exc}"
-        )
+    except Exception as exc:
+        return [_failed(exc)]
+    mc = _attempt(monte_carlo, G, trials, row_seed)
+    return [row, mc, None if act is None else _attempt(_module_diagnostics, act)]
+
+
+def _row_tail(desc: dict, steps: list) -> SurveyRow:
+    """The row of _row_head's steps, mc now a MonteCarloReport, or an
+    error row for the first step that failed."""
+    for step in steps:
+        if isinstance(step, _Failed):
+            if step.trace is not None:
+                sys.stderr.write(step.trace)
+            return SurveyRow(name=_descriptor_label(desc), family=_family_tag(desc), error=step.error)
+    row, mc, diag = steps
+    row.c_mc = mc.mean
+    row.mc_stderr = mc.stderr
+    if diag is not None:
+        row.diag_m, row.diag_fix_count, row.diag_m_sq = diag
+    return row
+
+
+def survey_row(desc: dict, trials: int, row_seed: int) -> SurveyRow:
+    """One corpus row, its Monte Carlo trials split across the usable CPUs."""
+    return _row_tail(desc, _row_head(desc, trials, row_seed, chebotarev_montecarlo))
 
 
 def _survey_task(args: tuple) -> SurveyRow:
     desc, trials, row_seed = args
     return survey_row(desc, trials, row_seed)
+
+
+def _survey_rows(tasks: list[tuple]) -> list[SurveyRow]:
+    """survey_row of each (desc, trials, row seed) task, in two phases:
+    the rows' exact work in task order, keeping of each row's Monte Carlo
+    step only its kernel job, then every row's job in one
+    _chebotarev_reports call, which runs the kernels side by side."""
+    heads = [_row_head(*task, _mc_job) for task in tasks]
+    drawn = [h for h in heads if len(h) > 1 and not isinstance(h[1], _Failed)]
+    for h, report in zip(drawn, _chebotarev_reports([h[1] for h in drawn])):
+        h[1] = _failed(report) if isinstance(report, Exception) else report
+    return [_row_tail(task[0], h) for task, h in zip(tasks, heads)]
 
 
 def run_survey(
@@ -252,7 +315,7 @@ def run_survey(
         with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
             rows = list(pool.map(_survey_task, tasks))
     else:
-        rows = [_survey_task(t) for t in tasks]
+        rows = _survey_rows(tasks)
 
     if out_path is not None:
         write_rows_jsonl(rows, out_path)

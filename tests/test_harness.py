@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -491,3 +492,152 @@ def test_internal_defect_in_one_row_is_recorded(monkeypatch, mini_corpus):
     report = verify_props(corpus_path=mini_corpus, only=(("harness", "survey_bounds"),))
     (outcome,) = report.outcomes
     assert outcome.violations == ["sym(3): corpus row errored: RuntimeError: injected defect"]
+
+
+# ---------------------------------------------------------------------------
+# the serial survey draws every row's Monte Carlo trials in one kernel call
+
+
+TWIN_CORPUS = [
+    {"family": "cyclic", "n": 2},
+    {"module": C2_GF3},  # a row with diagnostics
+    {"family": "sym", "n": 3},
+]
+
+
+def _write_corpus(tmp_path, rows) -> str:
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    return str(path)
+
+
+def _fail_kernel(monkeypatch, exc, seed=None, order=None):
+    """Make every kernel part of the calls with this seed (or group
+    order) raise exc."""
+    from invgen import cheb
+
+    real = cheb._mc_part
+
+    def part(words, n, part_seed, limit, budget, first, out):
+        if part_seed == seed or n == order:
+            raise exc
+        real(words, n, part_seed, limit, budget, first, out)
+
+    monkeypatch.setattr(cheb, "_mc_part", part)
+
+
+def _row_seed(seed: int, i: int) -> int:
+    from invgen.rng import stream_state
+
+    return int(stream_state(seed, i))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_survey_rows_equal_rows_surveyed_one_at_a_time(tmp_path, monkeypatch, cpus):
+    # the serial survey's batched kernel call against survey_row's own
+    # call per row and a lone chebotarev_montecarlo call, with every row
+    # split into parts and the interpreter switching threads every
+    # microsecond
+    from invgen import cheb
+    from invgen.harness import survey_row
+
+    corpus = _write_corpus(tmp_path, TWIN_CORPUS)
+    trials = 2 * cheb.MC_MIN_PART_TRIALS + 7
+    monkeypatch.setattr(cheb, "_usable_cpus", lambda: cpus)
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rows = run_survey(corpus, trials=trials, seed=5, **QUIET)
+        single = [survey_row(desc, trials, _row_seed(5, i)) for i, desc in enumerate(TWIN_CORPUS)]
+        lone = cheb.chebotarev_montecarlo(load_group(TWIN_CORPUS[2]), trials, _row_seed(5, 2))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+    assert [r.error for r in rows] == [None, None, None]
+    assert rows[1].diag_m is not None
+    assert rows == single
+    assert (rows[2].c_mc, rows[2].mc_stderr) == (lone.mean, lone.stderr)
+
+
+def test_a_one_row_survey_splits_its_kernel_across_threads(tmp_path, monkeypatch):
+    from invgen import cheb
+
+    corpus = _write_corpus(tmp_path, [{"family": "sym", "n": 3}])
+    ran = []
+    real = cheb._mc_part
+
+    def spy(words, n, seed, limit, budget, first, out):
+        ran.append(threading.current_thread())
+        real(words, n, seed, limit, budget, first, out)
+
+    monkeypatch.setattr(cheb, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cheb, "_mc_part", spy)
+    run_survey(corpus, trials=2 * cheb.MC_MIN_PART_TRIALS + 7, seed=1, **QUIET)
+    assert len(ran) == 2 and ran[0] is not ran[1]
+
+
+@pytest.mark.parametrize(
+    "exc, error",
+    [
+        (CapExceeded("a trial exceeded 1000000 draws (draws)"), "a trial exceeded 1000000 draws (draws)"),
+        (RuntimeError("kernel defect"), "RuntimeError: kernel defect"),
+    ],
+    ids=["cap", "defect"],
+)
+def test_a_kernel_error_stays_in_its_row(tmp_path, monkeypatch, capfd, exc, error):
+    from invgen import cheb
+
+    corpus = _write_corpus(tmp_path, TWIN_CORPUS)
+    trials = 2 * cheb.MC_MIN_PART_TRIALS + 7
+    monkeypatch.setattr(cheb, "_usable_cpus", lambda: 2)
+    clean = run_survey(corpus, trials=trials, seed=3, **QUIET)
+    capfd.readouterr()
+    threads = threading.active_count()
+    _fail_kernel(monkeypatch, exc, seed=_row_seed(3, 1))
+    rows = run_survey(corpus, trials=trials, seed=3, **QUIET)
+    assert threading.active_count() == threads  # no thread outlives the survey
+    assert [r.error for r in rows] == [None, error, None]
+    assert rows[1].as_dict() == {"name": "module", "family": "module", "error": error}
+    assert [rows[0], rows[2]] == [clean[0], clean[2]]
+    stderr = capfd.readouterr().err
+    assert ("Traceback" in stderr) == isinstance(exc, RuntimeError)
+
+
+def test_a_kernel_error_outranks_a_diagnostics_error(tmp_path, monkeypatch):
+    # survey_row's order: the Monte Carlo estimate comes before the
+    # diagnostics, so its error is the one the row reports
+    import invgen.harness as harness
+
+    corpus = _write_corpus(tmp_path, TWIN_CORPUS)
+
+    def broken(act):
+        raise RuntimeError("diagnostics defect")
+
+    monkeypatch.setattr(harness, "_module_diagnostics", broken)
+    rows = run_survey(corpus, trials=300, seed=3, **QUIET)
+    assert [r.error for r in rows] == [None, "RuntimeError: diagnostics defect", None]
+    _fail_kernel(monkeypatch, CapExceeded("kernel capped"), seed=_row_seed(3, 1))
+    rows = run_survey(corpus, trials=300, seed=3, **QUIET)
+    assert [r.error for r in rows] == [None, "kernel capped", None]
+    assert harness.survey_row(TWIN_CORPUS[1], 300, _row_seed(3, 1)).error == "kernel capped"
+
+
+def test_the_draw_cap_reads_the_same_in_both_survey_paths(tmp_path, monkeypatch):
+    # the serial survey reports its rows' draws through chebotarev_montecarlo,
+    # so the one draw-cap check also guards them
+    from invgen import cheb
+    from invgen.harness import survey_row
+
+    corpus = _write_corpus(tmp_path, TWIN_CORPUS)
+    monkeypatch.setattr(cheb, "MAX_DRAWS_PER_TRIAL", 3)  # the kernel still draws to 10^6
+    rows = run_survey(corpus, trials=300, seed=3, **QUIET)
+    assert rows[2].error == "a trial exceeded 3 draws (draws)"
+    assert rows == [survey_row(desc, 300, _row_seed(3, i)) for i, desc in enumerate(TWIN_CORPUS)]
+
+
+def test_survey_check_counts_a_kernel_error_as_a_violation(monkeypatch, mini_corpus):
+    _fail_kernel(monkeypatch, RuntimeError("kernel defect"), order=6)
+    report = verify_props(corpus_path=mini_corpus, only=(("harness", "survey_bounds"),))
+    (outcome,) = report.outcomes
+    assert outcome.violations == ["sym(3): corpus row errored: RuntimeError: kernel defect"]
