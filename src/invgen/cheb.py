@@ -25,20 +25,23 @@ trial, draw index), so runs are reproducible across processes and the
 vectorised path is bit-identical to a scalar per-trial loop.  One kernel
 simulates each trial's waiting time n, capped at a draw limit, and
 serves both estimators: C(G) is the mean of n and P_I(G, k) is the share
-of trials with n <= k, on the same draws.  One driver makes every kernel
-call.  It takes a list of jobs, each one the cover words of every
-element, the group order, the trials, the seed and the draw limit, and
-cuts each job's trials into contiguous parts, one per usable CPU but
-none smaller than MC_MIN_PART_TRIALS.  The parts run in job order on one
-worker per usable CPU, never more workers than parts: the calling thread
-starts on the first part and a thread started and joined within the call
-on each next one, and a worker that ends a part takes the next part not
-yet taken.  numpy releases the GIL inside its array operations, so the
-parts run side by side.  A lone chebotarev_montecarlo or
-p_invariable_montecarlo call is a list of one job, so it splits its own
-trials; a serial survey hands every row's job to one call after the
-rows' exact work, so the kernels of different rows run side by side too.
-A trial's draws depend only on (seed, trial) and each part writes only
+of trials with n <= k, on the same draws.  Every kernel call is a job
+of one driver, _mc_run.  A job holds the cover words of every element,
+the group order, the trials, the seed and the draw limit; _mc_job builds
+it and is the one place where Monte Carlo inputs are checked.  The
+driver takes a list of jobs and cuts each job's trials into contiguous
+parts, one per usable CPU but none smaller than MC_MIN_PART_TRIALS.
+The parts run in job order on one worker per usable CPU, never more
+workers than parts: the calling thread starts on the first part and a
+thread started and joined within the call on each next one, and a
+worker that ends a part takes the next part not yet taken.  numpy
+releases the GIL inside its array operations, so the parts run side by
+side.  A lone chebotarev_montecarlo or p_invariable_montecarlo call is a
+list of one job, so it splits its own trials; a survey hands the jobs of
+all its rows to one call after the rows' exact work, so the kernels of
+different rows run side by side too.  Every estimate of C(G) is made
+from its job's counts by _mc_report, so the draw cap has one check.  A
+trial's draws depend only on (seed, trial) and each part writes only
 its own slice of its job's counts, so the counts are the same for any
 split or schedule; a part that raises fails its job once every part of
 the job has ended, and no thread outlives the call (a later fork
@@ -78,7 +81,7 @@ import numpy as np
 from .coverage import coverage_table
 from .errors import CapExceeded, InputError
 from .group import Group
-from .rng import check_seed, draws_vec, randbelow_vec, stream_states_vec
+from .rng import check_int, check_seed, draws_vec, randbelow_vec, stream_states_vec
 
 MAX_DRAWS_PER_TRIAL = 1_000_000
 # fewest trials a Monte Carlo part may hold: each part pays the per-step
@@ -277,8 +280,15 @@ class _McJob:
 
 
 def _mc_job(G: Group, trials: int, seed: int, limit: int = MAX_DRAWS_PER_TRIAL) -> _McJob:
+    """The job of a Monte Carlo call, its inputs checked in this order:
+    trials, the draw limit (an estimator's k), then the seed."""
+    if check_int(trials, "trials") < 1:
+        raise InputError(f"need at least one trial, got {trials}")
+    if check_int(limit, "draw count") < 0:
+        raise InputError(f"draw count must be >= 0, got {limit}")
+    seed = check_seed(seed)
     words = np.take(_class_cover_words(G), G.class_of(), axis=0)  # per element
-    return _McJob(words, G.order, trials, seed, limit)
+    return _McJob(words, G.order, int(trials), seed, int(limit))
 
 
 def _mc_run(jobs: list[_McJob], finish) -> list:
@@ -362,15 +372,10 @@ def _settle(fn, *args):
         return exc
 
 
-def _mc_draw_counts(
-    G: Group, trials: int, seed: int, limit: int = MAX_DRAWS_PER_TRIAL
-) -> np.ndarray:
-    """Number of draws each trial needed before invariable generation.
-
-    A trial still short of it after `limit` draws reads limit + 1.  The
-    trials run as one job of the driver `_mc_run`.
-    """
-    out = _mc_run([_mc_job(G, trials, seed, limit)], lambda job, counts: counts)[0]
+def _mc_counts(job: _McJob) -> np.ndarray:
+    """The draw count of each of the job's trials, the job run alone by
+    the driver `_mc_run`; raises what the job raised."""
+    out = _mc_run([job], lambda job, counts: counts)[0]
     if isinstance(out, Exception):
         raise out
     return out
@@ -427,49 +432,32 @@ def _mc_part(
     out[live] = limit + 1
 
 
-def chebotarev_montecarlo(
-    G: Group, trials: int, seed: int, *, counts: np.ndarray | None = None
-) -> MonteCarloReport:
-    """Estimate C(G) by simulating the draw process to completion.
-
-    counts, when given, are the trials' draw counts already drawn by
-    `_mc_run` (a serial survey draws all its rows' side by side), and G
-    is not read.  Every Monte Carlo estimate of C(G) is reported here,
-    so the draw cap has one check.
-    """
-    if trials < 1:
-        raise InputError(f"need at least one trial, got {trials}")
-    check_seed(seed)
-    if counts is None:
-        counts = _mc_draw_counts(G, trials, seed)
+def _mc_report(job: _McJob, counts: np.ndarray) -> MonteCarloReport:
+    """The estimate of C(G) from a job's draw counts.  Every Monte Carlo
+    estimate of C(G), alone or in a survey, is made here, so the draw cap
+    has one check."""
     if counts.max() > MAX_DRAWS_PER_TRIAL:
         raise CapExceeded(f"a trial exceeded {MAX_DRAWS_PER_TRIAL} draws (draws)")
     mean = float(counts.mean())
     stderr = (
-        float(counts.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+        float(counts.std(ddof=1) / math.sqrt(job.trials)) if job.trials > 1 else 0.0
     )
-    return MonteCarloReport(mean=mean, stderr=stderr, trials=trials, seed=seed)
+    return MonteCarloReport(mean=mean, stderr=stderr, trials=job.trials, seed=job.seed)
 
 
-def _chebotarev_reports(jobs: list[_McJob]) -> list:
-    """chebotarev_montecarlo of each job, the trials of all of them drawn
-    by one `_mc_run` call: a MonteCarloReport, or the Exception raised."""
-    return _mc_run(
-        jobs, lambda job, counts: chebotarev_montecarlo(None, job.trials, job.seed, counts=counts)
-    )
+def chebotarev_montecarlo(G: Group, trials: int, seed: int) -> MonteCarloReport:
+    """Estimate C(G) by simulating the draw process to completion."""
+    job = _mc_job(G, trials, seed)
+    return _mc_report(job, _mc_counts(job))
 
 
 def p_invariable_montecarlo(
     G: Group, k: int, trials: int, seed: int
 ) -> ProbabilityReport:
     """Estimate P_I(G, k): the share of trials done within k draws."""
-    if trials < 1:
-        raise InputError(f"need at least one trial, got {trials}")
-    if k < 0:
-        raise InputError(f"draw count must be >= 0, got {k}")
-    check_seed(seed)
-    p_hat = float((_mc_draw_counts(G, trials, seed, limit=k) <= k).mean())
+    job = _mc_job(G, trials, seed, limit=k)
+    p_hat = float((_mc_counts(job) <= job.limit).mean())
     stderr = (
-        math.sqrt(p_hat * (1.0 - p_hat) / (trials - 1)) if trials > 1 else 0.0
+        math.sqrt(p_hat * (1.0 - p_hat) / (job.trials - 1)) if job.trials > 1 else 0.0
     )
-    return ProbabilityReport(p_hat, stderr, trials, seed, k)
+    return ProbabilityReport(p_hat, stderr, job.trials, job.seed, job.limit)

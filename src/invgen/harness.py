@@ -10,15 +10,16 @@ exception, as "<Type>: <message>" with its traceback on stderr, and
 the property battery's survey check counts every errored row as a
 violation.
 
-A serial survey runs in two phases: each row's exact work in corpus
-order, keeping of its Monte Carlo step only the kernel's job, then every
-row's kernel side by side in one call of the Monte Carlo driver (see
-invgen.cheb).  With threads > 1 a pool of `threads` worker processes
-(never more than there are rows) computes whole rows instead, and each
-row's kernel splits its own trials across the usable CPUs.  Rows are
-written in corpus order either way.  Every row's Monte Carlo seed
-derives from (base seed, line index), so output bytes depend only on
-(corpus, trials, seed).
+Every row is computed by _survey_rows, in two phases: each row's exact
+work in task order, keeping of its Monte Carlo step only the kernel's
+job, then every row's job in one call of the Monte Carlo driver (see
+invgen.cheb), which runs the kernels side by side.  A serial survey
+hands it every row at once; with threads > 1 a pool of `threads`
+worker processes (never more than there are rows) runs it one row per
+task, each row's kernel splitting its own trials across the usable
+CPUs.  Rows are written in corpus order either way.  Every row's Monte
+Carlo seed derives from (base seed, line index), so output bytes depend
+only on (corpus, trials, seed).
 """
 
 from __future__ import annotations
@@ -32,18 +33,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib.resources import files as _pkg_files
 
-from .cheb import (
-    _chebotarev_reports, _mc_job, chebotarev_exact, chebotarev_montecarlo,
-    min_k_for_probability,
-)
+from . import cheb, crowns
+from .cheb import _mc_job, _mc_report, _mc_run, chebotarev_exact, min_k_for_probability
 from .coverage import coverage_table
-from . import crowns
 from .errors import InputError, InvgenError
 from .group import Group, _family_name, _int_param, load_group
 from .modlin import ModuleAction, module_from_descriptor
-from .rng import check_seed, stream_state
+from .rng import check_int, check_seed, stream_state
 
 INVK_THRESHOLD = Fraction(2, 9)
+# perfbench/tracer.py wraps this name for its cheb.mc span; no survey row
+# calls it, as every row draws through _survey_rows
+chebotarev_montecarlo = cheb.chebotarev_montecarlo
 
 SURVEY_CSV_COLUMNS = (
     "name", "family", "order", "r",
@@ -201,14 +202,6 @@ class _Failed:
     trace: str | None = None
 
 
-def _attempt(fn, *args):
-    """fn(*args), or the _Failed of the Exception it raised."""
-    try:
-        return fn(*args)
-    except Exception as exc:
-        return _failed(exc)
-
-
 def _failed(exc: Exception) -> _Failed:
     if isinstance(exc, InvgenError):
         return _Failed(str(exc))
@@ -216,14 +209,14 @@ def _failed(exc: Exception) -> _Failed:
     return _Failed(f"{type(exc).__name__}: {exc}", "".join(traceback.format_exception(exc)))
 
 
-def _row_head(desc: dict, trials: int, row_seed: int, monte_carlo) -> list:
-    """A row's steps up to its diagnostics, in the order survey_row runs them.
+def _row_head(desc: dict, trials: int, row_seed: int) -> list:
+    """A row's steps up to its diagnostics, in the order they run.
 
-    Returns [row, mc, diag]: row holds every field but c_mc and
-    mc_stderr, mc is monte_carlo(G, trials, row_seed) and diag the
-    module diagnostics, or None for a row without a module; a step that
-    raised is a _Failed.  A failure before the Monte Carlo step ends the
-    row there, as [failure].  The group itself is not kept.
+    Returns [row, job, diag]: row holds every field but c_mc and
+    mc_stderr, job is the row's Monte Carlo kernel job and diag the
+    module diagnostics, a _Failed if they raised, or None for a row
+    without a module.  A failure up to the job ends the row there, as
+    [failure].  The group itself is not kept.
     """
     try:
         G, family, act = realize_descriptor(desc)
@@ -238,10 +231,14 @@ def _row_head(desc: dict, trials: int, row_seed: int, monte_carlo) -> list:
         row.ratio_sqrt = c / row.sqrt_order
         if G.order > 1:
             row.klz_ratio = c / math.sqrt(G.order * math.log(G.order))
+        job = _mc_job(G, trials, row_seed)
     except Exception as exc:
         return [_failed(exc)]
-    mc = _attempt(monte_carlo, G, trials, row_seed)
-    return [row, mc, None if act is None else _attempt(_module_diagnostics, act)]
+    try:
+        diag = None if act is None else _module_diagnostics(act)
+    except Exception as exc:
+        diag = _failed(exc)
+    return [row, job, diag]
 
 
 def _row_tail(desc: dict, steps: list) -> SurveyRow:
@@ -262,22 +259,17 @@ def _row_tail(desc: dict, steps: list) -> SurveyRow:
 
 def survey_row(desc: dict, trials: int, row_seed: int) -> SurveyRow:
     """One corpus row, its Monte Carlo trials split across the usable CPUs."""
-    return _row_tail(desc, _row_head(desc, trials, row_seed, chebotarev_montecarlo))
-
-
-def _survey_task(args: tuple) -> SurveyRow:
-    desc, trials, row_seed = args
-    return survey_row(desc, trials, row_seed)
+    return _survey_rows([(desc, trials, row_seed)])[0]
 
 
 def _survey_rows(tasks: list[tuple]) -> list[SurveyRow]:
-    """survey_row of each (desc, trials, row seed) task, in two phases:
-    the rows' exact work in task order, keeping of each row's Monte Carlo
-    step only its kernel job, then every row's job in one
-    _chebotarev_reports call, which runs the kernels side by side."""
-    heads = [_row_head(*task, _mc_job) for task in tasks]
-    drawn = [h for h in heads if len(h) > 1 and not isinstance(h[1], _Failed)]
-    for h, report in zip(drawn, _chebotarev_reports([h[1] for h in drawn])):
+    """The row of each (desc, trials, row seed) task, in two phases: the
+    rows' exact work in task order, keeping of each row's Monte Carlo
+    step only its kernel job, then every row's job in one _mc_run call,
+    which runs the kernels side by side."""
+    heads = [_row_head(*task) for task in tasks]
+    drawn = [h for h in heads if len(h) > 1]
+    for h, report in zip(drawn, _mc_run([h[1] for h in drawn], _mc_report)):
         h[1] = _failed(report) if isinstance(report, Exception) else report
     return [_row_tail(task[0], h) for task, h in zip(tasks, heads)]
 
@@ -297,11 +289,12 @@ def run_survey(
     number of rows.  Row i's Monte Carlo stream is seeded from (seed, i),
     so any thread count produces identical output.
     """
+    trials, threads = check_int(trials, "trials"), check_int(threads, "threads")
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
     if threads < 1:
         raise InputError(f"threads must be >= 1, got {threads}")
-    check_seed(seed)
+    seed = check_seed(seed)
     corpus = read_corpus(corpus_path)
     tasks = [
         (desc, trials, int(stream_state(seed, i)))
@@ -311,9 +304,9 @@ def run_survey(
         # imported here: the process pool pulls in multiprocessing and logging
         from concurrent.futures import ProcessPoolExecutor
 
-        # the pool forks all its workers up front
+        # the pool forks all its workers up front and takes one row per task
         with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
-            rows = list(pool.map(_survey_task, tasks))
+            rows = [row for (row,) in pool.map(_survey_rows, [[task] for task in tasks])]
     else:
         rows = _survey_rows(tasks)
 

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -52,8 +50,10 @@ from .genlift import (
     max_lift_rank,
 )
 from .group import ORDER_CAP, Group, bits_to_indices, load_group
-from .harness import agl_trend, read_corpus, realize_descriptor, run_survey, shipped_corpus_path
-from .rng import Stream, check_seed
+from .harness import (
+    agl_trend, read_corpus, realize_descriptor, run_survey, shipped_corpus_path, survey_row,
+)
+from .rng import Stream, check_seed, stream_state
 from .subgroups import (
     _record,
     closure_indices,
@@ -883,19 +883,18 @@ def _check_sotto_random(corpus: _Corpus, st: Stream):
 
 
 def _check_survey_determinism(corpus: _Corpus, st: Stream):
-    bad = []
-    with tempfile.TemporaryDirectory() as tmp:
-        out1 = os.path.join(tmp, "a.jsonl")
-        out2 = os.path.join(tmp, "b.jsonl")
-        run_survey(corpus.path, trials=2000, seed=7, out_path=out1, echo=lambda *_: None)
-        run_survey(corpus.path, trials=2000, seed=7, out_path=out2, echo=lambda *_: None)
-        with open(out1, "rb") as fh:
-            b1 = fh.read()
-        with open(out2, "rb") as fh:
-            b2 = fh.read()
-    if b1 != b2:
-        bad.append("two identical survey invocations differ at the byte level")
-    return 2, bad
+    # a survey's JSON lines against those of its rows surveyed one at a
+    # time, row i seeded from (seed, i) as run_survey seeds it: they may
+    # depend on nothing but (corpus, trials, seed), not on the batch or
+    # on the caches the survey filled
+    rows = run_survey(corpus.path, trials=2000, seed=7, echo=lambda *_: None)
+    alone = [
+        survey_row(desc, 2000, int(stream_state(7, i)))
+        for i, desc in enumerate(read_corpus(corpus.path))
+    ]
+    if [r.json_line() for r in rows] != [r.json_line() for r in alone]:
+        return 2, ["a survey and its rows surveyed one at a time differ at the byte level"]
+    return 2, []
 
 
 def _check_survey_bounds(corpus: _Corpus, st: Stream):

@@ -16,6 +16,8 @@ increment 2**64 / golden ratio.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import InputError
@@ -26,14 +28,27 @@ _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 
 
-def check_seed(seed: int) -> None:
-    """Raise InputError for a seed outside [0, 2**64).
+def check_int(val, what: str) -> int:
+    """val as an int; booleans and non-integers raise InputError."""
+    if not isinstance(val, bool):  # operator.index takes bool, not numpy's
+        try:
+            return operator.index(val)
+        except TypeError:
+            pass
+    raise InputError(f"{what} must be an integer, got {val!r}")
+
+
+def check_seed(seed: int) -> int:
+    """seed as an int; InputError for a non-integer or a seed outside
+    [0, 2**64).
 
     Every stream reduces its seed mod 2**64, so two seeds that differ by
     a multiple of 2**64 would alias and give the same draws.
     """
+    seed = check_int(seed, "seed")
     if not 0 <= seed <= MASK64:
         raise InputError(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
 
 
 def mix64(z: int) -> int:

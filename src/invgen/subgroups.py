@@ -626,8 +626,7 @@ def _maximal_orbits(G: Group) -> list[np.ndarray]:
     if G.order == 1:
         return []
     members, abelian = _minimal_normal(G)
-    simple = not abelian and len(members) == G.order
-    if simple:
+    if not abelian and len(members) == G.order:  # G is simple
         out = []
         for rep, orbit in _lattice(G):
             if rep.is_maximal:

@@ -30,7 +30,7 @@ def s4():
 
 @pytest.fixture()
 def mini_corpus(tmp_path):
-    """A one-line corpus file; cheap enough for survey round trips."""
+    """A three-row corpus file; cheap enough for survey round trips."""
     path = tmp_path / "mini.jsonl"
     rows = [
         {"family": "cyclic", "n": 2},

@@ -29,7 +29,7 @@ from invgen.rng import randbelow, stream_state
 
 
 def chebotarev_montecarlo_reference(G, trials: int, seed: int) -> np.ndarray:
-    """Scalar-loop twin of _mc_draw_counts; must agree draw for draw."""
+    """Scalar-loop twin of _draw_counts; must agree draw for draw."""
     n = G.order
     class_of = G.class_of()
     table = coverage_table(G)
@@ -52,6 +52,12 @@ def chebotarev_montecarlo_reference(G, trials: int, seed: int) -> np.ndarray:
             j += 1
         counts[t] = j
     return counts
+
+
+def _draw_counts(G, trials: int, seed: int, limit: int = MAX_DRAWS_PER_TRIAL) -> np.ndarray:
+    """The kernel's draw count of each trial, a trial still short of
+    invariable generation after limit draws reading limit + 1."""
+    return cheb._mc_counts(cheb._mc_job(G, trials, seed, limit))
 
 
 def brute_force_profile(G) -> dict:
@@ -326,7 +332,7 @@ def test_mc_reference_twin_agrees(mc_group, monkeypatch):
     slow = chebotarev_montecarlo_reference(mc_group, 300, seed=9)
     for budget in BLOCK_BUDGETS:
         monkeypatch.setattr(cheb, "MC_BLOCK_DRAWS", budget)
-        fast = cheb._mc_draw_counts(mc_group, 300, seed=9)
+        fast = _draw_counts(mc_group, 300, seed=9)
         assert np.array_equal(fast, slow), budget
 
 
@@ -336,7 +342,7 @@ def test_mc_draw_limit_truncates_the_twin(mc_group, monkeypatch):
     for budget in BLOCK_BUDGETS:
         monkeypatch.setattr(cheb, "MC_BLOCK_DRAWS", budget)
         for k in (0, 1, 2, 3, 7, 20):
-            fast = cheb._mc_draw_counts(mc_group, 300, seed=6, limit=k)
+            fast = _draw_counts(mc_group, 300, seed=6, limit=k)
             assert np.array_equal(fast, np.minimum(slow, k + 1)), (budget, k)
 
 
@@ -394,7 +400,7 @@ def test_mc_parts_give_identical_counts(mc_group, monkeypatch, limit):
     counts = []
     for parts in (1, 2, 3):
         ran = _force_parts(monkeypatch, parts)
-        counts.append(cheb._mc_draw_counts(mc_group, PART_TRIALS, seed=13, limit=limit))
+        counts.append(_draw_counts(mc_group, PART_TRIALS, seed=13, limit=limit))
         _check_split(ran, parts, mc_group)
         assert threading.active_count() == threads  # no thread outlives the call
     assert np.array_equal(counts[0], counts[1])
@@ -407,12 +413,12 @@ def test_mc_parts_outnumbering_cores_under_frequent_switches(load, monkeypatch):
     G = load(MC_GROUPS["elemab_2_7"])
     trials = 4 * cheb.MC_MIN_PART_TRIALS
     monkeypatch.setattr(cheb, "_usable_cpus", lambda: 1)
-    serial = cheb._mc_draw_counts(G, trials, seed=21)
+    serial = _draw_counts(G, trials, seed=21)
     monkeypatch.setattr(cheb, "_usable_cpus", lambda: 4)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        split = cheb._mc_draw_counts(G, trials, seed=21)
+        split = _draw_counts(G, trials, seed=21)
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(serial, split)
@@ -423,7 +429,7 @@ def test_mc_small_calls_stay_in_the_calling_thread(s3, monkeypatch):
     # minimum parts run as one part even with CPUs to spare
     for trials in (300, 4096, 2 * cheb.MC_MIN_PART_TRIALS - 1):
         ran = _force_parts(monkeypatch, 8)
-        cheb._mc_draw_counts(s3, trials, seed=2)
+        _draw_counts(s3, trials, seed=2)
         assert ran == [(0, trials, True)]
 
 
@@ -431,7 +437,7 @@ def test_mc_part_error_reaches_the_caller(s3, monkeypatch):
     before = threading.active_count()
     ran = _force_parts(monkeypatch, 3, fail=True)
     with pytest.raises(RuntimeError, match="failed"):
-        cheb._mc_draw_counts(s3, PART_TRIALS, seed=1)
+        _draw_counts(s3, PART_TRIALS, seed=1)
     assert len(ran) == 3
     assert threading.active_count() == before
 
@@ -461,6 +467,52 @@ def test_mc_input_validation(s3):
             chebotarev_montecarlo(s3, trials=10, seed=seed)
         with pytest.raises(InputError, match="seed"):
             p_invariable_montecarlo(s3, 2, trials=10, seed=seed)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        # the range checks, in order: trials, then the draw count, then the seed
+        (lambda G: chebotarev_montecarlo(G, 0, 1), "need at least one trial, got 0"),
+        (lambda G: p_invariable_montecarlo(G, 2, 0, 1), "need at least one trial, got 0"),
+        (lambda G: p_invariable_montecarlo(G, -1, 0, -1), "need at least one trial, got 0"),
+        (lambda G: p_invariable_montecarlo(G, -1, 10, 1), "draw count must be >= 0, got -1"),
+        (lambda G: p_invariable_montecarlo(G, -1, 10, -1), "draw count must be >= 0, got -1"),
+        (lambda G: chebotarev_montecarlo(G, 10, -1), "seed must lie in [0, 2**64), got -1"),
+        (lambda G: chebotarev_montecarlo(G, 10, 2**64), "seed must lie in [0, 2**64)"),
+        (lambda G: p_invariable_montecarlo(G, 2, 10, -1), "seed must lie in [0, 2**64)"),
+        (lambda G: p_invariable_montecarlo(G, 2, 10, 2**64), "seed must lie in [0, 2**64)"),
+        # booleans and non-integers, never truncated or read as 0 and 1
+        (lambda G: chebotarev_montecarlo(G, 2.5, 1), "trials must be an integer, got 2.5"),
+        (lambda G: chebotarev_montecarlo(G, True, 1), "trials must be an integer, got True"),
+        (lambda G: chebotarev_montecarlo(G, 10.0, 1), "trials must be an integer, got 10.0"),
+        (lambda G: chebotarev_montecarlo(G, 10, True), "seed must be an integer, got True"),
+        (lambda G: chebotarev_montecarlo(G, 10, 1.0), "seed must be an integer, got 1.0"),
+        (lambda G: chebotarev_montecarlo(G, 10, np.bool_(False)), "seed must be an integer"),
+        (lambda G: p_invariable_montecarlo(G, 2, 10.0, 1), "trials must be an integer, got 10.0"),
+        (lambda G: p_invariable_montecarlo(G, True, 10, 1), "draw count must be an integer, got True"),
+        (lambda G: p_invariable_montecarlo(G, 2.5, 10, 1), "draw count must be an integer, got 2.5"),
+        (lambda G: p_invariable_montecarlo(G, 2, 10, "1"), "seed must be an integer, got '1'"),
+        (lambda G: p_invariable_montecarlo(G, True, 0, 1), "need at least one trial, got 0"),
+    ],
+    ids=[
+        "cheb-trials-0", "pinv-trials-0", "pinv-trials-before-k-and-seed", "pinv-k-negative",
+        "pinv-k-before-seed", "cheb-seed-negative", "cheb-seed-2^64", "pinv-seed-negative",
+        "pinv-seed-2^64", "cheb-trials-fraction", "cheb-trials-bool", "cheb-trials-float",
+        "cheb-seed-bool", "cheb-seed-float", "cheb-seed-numpy-bool", "pinv-trials-float",
+        "pinv-k-bool", "pinv-k-fraction", "pinv-seed-str", "pinv-trials-before-k-type",
+    ],
+)
+def test_mc_input_messages_in_order(s3, call, error):
+    with pytest.raises(InputError) as info:
+        call(s3)
+    assert str(info.value).startswith(error)
+
+
+def test_mc_takes_numpy_integers(s3):
+    rep = p_invariable_montecarlo(s3, np.int64(2), np.int32(300), np.uint64(4))
+    assert rep == p_invariable_montecarlo(s3, 2, 300, 4)
+    assert type(rep.trials) is type(rep.seed) is type(rep.draws) is int
 
 
 def test_p_invariable_mc_agrees(s3):

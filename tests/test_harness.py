@@ -208,6 +208,34 @@ def test_survey_names_a_failed_elemab_row_as_load_group_would(tmp_path):
     assert ok.name == load_group(rows[0]).name
 
 
+@pytest.mark.parametrize(
+    "given, error",
+    [
+        ({"trials": True}, "trials must be an integer, got True"),
+        ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+        ({"trials": 0}, "trials must be >= 1, got 0"),
+        ({"threads": True}, "threads must be an integer, got True"),
+        ({"threads": 2.0}, "threads must be an integer, got 2.0"),
+        ({"threads": 0}, "threads must be >= 1, got 0"),
+        ({"seed": False}, "seed must be an integer, got False"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": -1}, "seed must lie in [0, 2**64), got -1"),
+    ],
+    ids=[
+        "trials-bool", "trials-fraction", "trials-0", "threads-bool", "threads-float",
+        "threads-0", "seed-bool", "seed-fraction", "seed-negative",
+    ],
+)
+def test_survey_refuses_bad_counts_up_front(mini_corpus, tmp_path, given, error):
+    # refused before any row runs: no TypeError escapes the survey and no
+    # output file is written
+    out = tmp_path / "rows.jsonl"
+    with pytest.raises(InputError) as info:
+        run_survey(mini_corpus, **{"trials": 10, **given}, out_path=str(out), **QUIET)
+    assert str(info.value) == error
+    assert not out.exists()
+
+
 def test_survey_empty_corpus(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
@@ -605,7 +633,7 @@ def test_a_kernel_error_stays_in_its_row(tmp_path, monkeypatch, capfd, exc, erro
 
 
 def test_a_kernel_error_outranks_a_diagnostics_error(tmp_path, monkeypatch):
-    # survey_row's order: the Monte Carlo estimate comes before the
+    # a row's order: the Monte Carlo estimate comes before the
     # diagnostics, so its error is the one the row reports
     import invgen.harness as harness
 
@@ -623,9 +651,9 @@ def test_a_kernel_error_outranks_a_diagnostics_error(tmp_path, monkeypatch):
     assert harness.survey_row(TWIN_CORPUS[1], 300, _row_seed(3, 1)).error == "kernel capped"
 
 
-def test_the_draw_cap_reads_the_same_in_both_survey_paths(tmp_path, monkeypatch):
-    # the serial survey reports its rows' draws through chebotarev_montecarlo,
-    # so the one draw-cap check also guards them
+def test_the_draw_cap_reads_the_same_through_every_entry(tmp_path, monkeypatch):
+    # a survey, a lone row and a lone chebotarev_montecarlo call all report
+    # their draws through _mc_report, so the one draw-cap check guards them
     from invgen import cheb
     from invgen.harness import survey_row
 
@@ -634,6 +662,8 @@ def test_the_draw_cap_reads_the_same_in_both_survey_paths(tmp_path, monkeypatch)
     rows = run_survey(corpus, trials=300, seed=3, **QUIET)
     assert rows[2].error == "a trial exceeded 3 draws (draws)"
     assert rows == [survey_row(desc, 300, _row_seed(3, i)) for i, desc in enumerate(TWIN_CORPUS)]
+    with pytest.raises(CapExceeded, match=r"^a trial exceeded 3 draws \(draws\)$"):
+        cheb.chebotarev_montecarlo(load_group(TWIN_CORPUS[2]), 300, _row_seed(3, 2))
 
 
 def test_survey_check_counts_a_kernel_error_as_a_violation(monkeypatch, mini_corpus):
@@ -641,3 +671,21 @@ def test_survey_check_counts_a_kernel_error_as_a_violation(monkeypatch, mini_cor
     report = verify_props(corpus_path=mini_corpus, only=(("harness", "survey_bounds"),))
     (outcome,) = report.outcomes
     assert outcome.violations == ["sym(3): corpus row errored: RuntimeError: kernel defect"]
+
+
+def test_survey_determinism_check_catches_a_batch_dependent_row(monkeypatch, mini_corpus):
+    # the battery compares a survey with its rows surveyed one at a time,
+    # so an estimate that depends on the batch its row ran in is caught
+    import dataclasses
+
+    import invgen.harness as harness
+
+    real = harness._mc_run
+
+    def batch_dependent(jobs, finish):
+        return [dataclasses.replace(r, mean=r.mean + (len(jobs) > 1)) for r in real(jobs, finish)]
+
+    monkeypatch.setattr(harness, "_mc_run", batch_dependent)
+    report = verify_props(corpus_path=mini_corpus, only=(("harness", "survey_determinism"),))
+    (outcome,) = report.outcomes
+    assert outcome.violations == ["a survey and its rows surveyed one at a time differ at the byte level"]

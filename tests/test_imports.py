@@ -140,31 +140,18 @@ def test_only_group_normalises_perms():
     assert calls.get("perm.py") == 1
 
 
-def _lattice_calls(tree: ast.Module):
-    """(enclosing function, tests of the ifs whose body holds the call)
-    for each call of _lattice."""
-    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and "_lattice" in (
-            getattr(node.func, "id", None), getattr(node.func, "attr", None)
-        ):
-            branches, child, up = [], node, parent[node]
-            while not isinstance(up, (ast.FunctionDef, ast.Module)):
-                if isinstance(up, ast.If) and child in up.body:
-                    branches.append(ast.unparse(up.test))
-                child, up = up, parent[up]
-            yield getattr(up, "name", "<module>"), branches
-
-
 def test_only_lattice_questions_build_the_lattice():
     # subgroup_lattice and maximal_subgroups_up_to_conjugacy ask for the
-    # lattice itself; _maximal_orbits reads it only for a simple group
-    calls = {p.name: sorted(c) for p in _modules() if (c := list(_lattice_calls(_tree(p))))}
+    # lattice itself; _maximal_orbits reads it only for a simple group,
+    # which tests/test_maximal.py checks by behaviour
+    calls = {
+        p.name: sorted(c) for p in _modules() if (c := _calls_by_function(_tree(p), {"_lattice"}))
+    }
     assert calls == {
         "subgroups.py": [
-            ("_maximal_orbits", ["simple"]),
-            ("maximal_subgroups_up_to_conjugacy", []),
-            ("subgroup_lattice", []),
+            ("_maximal_orbits", "_lattice"),
+            ("maximal_subgroups_up_to_conjugacy", "_lattice"),
+            ("subgroup_lattice", "_lattice"),
         ]
     }, calls
 
@@ -237,6 +224,28 @@ def test_criteria_run_through_the_block_primitive():
     assert scalar == set(), scalar
 
 
+def test_every_kernel_call_runs_through_one_driver():
+    # only _mc_run runs kernel parts, and every job it runs is built, and
+    # its inputs checked, by _mc_job: the estimators and the survey share
+    # one driver, so no second survey or estimator path can come back
+    calls = {
+        p.name: sorted(c) for p in _modules()
+        if (c := _calls_by_function(_tree(p), {"_mc_part", "_mc_run", "_mc_job"}))
+    }
+    assert calls == {
+        "cheb.py": [
+            ("_mc_counts", "_mc_run"),
+            ("_mc_run", "_mc_part"),
+            ("chebotarev_montecarlo", "_mc_job"),
+            ("p_invariable_montecarlo", "_mc_job"),
+        ],
+        "harness.py": [
+            ("_row_head", "_mc_job"),
+            ("_survey_rows", "_mc_run"),
+        ],
+    }, calls
+
+
 def test_one_cayley_walk_under_the_table_and_the_modules():
     # _cayley_steps is the one breadth-first walk of a Cayley graph: the
     # multiplication table, the module matrices and the derivation
@@ -276,7 +285,7 @@ def test_every_cap_is_a_known_one():
     # enumeration with a cap of its own has no place here
     sites = {p.name: s for p in _modules() if (s := _cap_raises(_tree(p)))}
     assert sites == {
-        "cheb.py": ["chebotarev_montecarlo", "min_k_for_probability"],
+        "cheb.py": ["_mc_report", "min_k_for_probability"],
         "coverage.py": ["_invariably_generates_exhaustive"],
         "group.py": ["_check_degree", "_check_order"],
     }, sites

@@ -213,6 +213,30 @@ def test_proper_nonabelian_socle_takes_the_lattice_of_the_socle(monkeypatch):
         assert route == lattice_route(load_group(desc))
 
 
+def _has_abelian_minimal_normal(H: Group) -> bool:
+    for N in minimal_normal_subgroups(H):
+        members = N.member_indices()
+        block = H.table[np.ix_(members, members)]
+        if (block == block.T).all():
+            return True
+    return False
+
+
+def test_corpus_groups_build_a_lattice_only_without_an_abelian_minimal_normal(monkeypatch):
+    # maximal_classes on fresh copies of the corpus groups hands _lattice,
+    # also in its recursion through quotients, only groups none of whose
+    # minimal normal subgroups is abelian; and some corpus groups have one,
+    # so they took the abelian route without a lattice
+    built = _lattice_builds(monkeypatch)
+    abelian_route = 0
+    for desc in read_corpus(shipped_corpus_path()):
+        G = realize_descriptor(desc)[0]
+        maximal_classes(G)
+        abelian_route += G.order > 1 and _has_abelian_minimal_normal(G)
+    assert built and not any(_has_abelian_minimal_normal(H) for H in built)
+    assert abelian_route
+
+
 def _pgl27() -> Group:
     """PGL(2, 7) on GF(7) and infinity (point 7): x + 1, 3x and -1/x."""
     inf = 7
