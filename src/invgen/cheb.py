@@ -164,6 +164,7 @@ def chebotarev_exact(G: Group) -> ExactChebotarev:
 
 def p_invariable_exact(G: Group, k: int) -> Fraction:
     """Probability that k independent uniform draws invariably generate G."""
+    k = check_int(k, "draw count")
     if k < 0:
         raise InputError(f"draw count must be >= 0, got {k}")
     profile = inclusion_exclusion_profile(G)
@@ -200,6 +201,7 @@ def truncated_expectation(G: Group, cutoff: int) -> tuple[Fraction, Fraction]:
     head + tail == C(G) identically, which makes this a useful internal
     consistency probe.
     """
+    cutoff = check_int(cutoff, "cutoff")
     if cutoff < 0:
         raise InputError(f"cutoff must be >= 0, got {cutoff}")
     profile = inclusion_exclusion_profile(G)

@@ -7,13 +7,13 @@ entry, so everything downstream (exact Chebotarev values, Monte Carlo
 runs, the survey) only needs one table per group: for each conjugacy
 class of maximal subgroups, the set of element classes covered.
 
-The maximal classes come without the lattice of G through a minimal
-normal subgroup N.  A maximal subgroup either contains N, and is the
-preimage of a maximal subgroup of G/N, found by the same recursion on
-G/N, or it is a complement of N, found by lifting generators of G/N
-with joins that stop as soon as they meet N, or (N nonabelian only) the
-normalizer of a subgroup of N, read off the lattice of N alone.  Only a
-nonabelian simple group reads its maximal classes off its own lattice.
+The maximal classes come without the lattice of G, for every group,
+through a minimal normal subgroup N.  A maximal subgroup either contains
+N, and is the preimage of a maximal subgroup of G/N, found by the same
+recursion on G/N, or it is a complement of N, found by lifting
+generators of G/N with joins that stop as soon as they meet N, or (N
+nonabelian only, N = G for a simple G) the normalizer of a subgroup of
+N, read off the lattice of N alone.
 
 The covers are the rows of one boolean (maximal classes x element
 classes) array, each packed into an int bitmask with ``np.packbits``;

@@ -312,7 +312,8 @@ class Group:
         """Index of p, a Perm of this group or an element index.
 
         An index is checked against 0..order-1, never wrapped; a Perm is
-        found by one binary search for its row among the sorted rows.
+        found by ``_lookup``'s binary search for its row among the sorted
+        rows.
         """
         if not isinstance(p, Perm):
             i = operator.index(p)
@@ -320,10 +321,10 @@ class Group:
                 raise InputError(f"element index {i} out of range for order {self.order}")
             return i
         if p.degree == self.degree:
-            key = np.array(p.images, dtype=self._E.dtype).view(self._keys.dtype)
-            i = int(np.searchsorted(self._keys, key)[0])
-            if i < self.order and self._keys[i].tobytes() == key.tobytes():
-                return i
+            try:
+                return int(self._lookup([p.images])[0])
+            except KeyError:
+                pass
         raise InputError(f"{p.cycle_string()} is not an element of {self.name}")
 
     def __contains__(self, p):

@@ -355,7 +355,7 @@ def agl_trend(qs) -> list[dict]:
     """
     rows = []
     for q in qs:
-        q = int(q)
+        q = check_int(q, "q")
         G = load_group({"family": "agl1", "q": q})
         value = chebotarev_exact(G).value
         rows.append(
@@ -423,7 +423,7 @@ def binomial_tail(mm: int, p: Fraction, l: int) -> Fraction:
 def binomial_check_row(epsilon, p, l: int) -> BinomialCheckRow:
     epsilon = Fraction(epsilon)
     p = Fraction(p)
-    l = int(l)
+    l = check_int(l, "l")
     if not 0 < epsilon < 1:
         raise InputError(f"epsilon must lie in (0, 1), got {epsilon}")
     if not 0 < p < 1:

@@ -186,8 +186,8 @@ def _check_frattini_nongenerators(corpus: _Corpus, st: Stream):
     phis = {}
     for G in corpus.groups():
         bits = (1 << G.order) - 1
-        for rec in subgroup_lattice(G):
-            if rec.is_maximal:
+        for rep in maximal_subgroups_up_to_conjugacy(G):
+            for rec in subgroup_conjugates(G, rep):
                 bits &= rec.bits
         if frattini(G).bits != bits:
             bad.append(f"{G.name}: frattini(G) differs from the lattice's Phi(G)")
@@ -561,9 +561,9 @@ def _check_criterion_soundness(corpus: _Corpus, st: Stream):
     with ambient order <= ORDER_CAP: all ws when |V|^u <= 256, else 500
     random ws.  Invariable generation is brute-forced through the
     ambient's class-coverage test.  Its maximal classes come through a
-    minimal normal subgroup, so no ambient builds its own lattice (only
-    a simple quotient does, such as A5 under mod_sl24_nat's ambient);
-    the |V|^u <= 128 gate on that half is a cost bound, not a need.
+    minimal normal subgroup, so no ambient, and no quotient of one,
+    builds its own lattice; the |V|^u <= 128 gate on that half is a
+    cost bound, not a need.
     The criteria judge each block of ws in one call, and the block's
     lifted elements are found by one search among the ambient's rows.
     """

@@ -3,16 +3,18 @@
 Subgroups are identified by membership bitsets (Python ints over element
 indices).  The coverage table, ``frattini``, the Frattini test of a
 chief factor and the crown candidates need only the conjugacy classes of
-maximal subgroups, and ``maximal_classes`` finds them through a minimal
-normal subgroup N without the lattice of G: preimages of the maximal
-subgroups of G/N, complements of N and, when N is nonabelian,
-normalizers of subgroups of N, read off the lattice of N alone.  N is
-the smallest abelian normal closure of a prime-order class, or else the
-smallest such closure; it is minimal normal, as any minimal normal
-subgroup inside a closure is itself such a closure.  The lattice of G
-is left for what needs every subgroup (``subgroup_lattice`` and
-``maximal_subgroups_up_to_conjugacy``, so the property battery checks
-one route against the other) and for nonabelian simple groups.
+maximal subgroups, and ``maximal_classes`` finds them, for every group,
+through a minimal normal subgroup N without the lattice of G: preimages
+of the maximal subgroups of G/N, complements of N and, when N is
+nonabelian, normalizers of subgroups of N, read off the lattice of N
+alone, built as a group of its own even when N = G.  N is the smallest
+abelian normal closure of a prime-order class, or else the smallest
+such closure; it is minimal normal, as any minimal normal subgroup
+inside a closure is itself such a closure.  The lattice of G is left for
+what needs every subgroup (``subgroup_lattice`` and
+``maximal_subgroups_up_to_conjugacy``, which decides maximality by
+containment itself), so the property battery checks two independent
+routes against each other on every group.
 
 The lattice is built bottom-up: seed with the prime-power
 cyclic subgroups, then repeatedly join class representatives with cyclic
@@ -62,7 +64,6 @@ class SubgroupRecord:
     bits: int
     order: int
     gens: tuple  # element indices generating the subgroup
-    is_maximal: bool | None = None
     _members: np.ndarray | None = field(default=None, repr=False)
 
     def member_indices(self) -> np.ndarray:
@@ -349,33 +350,28 @@ def _lattice(G: Group) -> list[tuple[SubgroupRecord, list[SubgroupRecord]]]:
             if indices_to_bits(members, n) not in seen_bits:  # a record only for a new subgroup
                 admit(_record(G, members, H.gens + c.gens))
 
-    # maximality flags
     classes.sort(key=lambda pair: (pair[0].order, pair[0].bits))
-    by_order: dict[int, list[int]] = {}
-    for rep, orbit in classes:
-        by_order.setdefault(rep.order, []).extend(r.bits for r in orbit)
-    orders = sorted(by_order)
-    for rep, orbit in classes:
-        if rep.order == n:
-            maximal = False
-        else:
-            maximal = True
-            for d in orders:
-                if d <= rep.order or d == n or d % rep.order:
-                    continue
-                if any((rep.bits & b) == rep.bits for b in by_order[d]):
-                    maximal = False
-                    break
-        for r in orbit:
-            r.is_maximal = maximal
     G._lattice = classes
     return classes
 
 
 def maximal_subgroups_up_to_conjugacy(G: Group) -> list[SubgroupRecord]:
     """One representative per conjugacy class of maximal subgroups, sorted
-    by (order, bitset)."""
-    return [rep for rep, _ in _lattice(G) if rep.is_maximal]
+    by (order, bitset): the proper subgroups of the lattice that no
+    proper subgroup of a larger order, a multiple of theirs, contains."""
+    classes = _lattice(G)
+    by_order: dict[int, list[int]] = {}
+    for rep, orbit in classes:
+        if rep.order < G.order:
+            by_order.setdefault(rep.order, []).extend(r.bits for r in orbit)
+    return [
+        rep for rep, _ in classes
+        if rep.order < G.order and not any(
+            (rep.bits & b) == rep.bits
+            for d, bits in by_order.items() if d > rep.order and d % rep.order == 0
+            for b in bits
+        )
+    ]
 
 
 def subgroup_conjugates(G: Group, rec: SubgroupRecord) -> list[SubgroupRecord]:
@@ -596,9 +592,11 @@ def _normalizer_orbits(G: Group, members: np.ndarray) -> list[np.ndarray]:
     given members, ascending, whose G-class holds |N : K| subgroups.
 
     The subgroups of N come from the lattice of N, built from G's rows
-    and table as a group on G's points whose element i is members[i];
-    N normal makes the set of them closed under conjugation by G.  A
-    maximal M = N_G(K) not containing N has MN = G, so |G : M| = |N : M ∩ N|, which is |N : K| only for K = M ∩ N: M
+    and table as a group on G's points whose element i is members[i],
+    a group of its own also when N = G, so the lattice of G itself is
+    never read; N normal makes the set of them closed under conjugation
+    by G.  A maximal M = N_G(K) not containing N has MN = G, so
+    |G : M| = |N : M ∩ N|, which is |N : K| only for K = M ∩ N: M
     comes from one class of K, with distinct rows.  Any other normalizer
     may repeat a row or a class, and is left to the maximality filter.
     """
@@ -626,15 +624,6 @@ def _maximal_orbits(G: Group) -> list[np.ndarray]:
     if G.order == 1:
         return []
     members, abelian = _minimal_normal(G)
-    if not abelian and len(members) == G.order:  # G is simple
-        out = []
-        for rep, orbit in _lattice(G):
-            if rep.is_maximal:
-                masks = np.zeros((len(orbit), G.order), dtype=bool)
-                for row, r in zip(masks, orbit):
-                    row[r.member_indices()] = True
-                out.append(masks)
-        return out
     Q, index_map = quotient_with_map(G, members)
     above = [masks[:, index_map] for masks in _maximal_orbits(Q)]
     complements = _complement_orbits(G, members, Q, index_map)
@@ -653,8 +642,7 @@ def _maximal_orbits(G: Group) -> list[np.ndarray]:
 
 def maximal_classes(G: Group) -> list[np.ndarray]:
     """Conjugacy classes of maximal subgroups of G, through a minimal
-    normal subgroup N of G, taken abelian when G has an abelian one; only
-    a nonabelian simple G reads them off its own lattice.
+    normal subgroup N of G, taken abelian when G has an abelian one.
 
     A maximal subgroup M either contains N, and is then the preimage of
     a maximal subgroup of G/N, found by the same recursion on G/N with
@@ -665,14 +653,16 @@ def maximal_classes(G: Group) -> list[np.ndarray]:
       it is 1 or N, hence 1, and M is a complement of N.  Conversely
       every complement of an abelian minimal normal N is maximal, so
       these are the candidates.
-    - Nonabelian N < G: if K ≠ 1, K is not normal in G, since N is
+    - Nonabelian N ≤ G: if K ≠ 1, K is not normal in G, since N is
       minimal normal and K ≠ N, so M ≤ N_G(K) < G and M = N_G(K);
       if K = 1, M is a complement of N.  So every maximal subgroup is a
       preimage, a complement, or the normalizer of a subgroup 1 < K < N,
       read off the lattice of N; as |G : M| = |N : K|, only the K whose
       G-class holds |N : K| subgroups are normalized.  Each candidate is
       proper, so the maximal ones are the candidates no other candidate
-      strictly contains.
+      strictly contains.  A simple G is the case N = G: G/N is trivial,
+      its one complement 1 is dropped, and each maximal M is the
+      self-normalizing K = M, whose class holds |G : M| subgroups.
 
     Each class is a boolean array with one membership row per conjugate.
     Rows ascend by bitset and classes by (order, least bitset), the key

@@ -24,7 +24,9 @@ from invgen import (
 )
 from invgen import cheb
 from invgen.cheb import MAX_DRAWS_PER_TRIAL, _reduced_covers
-from invgen.harness import read_corpus, realize_descriptor, shipped_corpus_path
+from invgen.harness import (
+    agl_trend, binomial_check_row, read_corpus, realize_descriptor, shipped_corpus_path,
+)
 from invgen.rng import randbelow, stream_state
 
 
@@ -513,6 +515,33 @@ def test_mc_takes_numpy_integers(s3):
     rep = p_invariable_montecarlo(s3, np.int64(2), np.int32(300), np.uint64(4))
     assert rep == p_invariable_montecarlo(s3, 2, 300, 4)
     assert type(rep.trials) is type(rep.seed) is type(rep.draws) is int
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        # booleans and non-integers are refused, never truncated or read as 1
+        (lambda G: p_invariable_exact(G, 2.5), "draw count must be an integer, got 2.5"),
+        (lambda G: p_invariable_exact(G, True), "draw count must be an integer, got True"),
+        (lambda G: truncated_expectation(G, 2.5), "cutoff must be an integer, got 2.5"),
+        (lambda G: truncated_expectation(G, True), "cutoff must be an integer, got True"),
+        (lambda G: agl_trend([5.5]), "q must be an integer, got 5.5"),
+        (lambda G: binomial_check_row("1/2", "1/10", 2.7), "l must be an integer, got 2.7"),
+        # negative values keep their range messages
+        (lambda G: p_invariable_exact(G, -1), "draw count must be >= 0, got -1"),
+        (lambda G: truncated_expectation(G, -1), "cutoff must be >= 0, got -1"),
+        (lambda G: binomial_check_row("1/2", "1/10", 0), "l must be >= 1, got 0"),
+    ],
+    ids=[
+        "pinv-exact-k-fraction", "pinv-exact-k-bool", "tail-cutoff-fraction",
+        "tail-cutoff-bool", "agl-q-fraction", "binom-l-fraction", "pinv-exact-k-negative",
+        "tail-cutoff-negative", "binom-l-0",
+    ],
+)
+def test_exact_and_trend_integer_inputs(s3, call, error):
+    with pytest.raises(InputError) as info:
+        call(s3)
+    assert str(info.value) == error
 
 
 def test_p_invariable_mc_agrees(s3):

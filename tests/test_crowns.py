@@ -31,8 +31,10 @@ from invgen.subgroups import (
     _lattice,
     _record,
     frattini,
+    maximal_subgroups_up_to_conjugacy,
     minimal_normal_subgroups,
     quotient_with_map,
+    subgroup_conjugates,
     subgroup_lattice,
 )
 
@@ -150,12 +152,11 @@ def _crown_by_definition(G, A) -> int:
     classes = _lattice(G)
     normals = [rep for rep, orbit in classes if len(orbit) == 1]
     cores = []
-    for rep, orbit in classes:
-        if rep.is_maximal:
-            core = rep.bits
-            for conj in orbit:
-                core &= conj.bits
-            cores.append(core)
+    for rep in maximal_subgroups_up_to_conjugacy(G):
+        core = rep.bits
+        for conj in subgroup_conjugates(G, rep):
+            core &= conj.bits
+        cores.append(core)
 
     def inside(small, big):
         return small.bits != big.bits and small.bits & big.bits == small.bits
@@ -607,8 +608,8 @@ def test_frattini_values():
 def _lattice_frattini_bits(G) -> int:
     """Phi(G) as the AND of the maximal subgroups in the whole lattice."""
     bits = (1 << G.order) - 1
-    for rec in subgroup_lattice(G):
-        if rec.is_maximal:
+    for rep in maximal_subgroups_up_to_conjugacy(G):
+        for rec in subgroup_conjugates(G, rep):
             bits &= rec.bits
     return bits
 

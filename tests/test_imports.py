@@ -142,18 +142,37 @@ def test_only_group_normalises_perms():
 
 def test_only_lattice_questions_build_the_lattice():
     # subgroup_lattice and maximal_subgroups_up_to_conjugacy ask for the
-    # lattice itself; _maximal_orbits reads it only for a simple group,
-    # which tests/test_maximal.py checks by behaviour
+    # lattice itself; the maximal classes never read it, for any group,
+    # which tests/test_maximal.py also checks by behaviour
     calls = {
         p.name: sorted(c) for p in _modules() if (c := _calls_by_function(_tree(p), {"_lattice"}))
     }
     assert calls == {
         "subgroups.py": [
-            ("_maximal_orbits", "_lattice"),
             ("maximal_subgroups_up_to_conjugacy", "_lattice"),
             ("subgroup_lattice", "_lattice"),
         ]
     }, calls
+
+
+def test_only_the_normalizer_search_asks_for_a_lattice_in_subgroups():
+    # the maximal-class route reaches a lattice only through the socle
+    # that _normalizer_orbits builds as a group of its own
+    calls = _calls_by_function(_tree(PACKAGE / "subgroups.py"), {"subgroup_lattice"})
+    assert calls == {("_normalizer_orbits", "subgroup_lattice")}
+
+
+def test_no_subgroup_record_carries_a_maximality_flag():
+    # maximal_subgroups_up_to_conjugacy decides maximality itself, so the
+    # lattice fills no flag for it
+    from invgen.subgroups import SubgroupRecord
+
+    assert "is_maximal" not in SubgroupRecord.__dataclass_fields__
+    read = {
+        p.name for p in PACKAGE.glob("*.py")
+        if any(isinstance(n, ast.Attribute) and n.attr == "is_maximal" for n in ast.walk(_tree(p)))
+    }
+    assert read == set()
 
 
 def _asserts(tree: ast.Module) -> list[int]:

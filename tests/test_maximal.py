@@ -25,8 +25,10 @@ from invgen.subgroups import (
     closure_indices,
     frattini,
     maximal_classes,
+    maximal_subgroups_up_to_conjugacy,
     minimal_normal_subgroups,
     quotient_with_map,
+    subgroup_conjugates,
 )
 
 
@@ -39,12 +41,11 @@ def _covers(G, reps):
 
 def lattice_route(G):
     """(maximal_orders, maximal_counts, covers) from the whole lattice."""
-    maximal = [(rep, len(orbit)) for rep, orbit in _lattice(G) if rep.is_maximal]
-    maximal.sort(key=lambda pair: (pair[0].order, pair[0].bits))
+    reps = maximal_subgroups_up_to_conjugacy(G)
     return (
-        tuple(rep.order for rep, _ in maximal),
-        tuple(count for _, count in maximal),
-        _covers(G, [rep.member_indices() for rep, _ in maximal]),
+        tuple(rep.order for rep in reps),
+        tuple(len(subgroup_conjugates(G, rep)) for rep in reps),
+        _covers(G, [rep.member_indices() for rep in reps]),
     )
 
 
@@ -191,17 +192,6 @@ def _lattice_builds(monkeypatch) -> list:
     return built
 
 
-def test_simple_groups_take_the_lattice(monkeypatch):
-    for desc in ({"family": "alt", "n": 5}, {"family": "alt", "n": 6}):
-        G = load_group(desc)
-        members, abelian = _minimal_normal(G)
-        assert not abelian and len(members) == G.order
-        built = _lattice_builds(monkeypatch)
-        route = new_route(G)
-        assert [H for H in built if H is G] == [G]
-        assert route == lattice_route(load_group(desc))
-
-
 def test_proper_nonabelian_socle_takes_the_lattice_of_the_socle(monkeypatch):
     for desc in ({"family": "sym", "n": 5}, {"family": "sym", "n": 6}):
         G = load_group(desc)
@@ -261,25 +251,55 @@ def test_pgl27_matches_the_lattice():
     assert (orders, counts, covers) == lattice_route(_pgl27())
 
 
+def _normalizer_search_builds(monkeypatch) -> list:
+    """The groups _normalizer_orbits builds from here on."""
+    import invgen.subgroups as sg
+
+    built, inside = [], []
+    real_rows, real_orbits = Group._from_rows.__func__, sg._normalizer_orbits
+
+    def from_rows(cls, *args):
+        out = real_rows(cls, *args)
+        if inside:
+            built.append(out[0])
+        return out
+
+    def orbits(G, members):
+        inside.append(G)
+        try:
+            return real_orbits(G, members)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Group, "_from_rows", classmethod(from_rows))
+    monkeypatch.setattr(sg, "_normalizer_orbits", orbits)
+    return built
+
+
 @pytest.mark.parametrize(
-    "make, simple",
+    "make",
     [
-        (lambda: load_group({"family": "sym", "n": 5}), False),
-        (lambda: load_group({"family": "sym", "n": 6}), False),
-        (_pgl27, False),
-        (lambda: load_group({"family": "alt", "n": 5}), True),
-        (lambda: load_group({"family": "alt", "n": 6}), True),
+        lambda: load_group({"family": "alt", "n": 5}),
+        lambda: load_group({"family": "alt", "n": 6}),
+        lambda: load_group({"family": "sym", "n": 5}),
+        lambda: load_group({"family": "sym", "n": 6}),
+        _pgl27,
     ],
-    ids=["S5", "S6", "PGL(2,7)", "A5", "A6"],
+    ids=["A5", "A6", "S5", "S6", "PGL(2,7)"],
 )
-def test_only_a_simple_group_builds_its_own_lattice(monkeypatch, make, simple):
+def test_only_the_normalizer_search_builds_a_lattice(monkeypatch, make):
+    # simple or not, the maximal classes come from one recursion: the
+    # lattice is built only for the socle, as a group of its own that the
+    # normalizer search made from G's rows, never for G itself
     G = make()
+    searched = _normalizer_search_builds(monkeypatch)
     built = _lattice_builds(monkeypatch)
     coverage_table(G)
     assert frattini(G).order == 1
     chief_series(G)
     assert corona_decomposition(G).U is not None
-    assert any(H is G for H in built) == simple
+    assert built and not any(H is G for H in built)
+    assert all(any(H is S for S in searched) for H in built)
 
 
 def test_abelian_minimal_normal_over_a_nonabelian_socle():

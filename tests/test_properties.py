@@ -214,9 +214,31 @@ def _shift_exact_value(monkeypatch):
     monkeypatch.setattr(properties, "chebotarev_exact", shifted)
 
 
+def _misorder_a_subgroup(monkeypatch):
+    real = properties.subgroup_lattice
+
+    def patched(G):
+        out = list(real(G))
+        out[-1] = replace(out[-1], order=out[-1].order + 1)  # G itself, as |G| + 1
+        return out
+
+    monkeypatch.setattr(properties, "subgroup_lattice", patched)
+
+
+def _frattini_of_one_class(monkeypatch):
+    from invgen.subgroups import _record, maximal_classes
+
+    monkeypatch.setattr(
+        properties, "frattini",
+        lambda G: _record(G, np.flatnonzero(maximal_classes(G)[-1].all(axis=0))),
+    )
+
+
 # one planted defect per check, each a check no other test sees fail
 PLANTED = {
     ("group_core", "class_partition"): _drop_a_class,
+    ("group_core", "lagrange"): _misorder_a_subgroup,
+    ("group_core", "frattini_nongenerators"): _frattini_of_one_class,
     ("modlin", "cohomology_bound"): _raise_h1_dim(lambda act: act.dim),
     ("modlin", "coprime_vanishing"): _raise_h1_dim(lambda act: 1),
     ("harness", "agl_band"): _scale_agl_ratios,
@@ -225,19 +247,43 @@ PLANTED = {
 
 
 @pytest.fixture(scope="module")
-def s3_gf7_path(tmp_path_factory):
-    """mod_s3_gf7 alone: S3, and a faithful, absolutely irreducible module
-    of order prime to |S3|, which every planted check reaches."""
+def planted_path(tmp_path_factory):
+    """mod_s3_gf7: S3, and a faithful, absolutely irreducible module of
+    order prime to |S3|, which every planted check reaches; then C4, whose
+    Frattini subgroup C2 gives the Frattini check elements to sample."""
     row = next(d for d in read_corpus(shipped_corpus_path()) if d.get("name") == "mod_s3_gf7")
-    path = tmp_path_factory.mktemp("corpus") / "s3_gf7.jsonl"
-    path.write_text(json.dumps(row) + "\n")
+    path = tmp_path_factory.mktemp("corpus") / "planted.jsonl"
+    path.write_text(json.dumps(row) + "\n" + json.dumps({"family": "cyclic", "n": 4}) + "\n")
     return str(path)
 
 
 @pytest.mark.parametrize("check", PLANTED, ids=[".".join(c) for c in PLANTED])
-def test_planted_defect_is_reported(monkeypatch, s3_gf7_path, check):
-    (clean,) = verify_props(corpus_path=s3_gf7_path, only=(check,)).outcomes
+def test_planted_defect_is_reported(monkeypatch, planted_path, check):
+    (clean,) = verify_props(corpus_path=planted_path, only=(check,)).outcomes
     assert clean.checked > 0 and clean.passed, clean.violations
     PLANTED[check](monkeypatch)
-    (outcome,) = verify_props(corpus_path=s3_gf7_path, only=(check,)).outcomes
+    (outcome,) = verify_props(corpus_path=planted_path, only=(check,)).outcomes
     assert (outcome.suite, outcome.name) == check and outcome.violations
+
+
+def test_fpf_identity_sees_a_wrong_lattice_of_a_simple_group(monkeypatch, tmp_path):
+    # the table's maximal classes of alt(5) come from the lattice of its
+    # socle, built as a group of its own; a lattice of alt(5) itself that
+    # lost its class of A4 misleads the lattice side alone, which then
+    # takes the Klein four-groups for maximal
+    import invgen.subgroups as sg
+
+    path = tmp_path / "a5.jsonl"
+    path.write_text(json.dumps({"family": "alt", "n": 5}) + "\n")
+    real = sg._lattice
+
+    def without_a4(G):
+        classes = real(G)
+        if G.name != "alt(5)":
+            return classes
+        return [(rep, orbit) for rep, orbit in classes if rep.order != 12]
+
+    monkeypatch.setattr(sg, "_lattice", without_a4)
+    report = verify_props(corpus_path=str(path), only=(("invariable", "fixed_point_free_identity"),))
+    (outcome,) = report.outcomes
+    assert outcome.violations == ["alt(5): maximal classes differ between the table and the lattice"]
